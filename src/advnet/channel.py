@@ -249,11 +249,6 @@ def identity_channel(symbols, outputs=None):
     return TableChannel(symbols, outs, {x: {x} for x in symbols})
 
 
-def deterministic_channel(inputs, fn, name=None):
-    return SymbolicChannel(inputs, lambda x: (fn(x),), deterministic=True,
-                           name=name or "deterministic")
-
-
 def product(ch1, ch2):
     return ProductChannel([ch1, ch2])
 

@@ -96,13 +96,5 @@ class DrawsExhausted(AdvnetError):
         super().__init__(message or f"no successful draw; last failing terminal: {terminal}")
 
 
-class DecodeFailure(AdvnetError):
-    pass
-
-
 class UnsupportedSources(AdvnetError):
-    pass
-
-
-class ParseError(AdvnetError):
     pass

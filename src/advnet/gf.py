@@ -66,9 +66,6 @@ class Field:
             raise ZeroDivisionError("zero has no inverse")
         return self.pow(a, self.q - 2)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -408,15 +405,9 @@ class Matrix:
         F = self.field
         return Matrix(F, tuple(tuple(F.mul(c, a) for a in row) for row in self.rows))
 
-    def transpose(self):
-        return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else ())
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
-
-    def hstack(self, other):
-        return Matrix(self.field, tuple(ra + rb for ra, rb in zip(self.rows, other.rows)))
 
     def vstack(self, other):
         return Matrix(self.field, self.rows + other.rows)

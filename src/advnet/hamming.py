@@ -88,6 +88,14 @@ def single_block(alphabet_size, length, coords, t, e=0):
     return HammingSpec(alphabet_size, length, (Block(coords, t, e),))
 
 
+def subsets_upto(items, r):
+    """The subsets of sorted(items) with at most r elements, as tuples,
+    smallest first."""
+    items = sorted(items)
+    return [c for k in range(min(r, len(items)) + 1)
+            for c in itertools.combinations(items, k)]
+
+
 def words(a, s):
     return itertools.product(range(a), repeat=s)
 
@@ -172,19 +180,14 @@ def fanout(spec, x):
     if spec.variant == DISJOINT:
         per_block = []
         for b in spec.blocks:
-            coords = sorted(b.coords)
             options = set()
-            for n_err in range(min(b.t, len(coords)) + 1):
-                for err_pos in itertools.combinations(coords, n_err):
-                    rest = [c for c in coords if c not in err_pos]
-                    for n_star in range(min(b.e, len(rest)) + 1):
-                        for star_pos in itertools.combinations(rest, n_star):
-                            choices = [[v for v in range(a) if v != x[i]]
-                                       for i in err_pos]
-                            for vals in itertools.product(*choices):
-                                options.add(tuple(sorted(
-                                    list(zip(err_pos, vals))
-                                    + [(i, STAR) for i in star_pos])))
+            for err_pos in subsets_upto(b.coords, b.t):
+                choices = [[v for v in range(a) if v != x[i]] for i in err_pos]
+                for star_pos in subsets_upto(b.coords - set(err_pos), b.e):
+                    for vals in itertools.product(*choices):
+                        options.add(tuple(sorted(
+                            list(zip(err_pos, vals))
+                            + [(i, STAR) for i in star_pos])))
             per_block.append(options)
         out = set()
         for combo in itertools.product(*per_block):
@@ -301,14 +304,8 @@ def multi_block_bound(spec, n=1):
 
 def _chosen_subsets(spec):
     """All per-block coordinate choices V (|V_l| <= t_l + e_l)."""
-    per_block = []
-    for b in spec.blocks:
-        coords = sorted(b.coords)
-        opts = []
-        for r in range(min(b.t + b.e, len(coords)) + 1):
-            opts.extend(itertools.combinations(coords, r))
-        per_block.append(opts)
-    return list(itertools.product(*per_block))
+    return list(itertools.product(*[subsets_upto(b.coords, b.t + b.e)
+                                    for b in spec.blocks]))
 
 
 def compound_channel(spec, n, limit=1 << 12):
@@ -344,10 +341,6 @@ def compound_confusable(spec, n, xs, xps):
             if all(fan(ca, x) & fan(cb, xp) for x, xp in zip(xs, xps)):
                 return True
     return False
-
-
-def compound_capacity_bound(spec, n=1):
-    return multi_block_bound(spec, n)
 
 
 # -- achievability -------------------------------------------------------------
@@ -397,16 +390,10 @@ def product_alphabet_channel(b, m, s, t, e, limit=1 << 12):
 def adversarial_strength(blocks):
     """Exhaustive max size of a union of two per-block <=t subsets."""
     best = 0
-    per_block = []
-    for b in blocks:
-        coords = sorted(b.coords)
-        opts = []
-        for r in range(min(b.t, len(coords)) + 1):
-            opts.extend(itertools.combinations(coords, r))
-        per_block.append(opts)
-    for first in itertools.product(*per_block):
+    choices = list(itertools.product(*[subsets_upto(b.coords, b.t) for b in blocks]))
+    for first in choices:
         base = set().union(*first) if first else set()
-        for second in itertools.product(*per_block):
+        for second in choices:
             u = base.union(*second) if second else base
             best = max(best, len(u))
     return best

@@ -8,6 +8,14 @@ replaced by the erasure symbol.  Network codes assign to each intermediate
 vertex a total function from incoming to outgoing values; adversaries
 override edge values during the single forward pass, before any
 downstream read.
+
+Each acyclic network compiles a plan once: one step per emitting vertex,
+in edge order, holding the vertex, its source index (or its in-edge ids)
+and its out-edge ids.  One branching pass, `_forward`, walks a plan and
+serves every evaluation: `evaluate` with the action's overrides,
+`adversarial_fanouts` with every admissible corruption, and
+`cut_to_sink_channel` on the part of the plan that feeds the terminal.
+Cyclic networks have no plan; evaluating one raises CyclicGraph.
 """
 
 import itertools
@@ -19,9 +27,8 @@ from .channel import STAR, SymbolicChannel
 from .errors import (AlphabetMismatch, BadFreeze, CyclicGraph, Infeasible,
                      InvalidParams, MissingCodeFunction, NotACut,
                      SearchLimitExceeded, UnsupportedVariant)
+from .hamming import DISJOINT, OVERLAPPING, subsets_upto
 
-DISJOINT = "disjoint"
-OVERLAPPING = "overlapping"
 RANK = "rank"
 PER_SYMBOL = "per_symbol"
 
@@ -64,6 +71,10 @@ class Network:
         self.edge_by_id = {e.id: e for e in self.edges}
         self._in = {v: tuple(e for e in self.edges if e.head == v) for v in self.vertices}
         self._out = {v: tuple(e for e in self.edges if e.tail == v) for v in self.vertices}
+        self._plan = None if self._cyclic else tuple(
+            (v, self.sources.index(v) if v in self.sources else None,
+             tuple(e.id for e in self._in[v]), tuple(e.id for e in self._out[v]))
+            for v in dict.fromkeys(e.tail for e in self.edges))
 
     def _topological_vertex_index(self, edges):
         indeg = {v: 0 for v in self.vertices}
@@ -104,10 +115,6 @@ class Network:
 
     def source_index(self, s):
         return self.sources.index(s)
-
-    def local_alphabet_size(self, i, alphabet=None):
-        alphabet = self._alphabet(alphabet)
-        return len(alphabet) ** len(self.out_edges(self.sources[i]))
 
     def _alphabet(self, alphabet=None):
         alphabet = alphabet if alphabet is not None else self.alphabet
@@ -436,15 +443,7 @@ def identity_routing_code(net):
 
 def global_inputs(net, alphabet=None):
     """Iterator over all global inputs (tuple of per-source tuples)."""
-    alphabet = net._alphabet(alphabet)
-    spaces = [list(itertools.product(alphabet, repeat=len(net.out_edges(s))))
-              for s in net.sources]
-    return itertools.product(*spaces)
-
-
-def global_input_count(net, alphabet=None):
-    alphabet = net._alphabet(alphabet)
-    return math.prod(len(alphabet) ** len(net.out_edges(s)) for s in net.sources)
+    return _input_space(net, alphabet)[1]()
 
 
 class EvalResult:
@@ -455,28 +454,47 @@ class EvalResult:
         self.observations = observations
 
 
+def _steps(net):
+    if net._plan is None:
+        raise CyclicGraph("cannot evaluate a cyclic network")
+    return net._plan
+
+
+def _forward(code, steps, x, replace, start=()):
+    """Every edge-value map of one forward pass over `steps`, starting from
+    the values in `start`.  Edge eid with clean value v may carry any value
+    in replace(eid, v); each vertex function is called once per state."""
+    states = [dict(start)]
+    for vertex, src, ins, outs in steps:
+        fn = None if src is not None else code.fn(vertex)
+        branched = []
+        for values in states:
+            clean = x[src] if src is not None else fn(tuple(values[i] for i in ins))
+            choices = list(itertools.product(
+                *[replace(eid, v) for eid, v in zip(outs, clean)]))
+            for choice in choices[1:]:
+                branch = dict(values)
+                branch.update(zip(outs, choice))
+                branched.append(branch)
+            if choices:
+                values.update(zip(outs, choices[0]))
+                branched.append(values)
+        states = branched
+    return states
+
+
+def _observe(net, values):
+    return {t: tuple(values[e.id] for e in net.in_edges(t)) for t in net.terminals}
+
+
 def evaluate(net, code, x, action=None):
     """Single forward pass in edge order.  x is a tuple of per-source
     value tuples; action maps edge ids to override values (symbols or the
     erasure symbol), applied before any downstream read."""
     action = action or {}
-    values = {}
-    vertex_out = {}
-    for e in net.edges:
-        if e.tail in net.sources:
-            i = net.source_index(e.tail)
-            pos = net.out_edges(e.tail).index(e)
-            v = x[i][pos]
-        else:
-            if e.tail not in vertex_out:
-                in_vals = tuple(values[ie.id] for ie in net.in_edges(e.tail))
-                vertex_out[e.tail] = code.fn(e.tail)(in_vals)
-            v = vertex_out[e.tail][net.out_edges(e.tail).index(e)]
-        if e.id in action:
-            v = action[e.id]
-        values[e.id] = v
-    obs = {t: tuple(values[e.id] for e in net.in_edges(t)) for t in net.terminals}
-    return EvalResult(values, obs)
+    values, = _forward(code, _steps(net), x,
+                       lambda eid, v: (action.get(eid, v),))
+    return EvalResult(values, _observe(net, values))
 
 
 # -- deterministic channels ----------------------------------------------------
@@ -485,11 +503,10 @@ def _input_space(net, alphabet, keep=None):
     """(count, iterator factory) over inputs restricted to sources `keep`
     (all sources when None)."""
     alphabet = net._alphabet(alphabet)
-    idxs = list(range(len(net.sources))) if keep is None else list(keep)
-    sizes = [len(alphabet) ** len(net.out_edges(net.sources[i])) for i in idxs]
+    idxs = range(len(net.sources)) if keep is None else keep
     spaces = [list(itertools.product(alphabet, repeat=len(net.out_edges(net.sources[i]))))
               for i in idxs]
-    count = math.prod(sizes) if sizes else 1
+    count = math.prod(len(space) for space in spaces)
 
     def factory():
         return itertools.product(*spaces)
@@ -525,31 +542,18 @@ def transfer_channel(net, code, edge_ids, alphabet=None, keep=None, frozen=None)
                            name=f"transfer->{sorted(edge_ids)}")
 
 
-def _cut_levels(net, cut_set, terminal, resolved):
-    """The backward level sets of the cut recursion; level 0 is in(T)."""
-    levels = [tuple(e.id for e in net.in_edges(terminal))]
-    for _ in range(len(net.edges) + 1):
-        current = levels[-1]
-        if set(current) <= resolved:
-            return levels
-        nxt = []
-        for eid in current:
-            if eid in cut_set:
-                nxt.append(eid)
-        feeders = set()
-        for eid in current:
-            if eid in cut_set or eid in resolved:
-                continue
-            tail = net.edge_by_id[eid].tail
-            if tail in net.sources:
-                raise NotACut(f"recursion reached unresolved source edge {eid}")
-            for ie in net.in_edges(tail):
-                feeders.add(ie.id)
-        merged = list(dict.fromkeys(nxt)) + [eid for eid in
-                                             (e.id for e in net.edges)
-                                             if eid in feeders]
-        levels.append(tuple(dict.fromkeys(merged)))
-    raise NotACut("cut recursion failed to terminate")
+def _cone(net, terminal, resolved):
+    """The plan steps that compute in(terminal), stopped at resolved edges."""
+    needed = set()
+    stack = [e for e in net.in_edges(terminal) if e.id not in resolved]
+    while stack:
+        e = stack.pop()
+        if e.tail in net.sources:
+            raise NotACut(f"{terminal} depends on unresolved source edge {e.id}")
+        if e.tail not in needed:
+            needed.add(e.tail)
+            stack.extend(ie for ie in net.in_edges(e.tail) if ie.id not in resolved)
+    return [step for step in _steps(net) if step[0] in needed]
 
 
 def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
@@ -558,9 +562,9 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
     incoming values, honoring the priority rule for non-antichain cuts.
 
     Inputs range over the extended alphabet on the cut edges (edge order);
-    coordinates of cut edges that the recursion never consumes are ignored.
-    With keep/frozen given, the cut needs to separate only the kept sources
-    and the frozen sources' emissions resolve the recursion.
+    coordinates of cut edges that the pass never reads are ignored.  With
+    keep/frozen given, the cut needs to separate only the kept sources and
+    the frozen sources' emissions resolve the pass.
     """
     alphabet_t = net._alphabet(alphabet)
     cut_list = net.edge_positions(cut_ids)
@@ -577,7 +581,8 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
             for pos, e in enumerate(net.out_edges(s)):
                 frozen_values[e.id] = tuple(x)[pos]
     resolved = cut_set | set(frozen_values)
-    levels = _cut_levels(net, cut_set, terminal, resolved)
+    steps = _cone(net, terminal, resolved)
+    in_ids = [e.id for e in net.in_edges(terminal)]
 
     ext = tuple(alphabet_t) + (STAR,)
     count = len(ext) ** len(cut_list)
@@ -586,24 +591,11 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
         return itertools.product(ext, repeat=len(cut_list))
 
     def fanout_fn(vals):
-        assign = dict(zip(cut_list, vals))
-        assign.update(frozen_values)
-        for k in range(len(levels) - 2, -1, -1):
-            upper = levels[k + 1]
-            nxt = {}
-            vertex_out = {}
-            for eid in levels[k]:
-                if eid in upper or eid in frozen_values:
-                    nxt[eid] = assign[eid]
-                    continue
-                tail = net.edge_by_id[eid].tail
-                if tail not in vertex_out:
-                    in_vals = tuple(assign[ie.id] for ie in net.in_edges(tail))
-                    vertex_out[tail] = code.fn(tail)(in_vals)
-                e_obj = net.edge_by_id[eid]
-                nxt[eid] = vertex_out[tail][net.out_edges(tail).index(e_obj)]
-            assign.update(nxt)
-        return (tuple(assign[eid] for eid in levels[0]),)
+        start = dict(zip(cut_list, vals))
+        start.update(frozen_values)
+        values, = _forward(code, steps, None,
+                           lambda eid, v: (start.get(eid, v),), start)
+        return (tuple(values[eid] for eid in in_ids),)
 
     return SymbolicChannel((count, factory), fanout_fn, deterministic=True,
                            name=f"cut{sorted(cut_set)}->{terminal}")
@@ -660,12 +652,6 @@ class AdversarySpec:
                     raise InvalidParams("disjoint adversary blocks overlap")
                 seen |= b.edges
 
-    def edge_universe(self):
-        out = set()
-        for b in self.blocks:
-            out |= b.edges
-        return out
-
 
 def adversary_free():
     return AdversarySpec(blocks=())
@@ -704,110 +690,47 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None, limit=10 ** 6):
     alphabet_t = net._alphabet(alphabet)
     if _count_actions(net, adv, alphabet_t) > limit:
         raise SearchLimitExceeded("adversary action space exceeds the limit")
-    outs = {t: set() for t in net.terminals}
+    steps = _steps(net)
     if adv.variant == DISJOINT:
-        per_block_choices = []
-        for b in adv.blocks:
-            edges = sorted(b.edges, key=_natural_key)
-            opts = []
-            for i in range(min(b.t, len(edges)) + 1):
-                for err in itertools.combinations(edges, i):
-                    rest = [eid for eid in edges if eid not in err]
-                    for j in range(min(b.e, len(rest)) + 1):
-                        for er in itertools.combinations(rest, j):
-                            opts.append((err, er))
-            per_block_choices.append(opts)
-        for combo in itertools.product(*per_block_choices):
-            err_edges = [eid for errs, _ in combo for eid in errs]
-            star_edges = [eid for _, stars in combo for eid in stars]
-            for obs in _branch_eval(net, code, x, err_edges, star_edges, alphabet_t):
-                for t in net.terminals:
-                    outs[t].add(obs[t])
+        # per block: the corrupted edges, then the erased ones among the rest
+        per_block = [[(err, stars) for err in subsets_upto(b.edges, b.t)
+                      for stars in subsets_upto(b.edges - set(err), b.e)]
+                     for b in adv.blocks]
+        passes = []
+        for combo in itertools.product(*per_block):
+            err = {eid for errs, _ in combo for eid in errs}
+            stars = {eid for _, st in combo for eid in st}
+            passes.append(lambda eid, v, err=err, stars=stars: (
+                (STAR,) if eid in stars else
+                [w for w in alphabet_t if w != v] if eid in err else (v,)))
     elif adv.variant == PER_SYMBOL:
-        for obs in _branch_eval_per_symbol(net, code, x, adv, alphabet_t):
-            for t in net.terminals:
-                outs[t].add(obs[t])
+        base = sorted({v for sym in alphabet_t for v in sym})
+        passes = [lambda eid, v: _symbol_ball(v, adv.t, adv.e, base)]
     else:
         raise UnsupportedVariant(f"cannot enumerate actions for variant {adv.variant}")
+    outs = {t: set() for t in net.terminals}
+    for replace in passes:
+        for values in _forward(code, steps, x, replace):
+            for t, obs in _observe(net, values).items():
+                outs[t].add(obs)
     return {t: frozenset(v) for t, v in outs.items()}
-
-
-def _branch_eval(net, code, x, err_edges, star_edges, alphabet):
-    """All observation maps when the given edges are corrupted (each to any
-    different symbol) or erased."""
-    err_set = set(err_edges)
-    star_set = set(star_edges)
-    states = [{}]
-    for e in net.edges:
-        new_states = []
-        for values in states:
-            if e.tail in net.sources:
-                i = net.source_index(e.tail)
-                v = x[i][net.out_edges(e.tail).index(e)]
-            else:
-                in_vals = tuple(values[ie.id] for ie in net.in_edges(e.tail))
-                v = code.fn(e.tail)(in_vals)[net.out_edges(e.tail).index(e)]
-            if e.id in star_set:
-                nv = dict(values)
-                nv[e.id] = STAR
-                new_states.append(nv)
-            elif e.id in err_set:
-                for w in alphabet:
-                    if w == v:
-                        continue
-                    nv = dict(values)
-                    nv[e.id] = w
-                    new_states.append(nv)
-            else:
-                values[e.id] = v
-                new_states.append(values)
-        states = new_states
-    for values in states:
-        yield {t: tuple(values[e.id] for e in net.in_edges(t)) for t in net.terminals}
 
 
 def _symbol_ball(symbol, t, e, base_alphabet):
     """All corrupted versions of a composite symbol (tuple over the base
     alphabet): up to t sub-symbol errors and e erasures."""
-    m = len(symbol)
     out = []
-    idx = range(m)
-    for i in range(min(t, m) + 1):
-        for err in itertools.combinations(idx, i):
-            rest = [d for d in idx if d not in err]
-            for j in range(min(e, m - i) + 1):
-                for stars in itertools.combinations(rest, j):
-                    choices = [[v for v in base_alphabet if v != symbol[d]]
-                               for d in err]
-                    for vals in itertools.product(*choices):
-                        y = list(symbol)
-                        for d, v in zip(err, vals):
-                            y[d] = v
-                        for d in stars:
-                            y[d] = STAR
-                        out.append(tuple(y))
+    for err in subsets_upto(range(len(symbol)), t):
+        choices = [[v for v in base_alphabet if v != symbol[d]] for d in err]
+        for stars in subsets_upto(set(range(len(symbol))) - set(err), e):
+            for vals in itertools.product(*choices):
+                y = list(symbol)
+                for d, v in zip(err, vals):
+                    y[d] = v
+                for d in stars:
+                    y[d] = STAR
+                out.append(tuple(y))
     return out
-
-
-def _branch_eval_per_symbol(net, code, x, adv, alphabet):
-    base = sorted({v for sym in alphabet for v in sym})
-    states = [{}]
-    for e in net.edges:
-        new_states = []
-        for values in states:
-            if e.tail in net.sources:
-                i = net.source_index(e.tail)
-                v = x[i][net.out_edges(e.tail).index(e)]
-            else:
-                in_vals = tuple(values[ie.id] for ie in net.in_edges(e.tail))
-                v = code.fn(e.tail)(in_vals)[net.out_edges(e.tail).index(e)]
-            for w in _symbol_ball(v, adv.t, adv.e, base):
-                nv = dict(values)
-                nv[e.id] = w
-                new_states.append(nv)
-        states = new_states
-    for values in states:
-        yield {t: tuple(values[e.id] for e in net.in_edges(t)) for t in net.terminals}
 
 
 def adversarial_channel(net, code, adv, terminal, alphabet=None, keep=None,

@@ -78,9 +78,10 @@ def _subsets(n):
 
 
 def _cut_minimize(net, value_fn, cut_limit=1 << 20):
-    """For every J: minimize value_fn(cut) over terminals and inclusion-
-    minimal cuts; returns {J: (value, exact, terminal, cut)}."""
-    out = {}
+    """The region whose bound for every J is the minimum of value_fn(cut)
+    over terminals and inclusion-minimal cuts; value_fn returns (value,
+    exact) and each inequality records its attaining terminal and cut."""
+    ineqs = []
     for subset in _subsets(len(net.sources)):
         best = None
         for t in net.terminals:
@@ -88,9 +89,21 @@ def _cut_minimize(net, value_fn, cut_limit=1 << 20):
                 value, exact = value_fn(cut)
                 key = (value, tuple(net.edge_positions(cut)))
                 if best is None or key < best[0]:
-                    best = (key, exact, t, tuple(net.edge_positions(cut)))
-        out[subset] = (best[0][0], best[1], best[2], best[3])
-    return out
+                    best = (key, exact, t)
+        (value, cut), exact, t = best
+        ineqs.append(Inequality(subset, value, exact, t, cut))
+    return RateRegion(len(net.sources), ineqs)
+
+
+def _min_cut_minimize(net, value_fn):
+    """The region whose bound for every J is the minimum over terminals of
+    value_fn(min cut between J and the terminal), recording the terminal."""
+    ineqs = []
+    for subset in _subsets(len(net.sources)):
+        values = [(value_fn(min_cut(net, sorted(subset), t)), t) for t in net.terminals]
+        value, t = min(values, key=lambda pair: pair[0])
+        ineqs.append(Inequality(subset, value, True, t, None))
+    return RateRegion(len(net.sources), ineqs)
 
 
 def theo1_region(net, adv, alphabet_size):
@@ -109,9 +122,7 @@ def theo1_region(net, adv, alphabet_size):
             return float(outside), True
         return outside + bv.upper_value, bv.exact
 
-    best = _cut_minimize(net, value)
-    return RateRegion(len(net.sources),
-                      [Inequality(j, *best[j]) for j in _subsets(len(net.sources))])
+    return _cut_minimize(net, value)
 
 
 def singleton_hamming_region(net, t, e, alphabet_size):
@@ -119,20 +130,14 @@ def singleton_hamming_region(net, t, e, alphabet_size):
     max(0, mu - 2t - e) and the Hamming-type bound with radius floor(t+e/2),
     minimized over terminals."""
     tprime = t + e // 2
-    ineqs = []
-    for subset in _subsets(len(net.sources)):
-        best = None
-        for term in net.terminals:
-            mu = min_cut(net, sorted(subset), term)
-            singleton = max(0.0, mu - 2 * t - e)
-            ball = sum(math.comb(mu, h) * (alphabet_size - 1) ** h
-                       for h in range(0, tprime + 1))
-            hamming_bound = max(0.0, mu - math.log(ball, alphabet_size))
-            val = min(singleton, hamming_bound)
-            if best is None or val < best[0]:
-                best = (val, term)
-        ineqs.append(Inequality(subset, best[0], True, best[1], None))
-    return RateRegion(len(net.sources), ineqs)
+
+    def value(mu):
+        singleton = max(0.0, mu - 2 * t - e)
+        ball = sum(math.comb(mu, h) * (alphabet_size - 1) ** h
+                   for h in range(0, tprime + 1))
+        return min(singleton, max(0.0, mu - math.log(ball, alphabet_size)))
+
+    return _min_cut_minimize(net, value)
 
 
 def theo2_region(net, adv):
@@ -148,24 +153,13 @@ def theo2_region(net, adv):
             total -= min(2 * b.t + b.e, len(cut & b.edges))
         return float(total), True
 
-    best = _cut_minimize(net, value)
-    return RateRegion(len(net.sources),
-                      [Inequality(j, *best[j]) for j in _subsets(len(net.sources))])
+    return _cut_minimize(net, value)
 
 
 def product_alphabet_region(net, t, e, m):
     """Sub-symbol adversary on every edge: per J, mu * max(0, m-2t-e) / m."""
     factor = max(0, m - 2 * t - e) / m
-    ineqs = []
-    for subset in _subsets(len(net.sources)):
-        best = None
-        for term in net.terminals:
-            mu = min_cut(net, sorted(subset), term)
-            val = mu * factor
-            if best is None or val < best[0]:
-                best = (val, term)
-        ineqs.append(Inequality(subset, best[0], True, best[1], None))
-    return RateRegion(len(net.sources), ineqs)
+    return _min_cut_minimize(net, lambda mu: mu * factor)
 
 
 def overlap_region(net, adv):
@@ -180,9 +174,7 @@ def overlap_region(net, adv):
             for b in adv.blocks)
         return float(len(cut) - hamming_mod.adversarial_strength(clipped)), True
 
-    best = _cut_minimize(net, value)
-    return RateRegion(len(net.sources),
-                      [Inequality(j, *best[j]) for j in _subsets(len(net.sources))])
+    return _cut_minimize(net, value)
 
 
 def rank_region(net, adv):
@@ -195,9 +187,7 @@ def rank_region(net, adv):
     def value(cut):
         return float(len(cut) - min(2 * block.t, len(cut & block.edges))), True
 
-    best = _cut_minimize(net, value)
-    return RateRegion(len(net.sources),
-                      [Inequality(j, *best[j]) for j in _subsets(len(net.sources))])
+    return _cut_minimize(net, value)
 
 
 # -- verification ---------------------------------------------------------------
@@ -240,10 +230,6 @@ def verify_one_shot(net, code, source_codes, adv, alphabet=None, limit=10 ** 6):
     return VerifyResult(True, rate)
 
 
-def _use_fanouts(net, code, adv, x, alphabet, limit):
-    return adversarial_fanouts(net, code, adv, x, alphabet, limit)
-
-
 def verify_n_shot(net, codes_per_use, source_codes, adv, alphabet=None,
                   limit=10 ** 6):
     """n-shot goodness: each use k has its own network code; the adversary
@@ -258,26 +244,14 @@ def verify_n_shot(net, codes_per_use, source_codes, adv, alphabet=None,
         per_use = []
         for k in range(n):
             x = tuple(msg[i][k] for i in range(len(net.sources)))
-            per_use.append(_use_fanouts(net, codes_per_use[k], adv, x,
-                                        alphabet_t, limit))
+            per_use.append(adversarial_fanouts(net, codes_per_use[k], adv, x,
+                                               alphabet_t, limit))
         fans[msg] = per_use
     for t in net.terminals:
         for m1, m2 in itertools.combinations(messages, 2):
             if all(fans[m1][k][t] & fans[m2][k][t] for k in range(n)):
                 return VerifyResult(False, rate, t, (m1, m2))
     return VerifyResult(True, rate)
-
-
-def _clipped_choices(adv):
-    per_block = []
-    for b in adv.blocks:
-        edges = sorted(b.edges)
-        opts = []
-        for r in range(min(b.t + b.e, len(edges)) + 1):
-            opts.extend(itertools.combinations(edges, r))
-        per_block.append(opts)
-    return [tuple(frozenset(c) for c in combo)
-            for combo in itertools.product(*per_block)]
 
 
 def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None,
@@ -289,7 +263,8 @@ def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None,
     alphabet_t = net._alphabet(alphabet)
     n = len(codes_per_use)
     rate = _rates(net, source_codes, len(alphabet_t), n)
-    choices = _clipped_choices(adv)
+    choices = itertools.product(*[hamming_mod.subsets_upto(b.edges, b.t + b.e)
+                                  for b in adv.blocks])
     clipped_advs = [net_mod.AdversarySpec(
         blocks=tuple(net_mod.AdvBlock(v, b.t, b.e)
                      for v, b in zip(choice, adv.blocks)))
@@ -301,8 +276,8 @@ def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None,
             for k in range(n):
                 x = tuple(msg[i][k] for i in range(len(net.sources)))
                 key = (ci, msg, k)
-                fans[key] = _use_fanouts(net, codes_per_use[k], clipped, x,
-                                         alphabet_t, limit)
+                fans[key] = adversarial_fanouts(net, codes_per_use[k], clipped,
+                                                x, alphabet_t, limit)
     for t in net.terminals:
         for m1, m2 in itertools.combinations(messages, 2):
             for ci in range(len(clipped_advs)):
@@ -311,11 +286,3 @@ def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None,
                            for k in range(n)):
                         return VerifyResult(False, rate, t, (m1, m2))
     return VerifyResult(True, rate)
-
-
-def region_contains(region, alpha, tol=1e-9):
-    return region.contains(alpha, tol)
-
-
-def integer_points(region, box=None):
-    return region.integer_points(box)

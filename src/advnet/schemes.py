@@ -21,7 +21,7 @@ from .errors import (DrawsExhausted, InvalidParams, RegionViolated,
                      UnsupportedSources)
 from .network import (AdvBlock, AdversarySpec, FuncVertex, LinearVertex,
                       NetworkCode, PER_SYMBOL, TableVertex,
-                      edge_disjoint_paths, min_cut)
+                      edge_disjoint_paths, evaluate, min_cut)
 from .regions import _subsets
 
 
@@ -60,33 +60,26 @@ def _check_min_cut_region(net, demands, slack=0):
 def linear_transfer_matrices(net, code, fld):
     """Per-terminal transfer matrices of a linear network code: for each
     source i a matrix of shape |out(S_i)| x |in(T)| over the field, mapping
-    emitted packets (as coefficients) to terminal observations."""
+    emitted packets (as coefficients) to terminal observations.
+
+    The code's matrices are evaluated on unit coefficient vectors; with a
+    single source edge the vectors have length one, which LinearVertex
+    takes as plain field elements."""
     offsets = {}
     total = 0
     for s in net.sources:
         offsets[s] = total
         total += len(net.out_edges(s))
-    coeff = {}
-    for e in net.edges:
-        if e.tail in net.sources:
-            vec = [0] * total
-            vec[offsets[e.tail] + net.out_edges(e.tail).index(e)] = 1
-            coeff[e.id] = tuple(vec)
-        else:
-            vertex = code.fn(e.tail)
-            matrix = vertex.matrix
-            j = net.out_edges(e.tail).index(e)
-            vec = [0] * total
-            for i, ie in enumerate(net.in_edges(e.tail)):
-                c = matrix[i][j]
-                if c:
-                    for r, old in enumerate(coeff[ie.id]):
-                        if old:
-                            vec[r] = fld.add(vec[r], fld.mul(c, old))
-            coeff[e.id] = tuple(vec)
+    units = [(0,) * r + (1,) + (0,) * (total - r - 1) if total > 1 else 1
+             for r in range(total)]
+    x = tuple(tuple(units[offsets[s]:offsets[s] + len(net.out_edges(s))])
+              for s in net.sources)
+    coeff_code = NetworkCode({v: LinearVertex(fld, code.fn(v).matrix, m=total)
+                              for v in net.intermediates})
+    observations = evaluate(net, coeff_code, x).observations
     out = {}
     for t in net.terminals:
-        cols = [coeff[e.id] for e in net.in_edges(t)]
+        cols = [col if total > 1 else (col,) for col in observations[t]]
         per_source = {}
         for i, s in enumerate(net.sources):
             b = len(net.out_edges(s))
@@ -560,8 +553,7 @@ def build_product_alphabet(net, demands, t, e, q, m, max_draws=200, seed=0):
 
             return apply
 
-        fn = make_fn(lv.matrix)
-        fns[v] = FuncVertexLike(fn, lv.matrix)
+        fns[v] = make_fn(lv.matrix)
     code = NetworkCode(fns)
 
     def local_codeword(i, msg_vectors):
@@ -616,17 +608,6 @@ def build_product_alphabet(net, demands, t, e, q, m, max_draws=200, seed=0):
                         "enc_table": enc_table, "messages": messages,
                         "adversary": AdversarySpec(variant=PER_SYMBOL,
                                                    t=t, e=e, m=m)})
-
-
-class FuncVertexLike:
-    """Callable vertex that remembers the outer linear matrix it wraps."""
-
-    def __init__(self, fn, matrix):
-        self.fn = fn
-        self.matrix = matrix
-
-    def __call__(self, values):
-        return self.fn(values)
 
 
 # -- the hand-built double-relay scheme ---------------------------------------------

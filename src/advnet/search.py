@@ -78,25 +78,11 @@ def _clique_search(nbr, r, p, best, budget, target):
         p &= ~(1 << v)
 
 
-def max_clique(nbr, p=None, node_budget=None, target=None):
-    """Largest clique within candidate mask p.  Returns (size, vertices)."""
-    n = len(nbr)
-    if p is None:
-        p = (1 << n) - 1
-    best = [0, []]
-    if p:
-        _clique_search(nbr, [], p, best, _Budget(node_budget), target)
-    return best[0], sorted(best[1])
-
-
 def _has_clique(nbr, p, k, budget):
     if k <= 0:
         return True
     best = [k - 1, []]
-    try:
-        _clique_search(nbr, [], p, best, budget, target=k)
-    except SearchLimitExceeded:
-        raise
+    _clique_search(nbr, [], p, best, budget, target=k)
     return best[0] >= k
 
 
@@ -130,14 +116,6 @@ def max_independent_set(adj, node_budget=None):
         else:
             p &= ~(1 << v)
     return alpha, chosen
-
-
-def has_independent_set(adj, k, within=None, node_budget=None):
-    """Whether an independent set of size k exists inside mask `within`."""
-    n = len(adj)
-    comp = _complement(adj)
-    p = (1 << n) - 1 if within is None else within
-    return _has_clique(comp, p, k, _Budget(node_budget))
 
 
 def greedy_independent_set(adj):

@@ -216,7 +216,7 @@ def test_compound_confusable_consistency():
 
 def test_compound_bound_single_block():
     spec = hamming.single_block(2, 3, range(3), 1, 0)
-    assert hamming.compound_capacity_bound(spec, 4).value == pytest.approx(4.0)
+    assert hamming.multi_block_bound(spec, 4).value == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from advnet import netlib, network
 from advnet.channel import STAR, concat, same_fanout_map
-from advnet.errors import Infeasible, NotACut
+from advnet.errors import CyclicGraph, Infeasible, NotACut
 from advnet.network import (AdvBlock, AdversarySpec, Edge, FuncVertex,
                             LinearVertex, Network, NetworkCode, TableVertex,
                             adversarial_channel, adversarial_fanouts,
@@ -397,3 +397,86 @@ def test_adversarial_channel_agrees_with_restricted_middle():
         fans = adversarial_fanouts(net, code, adv, x, A2)
         assert evaluate(net, code, x).observations["T"] in fans["T"]
         assert chan.fanout((x[0], x[1])) == fans["T"]
+
+
+def test_cyclic_network_raises_typed_error():
+    net = Network(("S", "A", "B", "T"),
+                  [Edge("e1", "S", "A"), Edge("e2", "A", "B"),
+                   Edge("e3", "B", "A"), Edge("e4", "A", "T")],
+                  ("S",), ("T",), A2)
+    code = NetworkCode({"A": FuncVertex(lambda a, b: (a, b)),
+                        "B": FuncVertex(lambda a: (a,))})
+    adv = AdversarySpec(blocks=(AdvBlock({"e2"}, 1, 0),))
+    with pytest.raises(CyclicGraph):
+        linear_extension(net)
+    with pytest.raises(CyclicGraph):
+        evaluate(net, code, ((1,),))
+    with pytest.raises(CyclicGraph):
+        adversarial_fanouts(net, code, adv, ((1,),), A2)
+
+
+def _block_actions(edges, t, e, symbols):
+    """Every explicit action of one block: any values on at most t edges,
+    erasures on at most e others."""
+    edges = sorted(edges)
+    out = []
+    for i in range(min(t, len(edges)) + 1):
+        for err in itertools.combinations(edges, i):
+            rest = [eid for eid in edges if eid not in err]
+            for j in range(min(e, len(rest)) + 1):
+                for stars in itertools.combinations(rest, j):
+                    for vals in itertools.product(symbols, repeat=i):
+                        out.append(dict(zip(err, vals)) | {eid: STAR for eid in stars})
+    return out
+
+
+@pytest.mark.parametrize("t,e", [(1, 0), (0, 1), (1, 1)])
+def test_fanouts_match_explicit_actions_on_random_networks(t, e):
+    # two blocks, corrupted edges possibly upstream of other corrupted ones
+    rng = random.Random(1706 + 10 * t + e)
+    checked = 0
+    while checked < 6:
+        net = random_small_network(rng)
+        if net is None or len(net.edges) < 3:
+            continue
+        code = random_table_code(rng, net, A2, erasures=True)
+        edges = rng.sample([edge.id for edge in net.edges], rng.randint(2, len(net.edges)))
+        cut = rng.randint(1, len(edges) - 1)
+        adv = AdversarySpec(blocks=(AdvBlock(edges[:cut], t, e), AdvBlock(edges[cut:], t, e)))
+        actions = [a | b for a in _block_actions(edges[:cut], t, e, A2)
+                   for b in _block_actions(edges[cut:], t, e, A2)]
+        for x in network.global_inputs(net, A2):
+            want = {evaluate(net, code, x, action=act).observations["T"]
+                    for act in actions}
+            assert adversarial_fanouts(net, code, adv, x, A2)["T"] == want
+        checked += 1
+
+
+def test_per_symbol_fanouts_match_explicit_actions():
+    alphabet = tuple(itertools.product((0, 1), repeat=2))
+    words = tuple(itertools.product((0, 1, STAR), repeat=2))
+    net = netlib.single_path(alphabet)
+
+    def relay(a):
+        # erasure-aware and not a permutation of sub-symbols
+        return ((int(a[0] == 1) ^ int(a[1] == 1), 1 if a[1] == STAR else int(a[0] == 1)),)
+
+    code = NetworkCode({"V": FuncVertex(relay)})
+    for t, e in [(1, 0), (0, 1), (1, 1), (2, 0)]:
+        adv = AdversarySpec(variant=network.PER_SYMBOL, t=t, e=e, m=2)
+
+        def within(y, v):
+            return (sum(1 for a, b in zip(y, v) if a != STAR and a != b) <= t
+                    and y.count(STAR) <= e)
+
+        for x in network.global_inputs(net, alphabet):
+            want = set()
+            for y1 in words:
+                if not within(y1, x[0][0]):
+                    continue
+                clean = evaluate(net, code, x, action={"e1": y1}).edge_values["e2"]
+                for y2 in words:
+                    if within(y2, clean):
+                        want.add(evaluate(net, code, x, action={"e1": y1, "e2": y2})
+                                 .observations["T"])
+            assert adversarial_fanouts(net, code, adv, x, alphabet)["T"] == want

@@ -67,7 +67,7 @@ def test_theo2_double_relay_region():
     assert region.bound_for({0}).bound == pytest.approx(1.0)
     assert region.bound_for({1}).bound == pytest.approx(2.0)
     assert region.bound_for({0, 1}).bound == pytest.approx(3.0)
-    pts = regions.integer_points(region)
+    pts = region.integer_points()
     assert sorted(pts) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
@@ -119,7 +119,7 @@ def test_region_contains_zero():
     net = netlib.two_source_hub(A2)
     adv = network.full_edge_adversary(net, 1)
     region = regions.theo2_region(net, adv)
-    assert regions.region_contains(region, (0, 0))
+    assert region.contains((0, 0))
 
 
 # ---------------------------------------------------------------------------
