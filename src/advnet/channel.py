@@ -90,7 +90,7 @@ class SymbolicChannel(Channel):
     against explicit enumeration on small instances).
     """
 
-    def __init__(self, inputs, fanout_fn, confusable_fn=None, membership=None,
+    def __init__(self, inputs, fanout_fn, confusable_fn=None,
                  deterministic=False, name=None):
         if isinstance(inputs, tuple) and len(inputs) == 2 and callable(inputs[1]):
             self._count, self._factory = inputs
@@ -99,7 +99,6 @@ class SymbolicChannel(Channel):
             self._count, self._factory = len(seq), lambda: iter(seq)
         self._fanout_fn = fanout_fn
         self._confusable_fn = confusable_fn
-        self.membership = membership
         self._deterministic = deterministic
         self.name = name or "symbolic"
 

@@ -401,10 +401,6 @@ class Matrix:
             out.append(tuple(out_row))
         return Matrix(F, tuple(out))
 
-    def scale(self, c):
-        F = self.field
-        return Matrix(F, tuple(tuple(F.mul(c, a) for a in row) for row in self.rows))
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
@@ -466,14 +462,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
-
-
-def rank(m):
-    return m.rank()
-
-
-def right_inverse(m):
-    return m.right_inverse()
 
 
 def row_span(generator):

@@ -7,10 +7,16 @@ different symbols and erase up to e of them.  Disjoint-variant blocks are
 pairwise disjoint; the overlapping variant composes erasure-free block
 adversaries acting in sequence (order irrelevant).
 
+The action set lives here only: `block_actions` (one block's corrupted
+and erased positions), `ball` (blocks applied in sequence to a word) and
+`ball_size` serve these fan-outs and `network.adversarial_fanouts`;
+`chosen_subsets` lists the compound model's fixed vulnerable sets.
+
 Capacity values in this module are logarithms in base a, with the base
 recorded on the returned value.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,6 +43,10 @@ class Block:
         object.__setattr__(self, "e", e)
         if t < 0 or e < 0:
             raise InvalidParams("error/erasure powers must be non-negative")
+
+    def __iter__(self):
+        """Unpacks as (coords, t, e), the block form `ball` takes."""
+        return iter((self.coords, self.t, self.e))
 
 
 @dataclass(frozen=True)
@@ -72,10 +82,7 @@ class HammingSpec:
 
     @property
     def covered(self):
-        out = set()
-        for b in self.blocks:
-            out |= b.coords
-        return frozenset(out)
+        return frozenset().union(*(b.coords for b in self.blocks))
 
     def clip(self, chosen):
         """Restrict each block to a chosen coordinate subset (V within U)."""
@@ -100,8 +107,48 @@ def words(a, s):
     return itertools.product(range(a), repeat=s)
 
 
-def word_count(a, s):
-    return a ** s
+# -- the adversary action set ---------------------------------------------------
+
+def block_actions(coords, t, e):
+    """Every (corrupted, erased) choice of positions for one block: up to t
+    corrupted positions, then up to e erased ones among the rest."""
+    return [(err, stars) for err in subsets_upto(coords, t)
+            for stars in subsets_upto(set(coords).difference(err), e)]
+
+
+def ball(word, blocks, alphabet):
+    """Every word that blocks (coords, t, e), acting in sequence, can make
+    of word: each block sets up to t of its positions to other symbols of
+    the alphabet and erases up to e others."""
+    made = {tuple(word)}
+    for coords, t, e in blocks:
+        actions = block_actions(coords, t, e)
+        before, made = made, set()
+        for w in before:
+            for err, stars in actions:
+                y = list(w)
+                for i in stars:
+                    y[i] = STAR
+                for vals in itertools.product(
+                        *[[v for v in alphabet if v != w[i]] for i in err]):
+                    for i, v in zip(err, vals):
+                        y[i] = v
+                    made.add(tuple(y))
+    return made
+
+
+def ball_size(n, t, e, a):
+    """len(ball(w, [(range(n), t, e)], range(a))) for any word w over
+    range(a): distinct actions of one block make distinct words."""
+    return sum(math.comb(n, i) * (a - 1) ** i * math.comb(n - i, j)
+               for i in range(min(t, n) + 1) for j in range(min(e, n - i) + 1))
+
+
+def chosen_subsets(blocks):
+    """Every per-block choice of vulnerable positions V_l, |V_l| <= t_l + e_l,
+    for blocks (coords, t, e)."""
+    return list(itertools.product(*[subsets_upto(coords, t + e)
+                                    for coords, t, e in blocks]))
 
 
 # -- discrepancy and erasure weight ------------------------------------------
@@ -176,38 +223,7 @@ def _assignable(positions, blocks):
 
 def fanout(spec, x):
     """Explicit fan-out set of x (tiny instances only)."""
-    a, s = spec.alphabet_size, spec.length
-    if spec.variant == DISJOINT:
-        per_block = []
-        for b in spec.blocks:
-            options = set()
-            for err_pos in subsets_upto(b.coords, b.t):
-                choices = [[v for v in range(a) if v != x[i]] for i in err_pos]
-                for star_pos in subsets_upto(b.coords - set(err_pos), b.e):
-                    for vals in itertools.product(*choices):
-                        options.add(tuple(sorted(
-                            list(zip(err_pos, vals))
-                            + [(i, STAR) for i in star_pos])))
-            per_block.append(options)
-        out = set()
-        for combo in itertools.product(*per_block):
-            y = list(x)
-            for assignment in combo:
-                for i, v in assignment:
-                    y[i] = v
-            out.add(tuple(y))
-        return frozenset(out) if out else frozenset({tuple(x)})
-    # overlapping: scan all words equal to x off the covered set
-    covered = sorted(spec.covered)
-    out = set()
-    for vals in itertools.product(range(a), repeat=len(covered)):
-        y = list(x)
-        for i, v in zip(covered, vals):
-            y[i] = v
-        y = tuple(y)
-        if in_fanout(spec, x, y):
-            out.add(y)
-    return frozenset(out)
+    return frozenset(ball(x, spec.blocks, range(spec.alphabet_size)))
 
 
 # -- confusability -----------------------------------------------------------
@@ -230,7 +246,7 @@ def confusable_analytic(spec, x, xp):
 
 def explicit_channel(spec, limit=1 << 12):
     a, s = spec.alphabet_size, spec.length
-    if word_count(a, s) > limit:
+    if a ** s > limit:
         raise SearchLimitExceeded("alphabet too large for an explicit table")
     inputs = list(words(a, s))
     outputs = list(itertools.product(tuple(range(a)) + (STAR,), repeat=s))
@@ -242,7 +258,7 @@ def symbolic_channel(spec):
     conf = None
     if spec.variant == DISJOINT:
         conf = lambda x, xp: confusable_analytic(spec, x, xp)
-    return SymbolicChannel((word_count(a, s), lambda: words(a, s)),
+    return SymbolicChannel((a ** s, lambda: words(a, s)),
                            lambda x: fanout(spec, x),
                            confusable_fn=conf,
                            name=f"hamming[{spec.variant}]")
@@ -302,19 +318,13 @@ def multi_block_bound(spec, n=1):
 
 # -- compound channels ---------------------------------------------------------
 
-def _chosen_subsets(spec):
-    """All per-block coordinate choices V (|V_l| <= t_l + e_l)."""
-    return list(itertools.product(*[subsets_upto(b.coords, b.t + b.e)
-                                    for b in spec.blocks]))
-
-
 def compound_channel(spec, n, limit=1 << 12):
     """Union over coordinate choices V of the n-fold product of the clipped
     channels: the adversaries fix their vulnerable coordinates across uses."""
     if spec.variant != DISJOINT:
         raise InvalidParams("disjoint variant required")
-    choices = _chosen_subsets(spec)
-    if len(choices) * word_count(spec.alphabet_size, spec.length) ** n > limit ** 2:
+    choices = chosen_subsets(spec.blocks)
+    if len(choices) * spec.alphabet_size ** (spec.length * n) > limit ** 2:
         raise SearchLimitExceeded("compound channel too large")
     branches = []
     for chosen in choices:
@@ -327,14 +337,11 @@ def compound_confusable(spec, n, xs, xps):
     """Whether two n-tuples of words are confusable for the compound channel."""
     if spec.variant != DISJOINT:
         raise InvalidParams("disjoint variant required")
-    choices = _chosen_subsets(spec)
-    fans = {}
+    choices = chosen_subsets(spec.blocks)
 
+    @functools.cache
     def fan(chosen, w):
-        key = (chosen, w)
-        if key not in fans:
-            fans[key] = fanout(spec.clip(chosen), w)
-        return fans[key]
+        return fanout(spec.clip(chosen), w)
 
     for ca in choices:
         for cb in choices:
@@ -389,14 +396,9 @@ def product_alphabet_channel(b, m, s, t, e, limit=1 << 12):
 
 def adversarial_strength(blocks):
     """Exhaustive max size of a union of two per-block <=t subsets."""
-    best = 0
-    choices = list(itertools.product(*[subsets_upto(b.coords, b.t) for b in blocks]))
-    for first in choices:
-        base = set().union(*first) if first else set()
-        for second in choices:
-            u = base.union(*second) if second else base
-            best = max(best, len(u))
-    return best
+    choices = chosen_subsets((b.coords, b.t, 0) for b in blocks)
+    return max(len(set().union(*first, *second))
+               for first in choices for second in choices)
 
 
 def overlap_bound(spec, n=1):

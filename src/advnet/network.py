@@ -16,6 +16,11 @@ serves every evaluation: `evaluate` with the action's overrides,
 `adversarial_fanouts` with every admissible corruption, and
 `cut_to_sink_channel` on the part of the plan that feeds the terminal.
 Cyclic networks have no plan; evaluating one raises CyclicGraph.
+
+The admissible corruptions are the Hamming-type actions of `hamming`
+ported to edges: a disjoint block's passes come from `block_actions`
+(positions only; values are chosen as each edge emits), and a per-symbol
+adversary gives every edge value its own `ball` of sub-symbol actions.
 """
 
 import itertools
@@ -27,7 +32,7 @@ from .channel import STAR, SymbolicChannel
 from .errors import (AlphabetMismatch, BadFreeze, CyclicGraph, Infeasible,
                      InvalidParams, MissingCodeFunction, NotACut,
                      SearchLimitExceeded, UnsupportedVariant)
-from .hamming import DISJOINT, OVERLAPPING, subsets_upto
+from .hamming import DISJOINT, OVERLAPPING, ball, ball_size, block_actions
 
 RANK = "rank"
 PER_SYMBOL = "per_symbol"
@@ -365,10 +370,10 @@ class TableVertex:
 
 class LinearVertex:
     """Matrix vertex function over F_q acting on symbols that are field
-    elements (m = 1) or length-m tuples over the field.  Erasures are
+    elements (m = None) or length-m tuples over the field.  Erasures are
     replaced by zero before the product (recorded on the instance)."""
 
-    def __init__(self, fld, matrix, m=1):
+    def __init__(self, fld, matrix, m=None):
         self.field = fld
         self.matrix = tuple(tuple(row) for row in matrix)
         self.m = m
@@ -376,7 +381,7 @@ class LinearVertex:
 
     def __call__(self, values):
         F = self.field
-        zero = 0 if self.m == 1 else (0,) * self.m
+        zero = 0 if self.m is None else (0,) * self.m
         vals = []
         for v in values:
             if v == STAR:
@@ -387,7 +392,7 @@ class LinearVertex:
         n_out = len(self.matrix[0]) if self.matrix else 0
         out = []
         for j in range(n_out):
-            if self.m == 1:
+            if self.m is None:
                 acc = 0
                 for i, v in enumerate(vals):
                     c = self.matrix[i][j]
@@ -630,6 +635,10 @@ class AdvBlock:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "e", e)
 
+    def __iter__(self):
+        """Unpacks as (edges, t, e), the block form of `hamming.ball`."""
+        return iter((self.edges, self.t, self.e))
+
 
 @dataclass(frozen=True)
 class AdversarySpec:
@@ -662,25 +671,12 @@ def full_edge_adversary(net, t, e=0):
 
 
 def _count_actions(net, adv, alphabet):
-    a = len(alphabet)
     if adv.variant == DISJOINT:
-        total = 1
-        for b in adv.blocks:
-            n = len(b.edges)
-            per = 0
-            for i in range(min(b.t, n) + 1):
-                for j in range(min(b.e, n - i) + 1):
-                    per += (math.comb(n, i) * (a - 1) ** i) * math.comb(n - i, j)
-            total *= per
-        return total
+        return math.prod(ball_size(len(b.edges), b.t, b.e, len(alphabet))
+                         for b in adv.blocks)
     if adv.variant == PER_SYMBOL:
         base = len({v for sym in alphabet for v in sym})
-        per = 0
-        m = adv.m
-        for i in range(min(adv.t, m) + 1):
-            for j in range(min(adv.e, m - i) + 1):
-                per += math.comb(m, i) * (base - 1) ** i * math.comb(m - i, j)
-        return per ** len(net.edges)
+        return ball_size(adv.m, adv.t, adv.e, base) ** len(net.edges)
     raise UnsupportedVariant(f"cannot enumerate actions for variant {adv.variant}")
 
 
@@ -692,12 +688,10 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None, limit=10 ** 6):
         raise SearchLimitExceeded("adversary action space exceeds the limit")
     steps = _steps(net)
     if adv.variant == DISJOINT:
-        # per block: the corrupted edges, then the erased ones among the rest
-        per_block = [[(err, stars) for err in subsets_upto(b.edges, b.t)
-                      for stars in subsets_upto(b.edges - set(err), b.e)]
-                     for b in adv.blocks]
+        # one pass per choice of corrupted and erased edges in every block;
+        # a corrupted edge may carry any other value of its clean one
         passes = []
-        for combo in itertools.product(*per_block):
+        for combo in itertools.product(*[block_actions(*b) for b in adv.blocks]):
             err = {eid for errs, _ in combo for eid in errs}
             stars = {eid for _, st in combo for eid in st}
             passes.append(lambda eid, v, err=err, stars=stars: (
@@ -705,7 +699,14 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None, limit=10 ** 6):
                 [w for w in alphabet_t if w != v] if eid in err else (v,)))
     elif adv.variant == PER_SYMBOL:
         base = sorted({v for sym in alphabet_t for v in sym})
-        passes = [lambda eid, v: _symbol_ball(v, adv.t, adv.e, base)]
+        balls = {}
+
+        def symbol_ball(eid, v):
+            if v not in balls:
+                balls[v] = ball(v, [(range(len(v)), adv.t, adv.e)], base)
+            return balls[v]
+
+        passes = [symbol_ball]
     else:
         raise UnsupportedVariant(f"cannot enumerate actions for variant {adv.variant}")
     outs = {t: set() for t in net.terminals}
@@ -714,23 +715,6 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None, limit=10 ** 6):
             for t, obs in _observe(net, values).items():
                 outs[t].add(obs)
     return {t: frozenset(v) for t, v in outs.items()}
-
-
-def _symbol_ball(symbol, t, e, base_alphabet):
-    """All corrupted versions of a composite symbol (tuple over the base
-    alphabet): up to t sub-symbol errors and e erasures."""
-    out = []
-    for err in subsets_upto(range(len(symbol)), t):
-        choices = [[v for v in base_alphabet if v != symbol[d]] for d in err]
-        for stars in subsets_upto(set(range(len(symbol))) - set(err), e):
-            for vals in itertools.product(*choices):
-                y = list(symbol)
-                for d, v in zip(err, vals):
-                    y[d] = v
-                for d in stars:
-                    y[d] = STAR
-                out.append(tuple(y))
-    return out
 
 
 def adversarial_channel(net, code, adv, terminal, alphabet=None, keep=None,

@@ -133,8 +133,7 @@ def singleton_hamming_region(net, t, e, alphabet_size):
 
     def value(mu):
         singleton = max(0.0, mu - 2 * t - e)
-        ball = sum(math.comb(mu, h) * (alphabet_size - 1) ** h
-                   for h in range(0, tprime + 1))
+        ball = hamming_mod.ball_size(mu, tprime, 0, alphabet_size)
         return min(singleton, max(0.0, mu - math.log(ball, alphabet_size)))
 
     return _min_cut_minimize(net, value)
@@ -204,27 +203,21 @@ class VerifyResult:
         return self.ok
 
 
-def _rates(net, source_codes, alphabet_size, n=1):
-    out = []
-    for i, c in enumerate(source_codes):
-        out.append(math.log(len(c), alphabet_size) / n)
-    return tuple(out)
+def _rates(source_codes, alphabet_size, n=1):
+    return tuple(math.log(len(c), alphabet_size) / n for c in source_codes)
 
 
 def verify_one_shot(net, code, source_codes, adv, alphabet=None, limit=10 ** 6):
     """Whether the product of the source codes is good for every terminal's
     adversarial channel; the certificate of failure is (terminal, pair)."""
     alphabet_t = net._alphabet(alphabet)
-    rate = _rates(net, source_codes, len(alphabet_t))
+    rate = _rates(source_codes, len(alphabet_t))
     messages = [tuple(x) for x in itertools.product(*source_codes)]
-    fans = {t: {} for t in net.terminals}
-    for x in messages:
-        per_t = adversarial_fanouts(net, code, adv, x, alphabet_t, limit)
-        for t in net.terminals:
-            fans[t][x] = per_t[t]
+    fans = {x: adversarial_fanouts(net, code, adv, x, alphabet_t, limit)
+            for x in messages}
     for t in net.terminals:
         for x, xp in itertools.combinations(messages, 2):
-            common = fans[t][x] & fans[t][xp]
+            common = fans[x][t] & fans[xp][t]
             if common:
                 return VerifyResult(False, rate, t, (x, xp), next(iter(common)))
     return VerifyResult(True, rate)
@@ -235,23 +228,7 @@ def verify_n_shot(net, codes_per_use, source_codes, adv, alphabet=None,
     """n-shot goodness: each use k has its own network code; the adversary
     picks a fresh admissible action per use.  Source codes contain n-tuples
     of local inputs."""
-    alphabet_t = net._alphabet(alphabet)
-    n = len(codes_per_use)
-    rate = _rates(net, source_codes, len(alphabet_t), n)
-    messages = [tuple(x) for x in itertools.product(*source_codes)]
-    fans = {}
-    for msg in messages:
-        per_use = []
-        for k in range(n):
-            x = tuple(msg[i][k] for i in range(len(net.sources)))
-            per_use.append(adversarial_fanouts(net, codes_per_use[k], adv, x,
-                                               alphabet_t, limit))
-        fans[msg] = per_use
-    for t in net.terminals:
-        for m1, m2 in itertools.combinations(messages, 2):
-            if all(fans[m1][k][t] & fans[m2][k][t] for k in range(n)):
-                return VerifyResult(False, rate, t, (m1, m2))
-    return VerifyResult(True, rate)
+    return _verify_uses(net, codes_per_use, source_codes, [adv], alphabet, limit)
 
 
 def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None,
@@ -260,28 +237,31 @@ def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None,
     (within budget sizes) across all uses, then acts freely within them."""
     if adv.variant != DISJOINT:
         raise UnsupportedVariant("compound verification needs a disjoint adversary")
+    clipped = [net_mod.AdversarySpec(blocks=tuple(
+        net_mod.AdvBlock(v, b.t, b.e) for v, b in zip(choice, adv.blocks)))
+        for choice in hamming_mod.chosen_subsets(adv.blocks)]
+    return _verify_uses(net, codes_per_use, source_codes, clipped, alphabet, limit)
+
+
+def _verify_uses(net, codes_per_use, source_codes, advs, alphabet, limit):
+    """Goodness over n = len(codes_per_use) uses when the adversary of each
+    message keeps one of `advs` for every use and picks a fresh admissible
+    action of it per use; the certificate of failure is (terminal, pair)."""
     alphabet_t = net._alphabet(alphabet)
     n = len(codes_per_use)
-    rate = _rates(net, source_codes, len(alphabet_t), n)
-    choices = itertools.product(*[hamming_mod.subsets_upto(b.edges, b.t + b.e)
-                                  for b in adv.blocks])
-    clipped_advs = [net_mod.AdversarySpec(
-        blocks=tuple(net_mod.AdvBlock(v, b.t, b.e)
-                     for v, b in zip(choice, adv.blocks)))
-        for choice in choices]
+    rate = _rates(source_codes, len(alphabet_t), n)
     messages = [tuple(x) for x in itertools.product(*source_codes)]
     fans = {}
-    for ci, clipped in enumerate(clipped_advs):
+    for ci, adv in enumerate(advs):
         for msg in messages:
             for k in range(n):
                 x = tuple(msg[i][k] for i in range(len(net.sources)))
-                key = (ci, msg, k)
-                fans[key] = adversarial_fanouts(net, codes_per_use[k], clipped,
-                                                x, alphabet_t, limit)
+                fans[(ci, msg, k)] = adversarial_fanouts(net, codes_per_use[k], adv,
+                                                         x, alphabet_t, limit)
     for t in net.terminals:
         for m1, m2 in itertools.combinations(messages, 2):
-            for ci in range(len(clipped_advs)):
-                for cj in range(len(clipped_advs)):
+            for ci in range(len(advs)):
+                for cj in range(len(advs)):
                     if all(fans[(ci, m1, k)][t] & fans[(cj, m2, k)][t]
                            for k in range(n)):
                         return VerifyResult(False, rate, t, (m1, m2))

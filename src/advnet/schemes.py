@@ -62,16 +62,13 @@ def linear_transfer_matrices(net, code, fld):
     source i a matrix of shape |out(S_i)| x |in(T)| over the field, mapping
     emitted packets (as coefficients) to terminal observations.
 
-    The code's matrices are evaluated on unit coefficient vectors; with a
-    single source edge the vectors have length one, which LinearVertex
-    takes as plain field elements."""
+    The code's matrices are evaluated on unit coefficient vectors."""
     offsets = {}
     total = 0
     for s in net.sources:
         offsets[s] = total
         total += len(net.out_edges(s))
-    units = [(0,) * r + (1,) + (0,) * (total - r - 1) if total > 1 else 1
-             for r in range(total)]
+    units = [(0,) * r + (1,) + (0,) * (total - r - 1) for r in range(total)]
     x = tuple(tuple(units[offsets[s]:offsets[s] + len(net.out_edges(s))])
               for s in net.sources)
     coeff_code = NetworkCode({v: LinearVertex(fld, code.fn(v).matrix, m=total)
@@ -79,19 +76,18 @@ def linear_transfer_matrices(net, code, fld):
     observations = evaluate(net, coeff_code, x).observations
     out = {}
     for t in net.terminals:
-        cols = [col if total > 1 else (col,) for col in observations[t]]
         per_source = {}
         for i, s in enumerate(net.sources):
             b = len(net.out_edges(s))
             rows = []
             for r in range(offsets[s], offsets[s] + b):
-                rows.append(tuple(col[r] for col in cols))
+                rows.append(tuple(col[r] for col in observations[t]))
             per_source[i] = gf.Matrix(fld, tuple(rows))
         out[t] = per_source
     return out
 
 
-def _draw_linear_code(rng, net, fld, m=1):
+def _draw_linear_code(rng, net, fld, m=None):
     fns = {}
     for v in net.intermediates:
         r, s = len(net.in_edges(v)), len(net.out_edges(v))
@@ -264,7 +260,7 @@ def _achiev1_single(net, a1, t, fld, rng, max_draws, n_uses=1):
     b1 = len(net.out_edges(net.sources[0]))
     last_fail = None
     for _ in range(max_draws):
-        code = _draw_linear_code(rng, net, fld, m=n1 if n_uses > 1 else m)
+        code = _draw_linear_code(rng, net, fld, m)
         e1 = _draw_matrix(rng, fld, n1, b1)
         transfer = linear_transfer_matrices(net, code, fld)
         b_mats = {t_: (e1 @ transfer[t_][0]) for t_ in net.terminals}
@@ -272,7 +268,6 @@ def _achiev1_single(net, a1, t, fld, rng, max_draws, n_uses=1):
             last_fail = next(t_ for t_, b in b_mats.items() if b.rank() < n1)
             continue
         inverses = {t_: b_mats[t_].right_inverse() for t_ in net.terminals}
-        rows_per_use = n1 if n_uses > 1 else None
 
         def encode(x1):
             """x1: message matrix over the big field (rows x a1)."""
@@ -282,18 +277,13 @@ def _achiev1_single(net, a1, t, fld, rng, max_draws, n_uses=1):
 
         def decode_stacked(t_, r_matrix):
             w = r_matrix @ inverses[t_]
-            rows = []
-            blocks = w.nrows // n1
-            for i in range(blocks):
-                block = w.submatrix(row_idx=range(i * n1, (i + 1) * n1))
-                word = phi1_inv(block)
-                rows.append(d1.rank_decode(tuple(word.rows[0]), t))
-            return gf.Matrix(ext1, tuple(r for r in rows))
+            return gf.Matrix(ext1, tuple(d1.rank_decode(row, t)
+                                         for row in phi1_inv(w).rows))
 
         meta = {"field": fld, "ext1": ext1, "phi1": phi1, "phi1_inv": phi1_inv,
                 "d1": d1, "e1": e1, "n1": n1, "m": m, "transfer": transfer,
                 "b_mats": b_mats, "encode": encode,
-                "decode_stacked": decode_stacked, "rows_per_use": rows_per_use}
+                "decode_stacked": decode_stacked}
         if n_uses == 1:
             return _package_single_one_shot(net, fld, a1, t, code, meta)
         return _package_single_compound(net, fld, a1, t, code, meta, n_uses)
@@ -420,12 +410,7 @@ def _achiev1_double(net, demands, t, fld, rng, max_draws, n_uses=1):
             clean2 = phi1(phi2(gf.Matrix(ext2, (x2,)) @ d2.generator)) @ m2_mats[t_]
             r_bar = r - clean2
             w = r_bar @ b_inv[t_]                 # m x n1 over F_q
-            rows = []
-            for i in range(n2):
-                block = w.submatrix(row_idx=range(i * n1, (i + 1) * n1))
-                word = phi1_inv(block)
-                rows.append(d1.rank_decode(tuple(word.rows[0]), t))
-            return (tuple(rows), x2)
+            return (tuple(d1.rank_decode(row, t) for row in phi1_inv(w).rows), x2)
 
         meta = {"field": fld, "ext1": ext1, "ext2": ext2, "d1": d1, "d2": d2,
                 "e1": e1, "e2": e2, "n1": n1, "n2": n2, "m": m,

@@ -62,10 +62,22 @@ def test_in_fanout_two_blocks():
     assert not hamming.in_fanout(spec, x, (1, 1, 0, 0))
 
 
+def random_overlapping_spec(rng, max_len=4, max_alpha=3):
+    a = rng.randint(2, max_alpha)
+    s = rng.randint(1, max_len)
+    blocks = tuple(hamming.Block(rng.sample(range(s), rng.randint(0, s)),
+                                 rng.randint(0, 2), 0)
+                   for _ in range(rng.randint(1, 3)))
+    return hamming.HammingSpec(a, s, blocks, variant=hamming.OVERLAPPING)
+
+
 def test_fanout_enumeration_matches_membership():
     rng = random.Random(6)
-    for _ in range(15):
-        spec = random_disjoint_spec(rng)
+    specs = [random_disjoint_spec(rng) for _ in range(15)]
+    specs += [random_overlapping_spec(rng) for _ in range(15)]
+    assert any(len(spec.blocks) > 1 and len(spec.covered) < sum(
+        len(b.coords) for b in spec.blocks) for spec in specs)
+    for spec in specs:
         a, s = spec.alphabet_size, spec.length
         for x in itertools.islice(hamming.words(a, s), 4):
             fan = hamming.fanout(spec, x)
@@ -73,6 +85,16 @@ def test_fanout_enumeration_matches_membership():
             expected = {y for y in itertools.product(alphabet, repeat=s)
                         if hamming.in_fanout(spec, x, y)}
             assert fan == expected
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_ball_size_counts_the_ball(a):
+    for n in range(5):
+        for t in range(4):
+            for e in range(3):
+                word = tuple(i % a for i in range(n))
+                made = hamming.ball(word, [(range(n), t, e)], range(a))
+                assert len(made) == hamming.ball_size(n, t, e, a), (n, t, e, a)
 
 
 # ---------------------------------------------------------------------------

@@ -480,3 +480,31 @@ def test_per_symbol_fanouts_match_explicit_actions():
                         want.add(evaluate(net, code, x, action={"e1": y1, "e2": y2})
                                  .observations["T"])
             assert adversarial_fanouts(net, code, adv, x, alphabet)["T"] == want
+
+
+def _edge_words(values, t, e, symbols):
+    """Every assignment of symbols or erasures to the given clean values
+    with at most t changed and at most e erased ones."""
+    return [y for y in itertools.product(tuple(symbols) + (STAR,), repeat=len(values))
+            if sum(1 for u, v in zip(y, values) if u not in (STAR, v)) <= t
+            and y.count(STAR) <= e]
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_count_actions_matches_enumerated_actions(a):
+    symbols = tuple(range(a))
+    net = netlib.parallel_path(3, symbols)
+    edges = [edge.id for edge in net.edges]
+    alphabet = tuple(itertools.product(symbols, repeat=2))
+    path = netlib.single_path(alphabet)
+    for t, e in itertools.product(range(3), range(3)):
+        for cut in range(len(edges) + 1):
+            adv = AdversarySpec(blocks=(AdvBlock(edges[:cut], t, e),
+                                        AdvBlock(edges[cut:], t, e)))
+            count = (len(_edge_words((0,) * cut, t, e, symbols))
+                     * len(_edge_words((0,) * (len(edges) - cut), t, e, symbols)))
+            assert network._count_actions(net, adv, symbols) == count
+        # per-symbol: every edge of the path suffers its own sub-symbol action
+        adv = AdversarySpec(variant=network.PER_SYMBOL, t=t, e=e, m=2)
+        per_edge = len(_edge_words((0, 0), t, e, symbols))
+        assert network._count_actions(path, adv, alphabet) == per_edge ** len(path.edges)

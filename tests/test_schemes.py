@@ -199,6 +199,36 @@ def test_achiev1_two_sources_sampled_decoding():
             assert got_x1 == tuple(r for r in x1.rows)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_achiev1_width_one_symbols(q):
+    # a = (1,) or (1, 1) with t = 0 gives m = 1: edges carry 1-tuples
+    adv = network.adversary_free()
+    net = netlib.parallel_path(2, None)
+    scheme = schemes.build_achiev1(net, (1,), 0, q)
+    assert scheme.alphabet == tuple((v,) for v in range(q))
+    assert regions.verify_one_shot(net, scheme.network_code, scheme.source_codes,
+                                   adv, scheme.alphabet).ok
+    for msg in scheme.meta["messages"]:
+        cw = scheme.meta["local_codeword"](msg)
+        obs = evaluate(net, scheme.network_code, (cw,)).observations["T"]
+        assert scheme.decoders["T"](obs) == (msg,)
+
+    net = netlib.two_source_hub(None)
+    scheme = schemes.build_achiev1(net, (1, 1), 0, q)
+    meta = scheme.meta
+    columns = meta["columns"]
+    firsts = [gf.Matrix(meta["ext1"], ((v,),)) for v in range(q)]
+    seconds = [(v,) for v in range(q)]
+    codes = [[columns(meta["encode1"](x1)) for x1 in firsts],
+             [columns(meta["encode2"](x2)) for x2 in seconds]]
+    assert regions.verify_one_shot(net, scheme.network_code, codes, adv,
+                                   scheme.alphabet).ok
+    for (x1, cw1), (x2, cw2) in itertools.product(zip(firsts, codes[0]),
+                                                  zip(seconds, codes[1])):
+        obs = evaluate(net, scheme.network_code, (cw1, cw2)).observations["T"]
+        assert scheme.decoders["T"](obs) == (x1.rows, x2)
+
+
 # ---------------------------------------------------------------------------
 # compound scheme
 # ---------------------------------------------------------------------------
