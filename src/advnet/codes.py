@@ -104,20 +104,11 @@ _beta_lock = threading.Lock()
 EXHAUSTIVE_BETA_LIMIT = 1 << 12
 
 
-def _int_to_word(i, a, u):
-    w = []
-    for _ in range(u):
-        w.append(i % a)
-        i //= a
-    return tuple(w)
-
-
 def _beta_exhaustive(a, u, d, node_budget):
     """Largest code with min distance >= d; every maximum code can be
     relabelled per-coordinate to contain the zero word, so search only
     extensions of 0."""
-    words = [_int_to_word(i, a, u) for i in range(a ** u)]
-    far = [w for w in words if sum(1 for c in w if c) >= d]
+    far = [w for w in gf.digit_tuples(a, u) if sum(1 for c in w if c) >= d]
     n = len(far)
     adj = [0] * n
     for i in range(n):
@@ -282,14 +273,7 @@ class RankCode:
         return gf.row_span(self.generator)
 
     def messages(self):
-        q = self.ext_field.q
-        for idx in range(q ** self.k):
-            msg = []
-            i = idx
-            for _ in range(self.k):
-                msg.append(i % q)
-                i //= q
-            yield tuple(msg)
+        return gf.digit_tuples(self.ext_field.q, self.k)
 
     def rank_of_word(self, word):
         """Rank over the base field of the m x n expansion of a word."""

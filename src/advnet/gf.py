@@ -14,9 +14,18 @@ element and its length-n coefficient column, extended entrywise to matrices
 (matrix entries expand to column vectors, stacked per row).
 """
 
+import itertools
+
 from .errors import NotPrimePower, TooLarge
 
 MAX_FIELD_ORDER = 1 << 16
+
+
+def digit_tuples(q, n):
+    """Little-endian base-q digit tuples (d_0, ..., d_{n-1}) of the integers
+    0, 1, ..., q**n - 1, in that order."""
+    for word in itertools.product(range(q), repeat=n):
+        yield word[::-1]
 
 
 def _factor_prime_power(q):
@@ -229,14 +238,8 @@ def _is_irreducible(F, m):
     if deg == 1:
         return True
     for d in range(1, deg // 2 + 1):
-        for code in range(F.q ** d):
-            cand = []
-            c = code
-            for _ in range(d):
-                cand.append(c % F.q)
-                c //= F.q
-            cand.append(1)  # monic
-            if _poly_divides(F, tuple(cand), m):
+        for low in digit_tuples(F.q, d):
+            if _poly_divides(F, low + (1,), m):  # monic
                 return False
     return True
 
@@ -244,13 +247,8 @@ def _is_irreducible(F, m):
 def _smallest_irreducible(base, degree):
     """Monic irreducible of given degree over base with the smallest integer
     encoding of its non-leading coefficients."""
-    for code in range(base.q ** degree):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % base.q)
-            c //= base.q
-        cand = tuple(coeffs) + (1,)
+    for low in digit_tuples(base.q, degree):
+        cand = low + (1,)
         if _is_irreducible(base, cand):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -468,16 +466,8 @@ def row_span(generator):
     """All row-space vectors of a generator matrix, as tuples (message order
     is the mixed-radix enumeration of message vectors)."""
     F = generator.field
-    k = generator.nrows
-    words = []
-    for idx in range(F.q ** k):
-        msg = []
-        i = idx
-        for _ in range(k):
-            msg.append(i % F.q)
-            i //= F.q
-        words.append(mat_vec_row(F, tuple(msg), generator))
-    return words
+    return [mat_vec_row(F, msg, generator)
+            for msg in digit_tuples(F.q, generator.nrows)]
 
 
 def mat_vec_row(F, row, matrix):

@@ -476,23 +476,24 @@ class RankMetricSpec:
             raise IndexOutOfRange("column index out of range")
 
 
-def rank_in_fanout(spec, m1, m2):
-    """Whether matrix m2 is reachable from m1 (both gf.Matrix over F_q)."""
+def _differ_within(spec, m1, m2, bound):
+    """Whether m2 - m1 is zero off the columns U and has rank <= bound."""
     diff = m2 - m1
     for j in range(spec.s):
         if j not in spec.coords and any(row[j] for row in diff.rows):
             return False
-    return diff.rank() <= spec.t
+    return diff.rank() <= bound
+
+
+def rank_in_fanout(spec, m1, m2):
+    """Whether matrix m2 is reachable from m1 (both gf.Matrix over F_q)."""
+    return _differ_within(spec, m1, m2, spec.t)
 
 
 def rank_confusable(spec, m1, m2):
     """Fan-outs intersect iff columns agree off U and the difference has
     rank at most 2t."""
-    diff = m2 - m1
-    for j in range(spec.s):
-        if j not in spec.coords and any(row[j] for row in diff.rows):
-            return False
-    return diff.rank() <= 2 * spec.t
+    return _differ_within(spec, m1, m2, 2 * spec.t)
 
 
 def rank_explicit_channel(spec, limit=1 << 12):

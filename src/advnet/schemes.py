@@ -1,17 +1,30 @@
 """Constructive coding schemes for adversarial networks.
 
+Every builder returns a `Scheme` whose source codes derive from its own
+encoder, so `regions.verify_one_shot`/`verify_compound` can check any of
+them by brute force.
+
 The adversary-free multicast code is built edge by edge (Jaggi et al.,
 IEEE T-IT 2005): a seeded generator proposes each edge's coefficients, a
 fixed-order search backs it up, and the construction cannot miss when the
-field has at least as many elements as there are terminals.  The
-rank-metric schemes draw local encoder and vertex matrices from a seeded
-generator until every terminal's stacked matrices have full rank; the
-non-constructive existence argument behind them is replaced by
-draw-and-check with a configurable budget.
+field has at least as many elements as there are terminals.  One builder,
+`_rank_scheme`, serves the four rank-metric schemes (one or two sources,
+one-shot or compound): it draws local encoder and vertex matrices from a
+seeded generator until every terminal's stacked matrices have full rank;
+the non-constructive existence argument behind them is replaced by
+draw-and-check with a configurable budget.  The schemes differ only in
+how many rows the first source's message has and in the layout that
+places each packet row into a use and a symbol coordinate: one-shot
+schemes send every row in the one use, a one-source compound scheme
+sends digit d of every codeword in use d, and a two-source compound
+scheme sends row block j, one digit of the second source's codeword, in
+use j.
 """
 
+import functools
 import itertools
 import random
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from . import codes as codes_mod
@@ -29,16 +42,21 @@ from .regions import _subsets
 class Scheme:
     """A verifiable communication scheme.
 
-    source_codes lists explicit local codewords per source (n_uses == 1) or
-    n-tuples of local inputs; decoders map a terminal to a function from
-    its observation (or tuple of per-use observations) to the decoded
-    messages.  meta carries construction internals (fields, matrices,
-    encoders) for reports and tests.
+    messages[i] is the sequence of source i's messages, each in the form
+    the decoders return it; encode(i, msg) is its local codeword, the
+    tuple of the source's out-edge symbols (n_uses == 1) or an n-tuple of
+    them, one per use.  decoders map a terminal to a function from its
+    observation (or sequence of per-use observations) to the tuple of
+    decoded messages.  source_codes, every source's local codewords in
+    message order, is derived from the two and built on first use.  meta
+    carries construction internals (fields, matrices, encoders) for
+    reports and tests.
     """
 
     n_uses: int
     network_codes: list
-    source_codes: list
+    messages: list
+    encode: Callable
     decoders: dict
     alphabet: tuple
     rate: tuple
@@ -48,8 +66,39 @@ class Scheme:
     def network_code(self):
         return self.network_codes[0]
 
+    @functools.cached_property
+    def source_codes(self):
+        return [[self.encode(i, msg) for msg in msgs]
+                for i, msgs in enumerate(self.messages)]
+
+
+class _Words(Sequence):
+    """The n-tuples over `symbols` in `itertools.product` order, indexed
+    without being built."""
+
+    def __init__(self, symbols, n):
+        self.symbols, self.n = symbols, n
+
+    def __len__(self):
+        return len(self.symbols) ** self.n
+
+    def __getitem__(self, k):
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        base = len(self.symbols)
+        word = []
+        for _ in range(self.n):
+            k, d = divmod(k, base)
+            word.append(self.symbols[d])
+        return tuple(reversed(word))
+
+    def __iter__(self):
+        return itertools.product(self.symbols, repeat=self.n)
+
 
 def _check_min_cut_region(net, demands, slack=0):
+    if len(demands) != len(net.sources):
+        raise InvalidParams(f"{len(demands)} demands for {len(net.sources)} sources")
     for subset in _subsets(len(net.sources)):
         need = sum(demands[i] for i in subset)
         for t in net.terminals:
@@ -185,11 +234,6 @@ def build_adversary_free(net, demands, q, max_draws=200, seed=0):
         if m_t.rank() < h:
             raise AssertionError(f"constructed code does not decode at {t}")
         stacked[t] = m_t
-    source_codes = []
-    for i in range(len(net.sources)):
-        words = [gf.mat_vec_row(fld, msg, encoders[i])
-                 for msg in itertools.product(range(q), repeat=demands[i])]
-        source_codes.append(words)
     inverses = {t: stacked[t].right_inverse() for t in net.terminals}
 
     def make_decoder(t):
@@ -208,7 +252,9 @@ def build_adversary_free(net, demands, q, max_draws=200, seed=0):
         return decode
 
     decoders = {t: make_decoder(t) for t in net.terminals}
-    return Scheme(1, [code], source_codes, decoders, tuple(range(q)),
+    return Scheme(1, [code], [_Words(range(q), a) for a in demands],
+                  lambda i, msg: gf.mat_vec_row(fld, msg, encoders[i]),
+                  decoders, tuple(range(q)),
                   tuple(float(a) for a in demands),
                   meta={"field": fld, "encoders": encoders,
                         "transfer": transfer, "stacked": stacked})
@@ -230,7 +276,7 @@ def _choose_combination(rng, basis, hits, duals, max_draws):
                          f"the last candidate fails at terminal {rejected[0]}")
 
 
-# -- rank-metric one-shot scheme -------------------------------------------------
+# -- rank-metric schemes ---------------------------------------------------------
 
 def build_achiev1(net, demands, t, q, max_draws=200, seed=0):
     """One-shot scheme against an adversary corrupting up to t arbitrary
@@ -238,258 +284,150 @@ def build_achiev1(net, demands, t, q, max_draws=200, seed=0):
     m = prod_i (a_i + 2t).  Nested rank-metric outer codes protect the
     messages; decoding peels the second source with a rank decoder, then
     block-decodes the first."""
+    return _rank_scheme(net, demands, t, q, max_draws, seed, compound=False)
+
+
+def build_achiev2(net, demands, t, q, max_draws=200, seed=0):
+    """Compound-model scheme: the same linear network code is reused over
+    several uses and the adversary must corrupt a fixed edge set in every
+    use; alphabet F_q^n1 with n1 = a1 + 2t, for one or two sources
+    (two-source packaging assumes a1 <= a2).
+
+    Every codeword is spread across the uses, so decoding relies on the
+    fixed edge set: one source sends n1 codewords and use d carries digit
+    d of each of them; with two sources, use j carries digit j (over the
+    first extension) of the second source's codeword.  A fixed set of t
+    edges adds an error of rank <= t to each codeword, while an adversary
+    who switches edges between uses can exceed it."""
+    return _rank_scheme(net, demands, t, q, max_draws, seed, compound=True)
+
+
+def _rank_scheme(net, demands, t, q, max_draws, seed, compound):
+    """The nested rank-metric construction behind both builders.
+
+    Source 1 sends `rows` messages of a1 elements of ext1 = GF(q^n1), each
+    encoded by a Gabidulin [n1, a1] code d1: n2 rows with two sources, one
+    (one-shot) or n1 (compound) with one source.  Source 2, if any, sends
+    one message of a2 elements of ext2 = GF(q^(n1 n2)), encoded by the
+    Gabidulin [n2, a2] code d2 over ext1.  Expanded over F_q and multiplied
+    by the source's random encoder, a source's message becomes a packet
+    matrix of n1 * rows rows.  Packet row i travels in use u at symbol
+    coordinate c, (u, c) = layout(i): (0, i) one-shot, (i % n1, i // n1)
+    one-source compound, (i // n1, i % n1) two-source compound."""
     n_sources = len(net.sources)
     if n_sources not in (1, 2):
         raise UnsupportedSources("the construction covers one or two sources")
     if any(a < 1 for a in demands):
         raise InvalidParams("demands must be positive integers")
     _check_min_cut_region(net, demands, slack=2 * t)
+    two = n_sources == 2
+    if compound and two and demands[0] > demands[1]:
+        raise InvalidParams("two-source compound packaging assumes a1 <= a2")
 
     fld = gf.make_field(q)
     rng = random.Random(seed)
-    if n_sources == 1:
-        return _achiev1_single(net, demands[0], t, fld, rng, max_draws)
-    return _achiev1_double(net, demands, t, fld, rng, max_draws)
-
-
-def _achiev1_single(net, a1, t, fld, rng, max_draws, n_uses=1):
+    a1 = demands[0]
     n1 = a1 + 2 * t
-    m = n1
     d1 = codes_mod.gabidulin(fld, n1, n1, a1)
     ext1, phi1, phi1_inv = d1.ext_field, d1.expand, d1.flatten
-    b1 = len(net.out_edges(net.sources[0]))
-    last_fail = None
-    for _ in range(max_draws):
-        code = _draw_linear_code(rng, net, fld, m)
-        e1 = _draw_matrix(rng, fld, n1, b1)
-        transfer = linear_transfer_matrices(net, code, fld)
-        b_mats = {t_: (e1 @ transfer[t_][0]) for t_ in net.terminals}
-        if any(b.rank() < n1 for b in b_mats.values()):
-            last_fail = next(t_ for t_, b in b_mats.items() if b.rank() < n1)
-            continue
-        inverses = {t_: b_mats[t_].right_inverse() for t_ in net.terminals}
+    if two:
+        a2 = demands[1]
+        n2 = a2 + 2 * t
+        d2 = codes_mod.gabidulin(ext1, n2, n2, a2)
+        ext2, phi2, phi2_inv = d2.ext_field, d2.expand, d2.flatten
+        rows = n2
+    else:
+        rows = n1 if compound else 1
+    compound = compound and rows > 1   # a single use is the one-shot scheme
+    as_row = not (compound or two)     # x1 is one row, sent as is
+    size = n1 * rows                   # packet rows per source
+    if not compound:
+        n_uses, width = 1, size
+        layout = lambda i: (0, i)
+    else:
+        n_uses, width = rows, n1
+        layout = (lambda i: divmod(i, n1)) if two else (lambda i: divmod(i, n1)[::-1])
+    cells = [layout(i) for i in range(size)]
+    index = {cell: i for i, cell in enumerate(cells)}
+    order = [[index[u, c] for c in range(width)] for u in range(n_uses)]
 
-        def encode(x1):
-            """x1: message matrix over the big field (rows x a1)."""
-            cw = x1 @ d1.generator
-            packets = phi1(cw) @ e1
-            return packets  # (n1 * rows) x b1 over F_q
-
-        def decode_stacked(t_, r_matrix):
-            w = r_matrix @ inverses[t_]
-            return gf.Matrix(ext1, tuple(d1.rank_decode(row, t)
-                                         for row in phi1_inv(w).rows))
-
-        meta = {"field": fld, "ext1": ext1, "phi1": phi1, "phi1_inv": phi1_inv,
-                "d1": d1, "e1": e1, "n1": n1, "m": m, "transfer": transfer,
-                "b_mats": b_mats, "encode": encode,
-                "decode_stacked": decode_stacked}
-        if n_uses == 1:
-            return _package_single_one_shot(net, fld, a1, t, code, meta)
-        return _package_single_compound(net, fld, a1, t, code, meta, n_uses)
-    raise DrawsExhausted(last_fail)
-
-
-def _package_single_one_shot(net, fld, a1, t, code, meta):
-    q = fld.q
-    n1, m = meta["n1"], meta["m"]
-    ext1 = meta["ext1"]
-    encode = meta["encode"]
-    decode_stacked = meta["decode_stacked"]
-    alphabet = tuple(itertools.product(range(q), repeat=m))
-
-    def local_codeword(x1_row):
-        x1 = gf.Matrix(ext1, (tuple(x1_row),))
-        return _columns(encode(x1))
-
-    messages = [tuple(msg) for msg in
-                itertools.product(range(ext1.q), repeat=a1)]
-    source_codes = [[local_codeword(msg) for msg in messages]]
-
-    def make_decoder(t_):
-        def decode(obs):
-            r = gf.Matrix(fld, tuple(tuple(sym[d] for sym in obs)
-                                     for d in range(m)))
-            x1 = decode_stacked(t_, r)
-            return (tuple(x1.rows[0]),)
-
-        return decode
-
-    decoders = {t_: make_decoder(t_) for t_ in net.terminals}
-    return Scheme(1, [code], source_codes, decoders, alphabet,
-                  (float(a1),), meta=dict(meta, messages=messages,
-                                          local_codeword=local_codeword))
-
-
-def _package_single_compound(net, fld, a1, t, code, meta, n_uses):
-    """Spread each codeword across the uses: use d carries digit d of all
-    n_uses codewords, one codeword per coordinate of the F_q^(n_uses)
-    symbols.  An adversary on a fixed edge set Z then adds to every
-    codeword an error of rank <= |Z| <= t, which the rank decoder removes;
-    one that switches edges between uses can raise that rank up to n1."""
-    q = fld.q
-    n1 = meta["n1"]
-    ext1 = meta["ext1"]
-    encode = meta["encode"]
-    decode_stacked = meta["decode_stacked"]
-    alphabet = tuple(itertools.product(range(q), repeat=n_uses))
-
-    def local_codeword(x1_rows):
-        """x1_rows: tuple of n_uses rows, each a tuple of a1 elements."""
-        x1 = gf.Matrix(ext1, tuple(tuple(r) for r in x1_rows))
-        packets = encode(x1)  # row j*n1 + d: digit d of codeword j
-        return tuple(_columns(packets.submatrix(
-            row_idx=range(d, n1 * n_uses, n1))) for d in range(n1))
-
-    def make_decoder(t_):
-        def decode(per_use_obs):
-            r = gf.Matrix(fld, tuple(tuple(sym[j] for sym in per_use_obs[d])
-                                     for j in range(n_uses) for d in range(n1)))
-            x1 = decode_stacked(t_, r)
-            return (tuple(tuple(row) for row in x1.rows),)
-
-        return decode
-
-    decoders = {t_: make_decoder(t_) for t_ in net.terminals}
-    return Scheme(n_uses, [code] * n_uses, None, decoders, alphabet,
-                  (float(a1),), meta=dict(meta, local_codeword=local_codeword))
-
-
-def _achiev1_double(net, demands, t, fld, rng, max_draws, n_uses=1):
-    q = fld.q
-    a1, a2 = demands
-    n1, n2 = a1 + 2 * t, a2 + 2 * t
-    m = n1 * n2
-    width = n1 if n_uses > 1 else m  # per-use symbol width on the edges
-    d1 = codes_mod.gabidulin(fld, n1, n1, a1)
-    ext1, phi1, phi1_inv = d1.ext_field, d1.expand, d1.flatten
-    d2 = codes_mod.gabidulin(ext1, n2, n2, a2)
-    ext2, phi2, phi2_inv = d2.ext_field, d2.expand, d2.flatten
-    b1 = len(net.out_edges(net.sources[0]))
-    b2 = len(net.out_edges(net.sources[1]))
+    heights = (n1, n2) if two else (n1,)
     last_fail = None
     for _ in range(max_draws):
         code = _draw_linear_code(rng, net, fld, m=width)
-        e1 = _draw_matrix(rng, fld, n1, b1)
-        e2 = _draw_matrix(rng, fld, n2, b2)
+        enc = [_draw_matrix(rng, fld, h, len(net.out_edges(s)))
+               for h, s in zip(heights, net.sources)]
         transfer = linear_transfer_matrices(net, code, fld)
-        a_mats, b_mats, ok = {}, {}, True
-        for t_ in net.terminals:
-            m1 = e1 @ transfer[t_][0]          # n1 x |in(T)| over F_q
-            m2 = e2 @ transfer[t_][1]          # n2 x |in(T)| over F_q
-            top = d1.generator @ m1.lift(ext1)
-            a_t = top.vstack(m2.lift(ext1))    # (a1+n2) x |in(T)| over ext1
-            if m1.rank() < n1 or a_t.rank() < a1 + n2:
-                ok = False
+        b_inv, a_inv, m2 = {}, {}, {}
+        for t_ in net.terminals:            # a draw decodes iff these invert
+            m1 = enc[0] @ transfer[t_][0]          # n1 x |in(T)| over F_q
+            b_inv[t_] = m1.right_inverse()
+            if two and b_inv[t_] is not None:
+                m2[t_] = enc[1] @ transfer[t_][1]  # n2 x |in(T)| over F_q
+                top = d1.generator @ m1.lift(ext1)
+                a_inv[t_] = top.vstack(m2[t_].lift(ext1)).right_inverse()
+            if b_inv[t_] is None or (two and a_inv[t_] is None):
                 last_fail = t_
                 break
-            a_mats[t_] = a_t
-            b_mats[t_] = m1
-        if not ok:
-            continue
-        a_inv = {t_: a_mats[t_].right_inverse() for t_ in net.terminals}
-        b_inv = {t_: b_mats[t_].right_inverse() for t_ in net.terminals}
-        m2_mats = {t_: e2 @ transfer[t_][1] for t_ in net.terminals}
+        else:
+            break
+    else:
+        raise DrawsExhausted(last_fail)
 
-        def encode1(x1):
-            """x1: n2 x a1 matrix over ext1 -> m x b1 packet matrix."""
-            return phi1(x1 @ d1.generator) @ e1
+    def encode1(x1):
+        """x1: rows x a1 matrix over ext1 -> packet matrix over F_q."""
+        return phi1(x1 @ d1.generator) @ enc[0]
 
-        def encode2(x2_row):
-            """x2: 1 x a2 row over ext2 -> m x b2 packet matrix."""
-            x2 = gf.Matrix(ext2, (tuple(x2_row),))
-            return phi1(phi2(x2 @ d2.generator)) @ e2
+    def expand2(x2_row):
+        return phi1(phi2(gf.Matrix(ext2, (tuple(x2_row),)) @ d2.generator))
 
-        def decode_stacked(t_, r):
-            """r: m x |in(T)| matrix over F_q collecting all observations."""
-            y = phi1_inv(r)                       # n2 x |in| over ext1
-            p = y @ a_inv[t_]                     # n2 x (a1+n2) over ext1
-            m2_part = p.submatrix(col_idx=range(a1, a1 + n2))
-            r2 = phi2_inv(m2_part)                # 1 x n2 over ext2
-            x2 = d2.rank_decode(tuple(r2.rows[0]), t)
-            clean2 = phi1(phi2(gf.Matrix(ext2, (x2,)) @ d2.generator)) @ m2_mats[t_]
-            r_bar = r - clean2
-            w = r_bar @ b_inv[t_]                 # m x n1 over F_q
-            return (tuple(d1.rank_decode(row, t) for row in phi1_inv(w).rows), x2)
+    def encode2(x2_row):
+        """x2: one row of a2 elements of ext2 -> packet matrix over F_q."""
+        return expand2(x2_row) @ enc[1]
 
-        meta = {"field": fld, "ext1": ext1, "ext2": ext2, "d1": d1, "d2": d2,
-                "e1": e1, "e2": e2, "n1": n1, "n2": n2, "m": m,
-                "encode1": encode1, "encode2": encode2,
-                "a_mats": a_mats, "b_mats": b_mats,
-                "columns": _columns}
+    def split(packets):
+        uses = tuple(_columns(packets.submatrix(row_idx=rows_u)) for rows_u in order)
+        return uses if compound else uses[0]
 
-        if n_uses == 1:
-            def make_decoder(t_):
-                def decode(obs):
-                    r = gf.Matrix(fld, tuple(tuple(sym[d] for sym in obs)
-                                             for d in range(m)))
-                    return decode_stacked(t_, r)
+    def encode(i, msg):
+        if i:
+            return split(encode2(msg))
+        return split(encode1(gf.Matrix(ext1, (msg,) if as_row else msg)))
 
-                return decode
+    def make_decoder(t_):
+        def decode(obs):
+            per_use = obs if compound else (obs,)
+            r = gf.Matrix(fld, tuple(tuple(sym[c] for sym in per_use[u])
+                                     for u, c in cells))
+            if two:
+                p = phi1_inv(r) @ a_inv[t_]        # n2 x (a1+n2) over ext1
+                r2 = phi2_inv(p.submatrix(col_idx=range(a1, a1 + n2)))
+                x2 = d2.rank_decode(r2.rows[0], t)
+                r = r - expand2(x2) @ m2[t_]
+            x1 = tuple(d1.rank_decode(row, t) for row in phi1_inv(r @ b_inv[t_]).rows)
+            if two:
+                return (x1, x2)
+            return (x1[0],) if as_row else (x1,)
 
-            decoders = {t_: make_decoder(t_) for t_ in net.terminals}
-            alphabet = tuple(itertools.product(range(q), repeat=m))
-            return Scheme(1, [code], None, decoders, alphabet,
-                          (float(a1), float(a2)), meta=meta)
+        return decode
 
-        # compound packaging: use j carries row-block j, which is codeword j
-        # of the first source and digit j of the second source's codeword
-        def split_uses(packets):
-            return tuple(_columns(packets.submatrix(
-                row_idx=range(j * n1, (j + 1) * n1))) for j in range(n_uses))
-
-        def local1(x1):
-            return split_uses(encode1(x1))
-
-        def local2(x2_row):
-            return split_uses(encode2(x2_row))
-
-        def make_decoder(t_):
-            def decode(per_use_obs):
-                rows = []
-                for obs in per_use_obs:
-                    rows.extend(tuple(sym[d] for sym in obs)
-                                for d in range(n1))
-                return decode_stacked(t_, gf.Matrix(fld, tuple(rows)))
-
-            return decode
-
-        decoders = {t_: make_decoder(t_) for t_ in net.terminals}
-        alphabet = tuple(itertools.product(range(q), repeat=n1))
-        return Scheme(n_uses, [code] * n_uses, None, decoders, alphabet,
-                      (float(a1), float(a2)),
-                      meta=dict(meta, local1=local1, local2=local2))
-    raise DrawsExhausted(last_fail)
-
-
-def build_achiev2(net, demands, t, q, max_draws=200, seed=0):
-    """Compound-model scheme: the same linear network code is reused over
-    several uses and the adversary must corrupt a fixed edge set in every
-    use; alphabet F_q^m with m = min(a_i) + 2t, for one or two sources
-    (two-source packaging assumes a1 <= a2).
-
-    Every codeword is spread across the uses, so decoding relies on the
-    fixed edge set: one source sends n1 = a1 + 2t codewords and use d
-    carries digit d of each of them; with two sources, use j carries
-    digit j (over the first extension) of the second source's codeword.
-    A fixed set of t edges adds an error of rank <= t to each codeword,
-    while an adversary who switches edges between uses can exceed it."""
-    n_sources = len(net.sources)
-    if n_sources not in (1, 2):
-        raise UnsupportedSources("the construction covers one or two sources")
-    if any(a < 1 for a in demands):
-        raise InvalidParams("demands must be positive")
-    _check_min_cut_region(net, demands, slack=2 * t)
-    fld = gf.make_field(q)
-    rng = random.Random(seed)
-    if n_sources == 1:
-        n_uses = demands[0] + 2 * t
-        return _achiev1_single(net, demands[0], t, fld, rng, max_draws,
-                               n_uses=n_uses)
-    if demands[0] > demands[1]:
-        raise InvalidParams("two-source compound packaging assumes a1 <= a2")
-    return _achiev1_double(net, demands, t, fld, rng, max_draws,
-                           n_uses=demands[1] + 2 * t)
+    q1 = _Words(range(ext1.q), a1)
+    messages = [q1 if as_row else _Words(q1, rows)]
+    meta = {"field": fld, "ext1": ext1, "d1": d1, "e1": enc[0], "n1": n1,
+            "m": n1 * n2 if two else n1, "encode1": encode1, "columns": _columns}
+    if two:
+        messages.append(_Words(range(ext2.q), a2))
+        meta.update(ext2=ext2, d2=d2, e2=enc[1], n2=n2, encode2=encode2,
+                    local1=lambda x1: encode(0, x1.rows),
+                    local2=lambda x2: encode(1, x2))
+    else:
+        meta["local_codeword"] = lambda msg: encode(0, msg)
+        if as_row:
+            meta["messages"] = list(q1)
+    return Scheme(n_uses, [code] * n_uses, messages, encode,
+                  {t_: make_decoder(t_) for t_ in net.terminals},
+                  tuple(itertools.product(range(q), repeat=width)),
+                  tuple(float(a) for a in demands), meta)
 
 
 # -- link-level coded scheme ------------------------------------------------------
@@ -555,14 +493,6 @@ def build_product_alphabet(net, demands, t, e, q, m, max_draws=200, seed=0):
             y.append(enc_table[acc])
         return tuple(y)
 
-    source_codes = []
-    messages = []
-    for i in range(len(net.sources)):
-        msgs = list(itertools.product(
-            list(itertools.product(range(q), repeat=k)), repeat=demands[i]))
-        messages.append(msgs)
-        source_codes.append([local_codeword(i, msg) for msg in msgs])
-
     inverses = {t_: stacked[t_].right_inverse() for t_ in net.terminals}
 
     def make_decoder(t_):
@@ -588,9 +518,10 @@ def build_product_alphabet(net, demands, t, e, q, m, max_draws=200, seed=0):
     decoders = {t_: make_decoder(t_) for t_ in net.terminals}
     alphabet = tuple(itertools.product(range(q), repeat=m))
     rate = tuple(k / m * a for a in demands)
-    return Scheme(1, [code], source_codes, decoders, alphabet, rate,
+    return Scheme(1, [code], [_Words(_Words(range(q), k), a) for a in demands],
+                  local_codeword, decoders, alphabet, rate,
                   meta={"field": fld, "inner": inner, "outer": base,
-                        "enc_table": enc_table, "messages": messages,
+                        "enc_table": enc_table,
                         "adversary": AdversarySpec(variant=PER_SYMBOL,
                                                    t=t, e=e, m=m)})
 
@@ -646,8 +577,8 @@ def double_relay_scheme():
     adv = AdversarySpec(blocks=(
         AdvBlock({"e5", "e6", "e7"}, 1, 0),
         AdvBlock({"e1", "e8", "e9", "e10", "e11", "e12"}, 1, 0)))
-    return Scheme(1, [code], [code1, code2], {"T": decode}, tuple(range(5)),
-                  (1.0, 2.0), meta={"network": net, "adversary": adv,
+    return Scheme(1, [code], [code1, code2], lambda i, msg: msg, {"T": decode},
+                  tuple(range(5)), (1.0, 2.0), meta={"network": net, "adversary": adv,
                                     "generator": gen, "block_code": block})
 
 

@@ -2,9 +2,13 @@
 on the object the tracer names, or the benchmark fails at start-up."""
 
 import importlib.util
+import itertools
+import json
+import sys
 from pathlib import Path
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PY = PERFBENCH / "spans.py"
 
 
 def test_traced_names_are_defined_on_their_owners():
@@ -16,3 +20,26 @@ def test_traced_names_are_defined_on_their_owners():
                for boundary, targets in table.items()
                for owner, attr in targets if attr not in owner.__dict__]
     assert not missing
+
+
+def test_one_job_of_each_decode_and_verify_family_checks():
+    """A change to `Scheme` or its `meta` that the benchmark relies on
+    fails here instead of in a benchmark run."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    refs = json.loads((PERFBENCH / "reference.json").read_text())
+    for workload, families in (("decode", {"compound", "two_source", "gf81"}),
+                               ("verify", {"double_relay", "product_alphabet",
+                                           "adversary_free", "linear_relay",
+                                           "impossibility"})):
+        fixtures = workloads.setup(workload)
+        stream = workloads.job_stream(workload, 1, fixtures, refs)
+        ran = set()
+        for job in itertools.islice(stream, 30):
+            if job.family not in ran:
+                ran.add(job.family)
+                assert job.check(job.fn()), (workload, job.key)
+        assert ran == families

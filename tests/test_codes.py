@@ -23,7 +23,7 @@ def brute_min_distance(words):
 def brute_max_code_size(a, u, d):
     """Oracle: greedy-complete search over all subsets via MIS on the full
     conflict graph, no containing-zero reduction."""
-    words = [codes._int_to_word(i, a, u) for i in range(a ** u)]
+    words = list(gf.digit_tuples(a, u))
     best = 1
     n = len(words)
     # depth-first over words in order, keeping pairwise distance >= d

@@ -178,6 +178,15 @@ def test_smallest_irreducible_is_canonical_for_f8():
     assert F8.modulus == (1, 1, 0, 1)
 
 
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (5, 1), (4, 0)])
+def test_digit_tuples_are_little_endian_in_integer_order(q, n):
+    words = list(gf.digit_tuples(q, n))
+    assert len(words) == q ** n
+    for k, word in enumerate(words):
+        assert sum(d * q ** i for i, d in enumerate(word)) == k
+        assert len(word) == n and all(0 <= d < q for d in word)
+
+
 def test_lift_embeds_constants():
     F2 = gf.make_field(2)
     F8, _, _ = gf.make_extension(F2, 3)

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from advnet import gf, netlib, network, regions, schemes
-from advnet.errors import (AmbiguousDecode, DrawsExhausted, NoCodewordInRange,
-                           RegionViolated, UnsupportedSources)
+from advnet.errors import (AmbiguousDecode, DrawsExhausted, InvalidParams,
+                           NoCodewordInRange, RegionViolated, UnsupportedSources)
 from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, evaluate,
                             full_edge_adversary)
 
@@ -208,6 +209,8 @@ def test_achiev1_width_one_symbols(q):
     assert scheme.alphabet == tuple((v,) for v in range(q))
     assert regions.verify_one_shot(net, scheme.network_code, scheme.source_codes,
                                    adv, scheme.alphabet).ok
+    assert scheme.source_codes == [[scheme.meta["local_codeword"](msg)
+                                    for msg in scheme.meta["messages"]]]
     for msg in scheme.meta["messages"]:
         cw = scheme.meta["local_codeword"](msg)
         obs = evaluate(net, scheme.network_code, (cw,)).observations["T"]
@@ -221,12 +224,23 @@ def test_achiev1_width_one_symbols(q):
     seconds = [(v,) for v in range(q)]
     codes = [[columns(meta["encode1"](x1)) for x1 in firsts],
              [columns(meta["encode2"](x2)) for x2 in seconds]]
+    assert scheme.source_codes == codes
     assert regions.verify_one_shot(net, scheme.network_code, codes, adv,
                                    scheme.alphabet).ok
     for (x1, cw1), (x2, cw2) in itertools.product(zip(firsts, codes[0]),
                                                   zip(seconds, codes[1])):
         obs = evaluate(net, scheme.network_code, (cw1, cw2)).observations["T"]
         assert scheme.decoders["T"](obs) == (x1.rows, x2)
+
+
+def test_achiev1_two_sources_verifies_one_shot_on_a_sub_code():
+    net = netlib.two_source_shared_relay((3, 3), 4, None)
+    scheme = schemes.build_achiev1(net, (1, 1), 1, 2, max_draws=400, seed=9)
+    rng = random.Random(3)
+    sub = [rng.sample(scheme.source_codes[0], 2), rng.sample(scheme.source_codes[1], 2)]
+    res = regions.verify_one_shot(net, scheme.network_code, sub,
+                                  full_edge_adversary(net, 1), scheme.alphabet)
+    assert res.ok
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +349,104 @@ def test_achiev2_two_sources_varying_edges_break_decoding():
     rng = random.Random(29)
     assert any(two_source_compound_trial(rng, net, scheme, vary_edge=True)
                for _ in range(10))
+
+
+def compound_verdicts(net, scheme, sub):
+    """(verify_compound, verify_n_shot) on a sub-code against one error."""
+    adv = full_edge_adversary(net, 1)
+    args = (net, scheme.network_codes, sub, adv, scheme.alphabet)
+    return regions.verify_compound(*args).ok, regions.verify_n_shot(*args).ok
+
+
+@pytest.mark.parametrize("sample_seed", range(3))
+def test_achiev2_source_codes_are_compound_good_not_n_shot_good(sample_seed):
+    net = netlib.parallel_path(3, None)
+    scheme = schemes.build_achiev2(net, (1,), 1, 2, max_draws=300, seed=5)
+    sub = [random.Random(sample_seed).sample(scheme.source_codes[0], 12)]
+    assert compound_verdicts(net, scheme, sub) == (True, False)
+
+
+def test_achiev2_two_source_codes_are_compound_good_not_n_shot_good():
+    net, scheme = two_source_compound_scheme()
+    rng = random.Random(1)
+    sub = [rng.sample(scheme.source_codes[0], 3), rng.sample(scheme.source_codes[1], 3)]
+    assert compound_verdicts(net, scheme, sub) == (True, False)
+
+
+# ---------------------------------------------------------------------------
+# every builder
+# ---------------------------------------------------------------------------
+
+
+def two_source_hub_scheme():
+    net = netlib.two_source_hub(None)
+    return net, schemes.build_achiev1(net, (1, 1), 0, 3)
+
+
+ROUND_TRIP = {
+    "adversary_free": lambda: (netlib.two_source_grid(None), schemes.build_adversary_free(
+        netlib.two_source_grid(None), (1, 1), 5, seed=7)),
+    "achiev1_one_source": single_source_rank_scheme,
+    "achiev1_two_sources": two_source_hub_scheme,
+    "achiev1_two_sources_one_error": lambda: (
+        netlib.two_source_shared_relay((3, 3), 4, None), schemes.build_achiev1(
+            netlib.two_source_shared_relay((3, 3), 4, None), (1, 1), 1, 2,
+            max_draws=400, seed=9)),
+    "achiev2_one_source": lambda: (netlib.parallel_path(3, None), schemes.build_achiev2(
+        netlib.parallel_path(3, None), (1,), 1, 2, max_draws=300, seed=5)),
+    "achiev2_two_sources": two_source_compound_scheme,
+    "achiev2_single_use": lambda: (netlib.parallel_path(1, None), schemes.build_achiev2(
+        netlib.parallel_path(1, None), (1,), 0, 2, seed=2)),
+    "product_alphabet": lambda: (netlib.single_path(None), schemes.build_product_alphabet(
+        netlib.single_path(None), (1,), 1, 0, 5, 3, seed=4)),
+    "double_relay": lambda: (netlib.two_source_double_relay(None),
+                             schemes.double_relay_scheme()),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP)
+def test_every_builder_decodes_its_own_codewords(name):
+    net, scheme = ROUND_TRIP[name]()
+    assert [len(c) for c in scheme.source_codes] == [len(m) for m in scheme.messages]
+    rng = random.Random(7)
+    if math.prod(len(m) for m in scheme.messages) <= 32:
+        sent = list(itertools.product(*scheme.messages))
+    else:
+        sent = [tuple(rng.choice(m) for m in scheme.messages) for _ in range(4)]
+    for msgs in sent:
+        words = [scheme.encode(i, msg) for i, msg in enumerate(msgs)]
+        per_use = [words] if scheme.n_uses == 1 else [[w[u] for w in words]
+                                                      for u in range(scheme.n_uses)]
+        for t in net.terminals:
+            obs = [evaluate(net, code, tuple(x)).observations[t]
+                   for code, x in zip(scheme.network_codes, per_use)]
+            got = scheme.decoders[t](obs[0] if scheme.n_uses == 1 else obs)
+            assert got == msgs, (name, t, msgs)
+
+
+def test_message_words_index_in_iteration_order():
+    words = schemes._Words(schemes._Words(range(3), 2), 2)
+    assert len(words) == 81
+    assert [words[k] for k in range(len(words))] == list(words)
+    assert list(words) == list(itertools.product(
+        itertools.product(range(3), repeat=2), repeat=2))
+    with pytest.raises(IndexError):
+        words[81]
+
+
+@pytest.mark.parametrize("build", [
+    lambda net, demands: schemes.build_adversary_free(net, demands, 2),
+    lambda net, demands: schemes.build_achiev1(net, demands, 0, 2),
+    lambda net, demands: schemes.build_achiev2(net, demands, 0, 2),
+    lambda net, demands: schemes.build_product_alphabet(net, demands, 0, 0, 2, 1),
+], ids=["adversary_free", "achiev1", "achiev2", "product_alphabet"])
+@pytest.mark.parametrize("net, demands", [
+    (netlib.two_source_hub(None), (1,)),
+    (netlib.parallel_path(3, None), (1, 1)),
+], ids=["too_few_demands", "too_many_demands"])
+def test_demands_must_match_sources(build, net, demands):
+    with pytest.raises(InvalidParams):
+        build(net, demands)
 
 
 # ---------------------------------------------------------------------------
