@@ -24,7 +24,7 @@ use j.
 import functools
 import itertools
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import codes as codes_mod
@@ -70,30 +70,6 @@ class Scheme:
     def source_codes(self):
         return [[self.encode(i, msg) for msg in msgs]
                 for i, msgs in enumerate(self.messages)]
-
-
-class _Words(Sequence):
-    """The n-tuples over `symbols` in `itertools.product` order, indexed
-    without being built."""
-
-    def __init__(self, symbols, n):
-        self.symbols, self.n = symbols, n
-
-    def __len__(self):
-        return len(self.symbols) ** self.n
-
-    def __getitem__(self, k):
-        if not 0 <= k < len(self):
-            raise IndexError(k)
-        base = len(self.symbols)
-        word = []
-        for _ in range(self.n):
-            k, d = divmod(k, base)
-            word.append(self.symbols[d])
-        return tuple(reversed(word))
-
-    def __iter__(self):
-        return itertools.product(self.symbols, repeat=self.n)
 
 
 def _check_min_cut_region(net, demands, slack=0):
@@ -252,7 +228,7 @@ def build_adversary_free(net, demands, q, max_draws=200, seed=0):
         return decode
 
     decoders = {t: make_decoder(t) for t in net.terminals}
-    return Scheme(1, [code], [_Words(range(q), a) for a in demands],
+    return Scheme(1, [code], [list(itertools.product(range(q), repeat=a)) for a in demands],
                   lambda i, msg: gf.mat_vec_row(fld, msg, encoders[i]),
                   decoders, tuple(range(q)),
                   tuple(float(a) for a in demands),
@@ -411,19 +387,21 @@ def _rank_scheme(net, demands, t, q, max_draws, seed, compound):
 
         return decode
 
-    q1 = _Words(range(ext1.q), a1)
-    messages = [q1 if as_row else _Words(q1, rows)]
+    q1 = list(itertools.product(range(ext1.q), repeat=a1))
+    messages = [q1 if as_row else list(itertools.product(q1, repeat=rows))]
     meta = {"field": fld, "ext1": ext1, "d1": d1, "e1": enc[0], "n1": n1,
-            "m": n1 * n2 if two else n1, "encode1": encode1, "columns": _columns}
+            "m": n1 * n2 if two else n1, "columns": _columns}
     if two:
-        messages.append(_Words(range(ext2.q), a2))
-        meta.update(ext2=ext2, d2=d2, e2=enc[1], n2=n2, encode2=encode2,
-                    local1=lambda x1: encode(0, x1.rows),
-                    local2=lambda x2: encode(1, x2))
+        messages.append(list(itertools.product(range(ext2.q), repeat=a2)))
+        meta.update(ext2=ext2, d2=d2, e2=enc[1], n2=n2,
+                    encode1=encode1, encode2=encode2)
+        if compound:
+            meta.update(local1=lambda x1: encode(0, x1.rows),
+                        local2=lambda x2: encode(1, x2))
     else:
         meta["local_codeword"] = lambda msg: encode(0, msg)
         if as_row:
-            meta["messages"] = list(q1)
+            meta["messages"] = q1
     return Scheme(n_uses, [code] * n_uses, messages, encode,
                   {t_: make_decoder(t_) for t_ in net.terminals},
                   tuple(itertools.product(range(q), repeat=width)),
@@ -445,7 +423,8 @@ def build_product_alphabet(net, demands, t, e, q, m, max_draws=200, seed=0):
     inner = codes_mod.BlockCode.from_generator(fld, gen)
     enc_table = {}
     dec_table = {}
-    for msg in itertools.product(range(q), repeat=k):
+    words = list(itertools.product(range(q), repeat=k))
+    for msg in words:
         cw = gf.mat_vec_row(fld, msg, gen)
         enc_table[msg] = cw
         dec_table[cw] = msg
@@ -518,7 +497,7 @@ def build_product_alphabet(net, demands, t, e, q, m, max_draws=200, seed=0):
     decoders = {t_: make_decoder(t_) for t_ in net.terminals}
     alphabet = tuple(itertools.product(range(q), repeat=m))
     rate = tuple(k / m * a for a in demands)
-    return Scheme(1, [code], [_Words(_Words(range(q), k), a) for a in demands],
+    return Scheme(1, [code], [list(itertools.product(words, repeat=a)) for a in demands],
                   local_codeword, decoders, alphabet, rate,
                   meta={"field": fld, "inner": inner, "outer": base,
                         "enc_table": enc_table,

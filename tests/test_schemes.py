@@ -424,16 +424,6 @@ def test_every_builder_decodes_its_own_codewords(name):
             assert got == msgs, (name, t, msgs)
 
 
-def test_message_words_index_in_iteration_order():
-    words = schemes._Words(schemes._Words(range(3), 2), 2)
-    assert len(words) == 81
-    assert [words[k] for k in range(len(words))] == list(words)
-    assert list(words) == list(itertools.product(
-        itertools.product(range(3), repeat=2), repeat=2))
-    with pytest.raises(IndexError):
-        words[81]
-
-
 @pytest.mark.parametrize("build", [
     lambda net, demands: schemes.build_adversary_free(net, demands, 2),
     lambda net, demands: schemes.build_achiev1(net, demands, 0, 2),
