@@ -267,7 +267,8 @@ def symbolic_channel(spec):
 # -- capacity values ----------------------------------------------------------
 
 class BaseValue:
-    """A capacity value or bound expressed as a log in the given base."""
+    """A capacity value or bound expressed as a log in the given base;
+    exact=False means the value is an upper bound on what it names."""
 
     __slots__ = ("value", "base", "exact")
 
@@ -286,14 +287,15 @@ class BaseValue:
 
 
 def capacity_single_block(spec):
-    """Exact one-shot capacity s - u + beta(a, u, 2t+e+1) of a single-block
-    disjoint spec, in base-a units (beta exactness propagated)."""
+    """One-shot capacity s - u + beta(a, u, 2t+e+1) of a single-block
+    disjoint spec, in base-a units; where beta is not known exactly the
+    value is an upper bound with beta's Singleton value (exact=False)."""
     if spec.variant != DISJOINT or len(spec.blocks) != 1:
         raise InvalidParams("single-block disjoint spec required")
     b = spec.blocks[0]
     u = len(b.coords)
     bv = codes.beta(spec.alphabet_size, u, 2 * b.t + b.e + 1)
-    return BaseValue(spec.length - u + bv.value, spec.alphabet_size, bv.exact)
+    return BaseValue(spec.length - u + bv.upper_value, spec.alphabet_size, bv.exact)
 
 
 def block_sigma(block):
@@ -510,9 +512,9 @@ def rank_explicit_channel(spec, limit=1 << 12):
     return TableChannel(mats, mats, table)
 
 
-def rank_channel_bound(q, m, s, coords, t, n=1):
+def rank_channel_bound(spec, n=1):
     """n(s - min(2t, |U|)) in base-(q^m) units."""
-    return BaseValue(n * (s - min(2 * t, len(frozenset(coords)))), q ** m)
+    return BaseValue(n * (spec.s - min(2 * spec.t, len(spec.coords))), spec.q ** spec.m)
 
 
 def rank_achievability(q, m, s, t, verify=True):

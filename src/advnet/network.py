@@ -634,6 +634,8 @@ class AdvBlock:
         object.__setattr__(self, "edges", frozenset(edges))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "e", e)
+        if t < 0 or e < 0:
+            raise InvalidParams("error/erasure budgets must be non-negative")
 
     def __iter__(self):
         """Unpacks as (edges, t, e), the block form of `hamming.ball`."""
@@ -654,12 +656,16 @@ class AdversarySpec:
     m: int = 1
 
     def __post_init__(self):
+        if self.t < 0 or self.e < 0:
+            raise InvalidParams("error/erasure budgets must be non-negative")
         if self.variant in (DISJOINT, OVERLAPPING, RANK):
             seen = set()
             for b in self.blocks:
                 if self.variant == DISJOINT and seen & b.edges:
                     raise InvalidParams("disjoint adversary blocks overlap")
                 seen |= b.edges
+            if self.variant == RANK and len(self.blocks) != 1:
+                raise InvalidParams("a rank adversary has exactly one block")
 
 
 def adversary_free():

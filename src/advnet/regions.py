@@ -1,9 +1,12 @@
 """Capacity-region bounds via cut-set porting, and rate verification.
 
-A rate region is a conjunction of inequalities sum_{i in J} alpha_i <= b_J
-over non-empty source subsets J, each carrying an exactness flag and the
-(terminal, cut) certificate that attains the bound.  Bounds are expressed
-as logarithms in the network alphabet size.
+A rate region bounds sum_{i in J} alpha_i by b_J, a log in the network
+alphabet size, for every non-empty source subset J, with an exactness flag
+(False: an upper bound) and the attaining (terminal, cut).  `port` builds
+one from a point-to-point bound: b_J is its least value over terminals and
+minimal cuts on the adversary clipped to the cut, a `hamming.HammingSpec`
+or, for a rank adversary, a `hamming.RankMetricSpec` with m = 1.  A ported
+region bounds whichever capacity its point-to-point bound bounds.
 
 Verification implements the three achievability notions: one-shot (a
 product code good for every terminal's adversarial channel), n-shot
@@ -15,7 +18,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import codes as codes_mod
 from . import hamming as hamming_mod
 from . import network as net_mod
 from .errors import InvalidParams, UnsupportedVariant
@@ -77,22 +79,30 @@ def _subsets(n):
             yield frozenset(js)
 
 
-def _cut_minimize(net, value_fn, cut_limit=1 << 20):
-    """The region whose bound for every J is the minimum of value_fn(cut)
-    over terminals and inclusion-minimal cuts; value_fn returns (value,
-    exact) and each inequality records its attaining terminal and cut."""
+def port(net, adv, alphabet_size, bound):
+    """Per J, the least `hamming.BaseValue` bound(spec) over terminals and
+    minimal cuts, spec being adv clipped to the cut; ties break on the cut."""
     ineqs = []
     for subset in _subsets(len(net.sources)):
-        best = None
+        ported = []
         for t in net.terminals:
-            for cut in enumerate_minimal_cuts(net, sorted(subset), t, cut_limit):
-                value, exact = value_fn(cut)
-                key = (value, tuple(net.edge_positions(cut)))
-                if best is None or key < best[0]:
-                    best = (key, exact, t)
-        (value, cut), exact, t = best
+            for cut in enumerate_minimal_cuts(net, sorted(subset), t):
+                cut = tuple(net.edge_positions(cut))
+                value = bound(_clip(adv, cut, alphabet_size))
+                ported.append((float(value.value), cut, value.exact, t))
+        value, cut, exact, t = min(ported, key=lambda p: p[:2])
         ineqs.append(Inequality(subset, value, exact, t, cut))
     return RateRegion(len(net.sources), ineqs)
+
+
+def _clip(adv, cut, alphabet_size):
+    """adv on the cut's edges as coordinates 0..|cut|-1 in edge order."""
+    blocks = tuple(hamming_mod.Block({i for i, eid in enumerate(cut) if eid in b.edges},
+                                     b.t, b.e) for b in adv.blocks)
+    if adv.variant == RANK:
+        coords, t, _ = blocks[0]
+        return hamming_mod.RankMetricSpec(alphabet_size, 1, len(cut), coords, t)
+    return hamming_mod.HammingSpec(alphabet_size, len(cut), blocks, adv.variant)
 
 
 def _min_cut_minimize(net, value_fn):
@@ -108,21 +118,11 @@ def _min_cut_minimize(net, value_fn):
 
 def theo1_region(net, adv, alphabet_size):
     """Single-block error/erasure adversary: per J the minimum over cuts of
-    |cut minus U| + beta(a, |cut and U|, 2t+e+1)."""
+    |cut minus U| + beta(a, |cut and U|, 2t+e+1), with beta's upper value
+    where it is not known exactly."""
     if adv.variant != DISJOINT or len(adv.blocks) != 1:
         raise InvalidParams("single-block disjoint adversary required")
-    block = adv.blocks[0]
-    d = 2 * block.t + block.e + 1
-
-    def value(cut):
-        inside = len(cut & block.edges)
-        outside = len(cut) - inside
-        bv = codes_mod.beta(alphabet_size, inside, d) if inside else None
-        if bv is None:
-            return float(outside), True
-        return outside + bv.upper_value, bv.exact
-
-    return _cut_minimize(net, value)
+    return port(net, adv, alphabet_size, hamming_mod.capacity_single_block)
 
 
 def singleton_hamming_region(net, t, e, alphabet_size):
@@ -139,20 +139,14 @@ def singleton_hamming_region(net, t, e, alphabet_size):
     return _min_cut_minimize(net, value)
 
 
+# theo2, overlap and rank bounds do not read the alphabet size: clip at 2.
 def theo2_region(net, adv):
     """Disjoint multi-block adversary: per J the minimum over cuts of
     |cut| - sum_l min(2 t_l + e_l, |cut and U_l|); valid simultaneously for
     the one-shot, zero-error, and compound regions."""
     if adv.variant != DISJOINT:
         raise InvalidParams("disjoint adversary required")
-
-    def value(cut):
-        total = len(cut)
-        for b in adv.blocks:
-            total -= min(2 * b.t + b.e, len(cut & b.edges))
-        return float(total), True
-
-    return _cut_minimize(net, value)
+    return port(net, adv, 2, hamming_mod.multi_block_bound)
 
 
 def product_alphabet_region(net, t, e, m):
@@ -166,27 +160,15 @@ def overlap_region(net, adv):
     |cut| - adversarial_strength(blocks clipped to the cut)."""
     if adv.variant != OVERLAPPING:
         raise InvalidParams("overlapping adversary required")
-
-    def value(cut):
-        clipped = tuple(hamming_mod.Block(
-            {i for i, eid in enumerate(sorted(cut)) if eid in b.edges}, b.t, 0)
-            for b in adv.blocks)
-        return float(len(cut) - hamming_mod.adversarial_strength(clipped)), True
-
-    return _cut_minimize(net, value)
+    return port(net, adv, 2, hamming_mod.overlap_bound)
 
 
 def rank_region(net, adv):
     """Rank-metric adversary on one edge set: per J the minimum over cuts of
     |cut| - min(2t, |cut and U|)."""
-    if adv.variant != RANK or len(adv.blocks) != 1:
-        raise InvalidParams("single-block rank adversary required")
-    block = adv.blocks[0]
-
-    def value(cut):
-        return float(len(cut) - min(2 * block.t, len(cut & block.edges))), True
-
-    return _cut_minimize(net, value)
+    if adv.variant != RANK:
+        raise InvalidParams("rank adversary required")
+    return port(net, adv, 2, hamming_mod.rank_channel_bound)
 
 
 # -- verification ---------------------------------------------------------------

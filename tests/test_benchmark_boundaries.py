@@ -11,6 +11,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS_PY = PERFBENCH / "spans.py"
 
 
+def _workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads
+
+
 def test_traced_names_are_defined_on_their_owners():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
     spans = importlib.util.module_from_spec(spec)
@@ -25,11 +34,7 @@ def test_traced_names_are_defined_on_their_owners():
 def test_one_job_of_each_decode_and_verify_family_checks():
     """A change to `Scheme` or its `meta` that the benchmark relies on
     fails here instead of in a benchmark run."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
+    workloads = _workloads()
     refs = json.loads((PERFBENCH / "reference.json").read_text())
     for workload, families in (("decode", {"compound", "two_source", "gf81"}),
                                ("verify", {"double_relay", "product_alphabet",
@@ -43,3 +48,13 @@ def test_one_job_of_each_decode_and_verify_family_checks():
                 ran.add(job.family)
                 assert job.check(job.fn()), (workload, job.key)
         assert ran == families
+
+
+def test_every_region_job_checks():
+    """A ported value or exactness flag that the benchmark would count as
+    wrong fails here instead of in a benchmark run."""
+    workloads = _workloads()
+    refs = json.loads((PERFBENCH / "reference.json").read_text())["region"]
+    for entry in workloads.REGIONS:
+        job = workloads._region_job(entry, refs[str(entry)])
+        assert job.check(job.fn()), job.key

@@ -151,6 +151,9 @@ def test_capacity_single_block_formula():
     # one erasure on two of three coordinates
     spec = hamming.single_block(2, 3, {0, 1}, 0, 1)
     assert hamming.capacity_single_block(spec).value == pytest.approx(2.0)
+    # beta(6, 5, 3) is not known exactly: the Singleton upper value 3
+    v = hamming.capacity_single_block(hamming.single_block(6, 5, range(5), 1))
+    assert not v.exact and v.value == pytest.approx(3.0)
 
 
 def test_single_block_capacity_equals_brute_force():
@@ -435,9 +438,9 @@ def test_rank_confusable_respects_column_restriction():
 
 
 def test_rank_channel_bound_values():
-    assert hamming.rank_channel_bound(4, 3, 3, range(3), 0).value == 3
-    assert hamming.rank_channel_bound(4, 3, 3, range(3), 2).value == 0
-    assert hamming.rank_channel_bound(4, 3, 3, range(3), 1).value == 1
+    assert hamming.rank_channel_bound(hamming.RankMetricSpec(4, 3, 3, range(3), 0)).value == 3
+    assert hamming.rank_channel_bound(hamming.RankMetricSpec(4, 3, 3, range(3), 2)).value == 0
+    assert hamming.rank_channel_bound(hamming.RankMetricSpec(4, 3, 3, range(3), 1)).value == 1
 
 
 def test_rank_achievability_q4():
@@ -447,5 +450,5 @@ def test_rank_achievability_q4():
     dmin = min(rc.rank_distance(a, b)
                for a, b in itertools.combinations(words, 2))
     assert dmin == 3
-    bound = hamming.rank_channel_bound(4, 3, 3, range(3), 1)
+    bound = hamming.rank_channel_bound(hamming.RankMetricSpec(4, 3, 3, range(3), 1))
     assert math.log(len(words), 4 ** 3) == pytest.approx(bound.value)

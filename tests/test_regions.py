@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from advnet import codes, gf, netlib, network, regions
-from advnet.channel import STAR
+from advnet import codes, gf, hamming, netlib, network, regions
+from advnet.channel import STAR, one_shot_capacity
+from advnet.errors import InvalidParams
 from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, TableVertex,
-                            adversarial_fanouts)
+                            adversarial_channel, adversarial_fanouts,
+                            enumerate_minimal_cuts)
 from advnet.search import max_independent_set
+from test_network import random_small_network, random_table_code
 
 A2 = (0, 1)
 
@@ -120,6 +123,180 @@ def test_region_contains_zero():
     adv = network.full_edge_adversary(net, 1)
     region = regions.theo2_region(net, adv)
     assert region.contains((0, 0))
+
+
+# ---------------------------------------------------------------------------
+# porting: each region builder against its per-cut formula
+# ---------------------------------------------------------------------------
+
+# Reference per-cut formulas of the four ported builders, written directly
+# on edge sets; each returns (value, exact) for a cut.
+
+def theo1_formula(adv, a):
+    block = adv.blocks[0]
+
+    def value(cut):
+        inside = len(cut & block.edges)
+        if not inside:
+            return float(len(cut)), True
+        bv = codes.beta(a, inside, 2 * block.t + block.e + 1)
+        return len(cut) - inside + bv.upper_value, bv.exact
+    return value
+
+
+def theo2_formula(adv):
+    return lambda cut: (float(len(cut) - sum(
+        min(2 * b.t + b.e, len(cut & b.edges)) for b in adv.blocks)), True)
+
+
+def overlap_formula(adv):
+    def value(cut):
+        clipped = tuple(hamming.Block(
+            {i for i, eid in enumerate(sorted(cut)) if eid in b.edges}, b.t, 0)
+            for b in adv.blocks)
+        return float(len(cut) - hamming.adversarial_strength(clipped)), True
+    return value
+
+
+def rank_formula(adv):
+    block = adv.blocks[0]
+    return lambda cut: (float(len(cut) - min(2 * block.t, len(cut & block.edges))), True)
+
+
+def assert_matches_formula(net, region, formula):
+    """Each inequality is the least formula value over terminals and minimal
+    cuts; its terminal and cut attain it with the recorded exactness, the
+    cut first in edge order and then the terminal first among ties."""
+    for ineq in region.inequalities:
+        candidates = [(*formula(frozenset(cut)), t, tuple(net.edge_positions(cut)))
+                      for t in net.terminals
+                      for cut in enumerate_minimal_cuts(net, sorted(ineq.subset), t)]
+        least = min(candidates, key=lambda c: (c[0], c[3]))
+        assert (ineq.bound, ineq.exact, ineq.terminal, ineq.cut) == least
+
+
+NETLIB = {"parallel_path": netlib.parallel_path(3), "single_path": netlib.single_path(),
+          "chain_with_bypass": netlib.chain_with_bypass(),
+          "two_source_hub": netlib.two_source_hub(), "two_source_grid": netlib.two_source_grid(),
+          "two_source_double_relay": netlib.two_source_double_relay(),
+          "triple_path_bottleneck": netlib.triple_path_bottleneck(),
+          "fan_bottleneck": netlib.fan_bottleneck(), "butterfly": netlib.butterfly(),
+          "two_source_shared_relay": netlib.two_source_shared_relay((2, 2), 3)}
+
+
+@pytest.mark.parametrize("name", NETLIB)
+def test_ported_regions_match_their_formulas(name):
+    net = NETLIB[name]
+    rng = random.Random(name)
+    edges = [e.id for e in net.edges]
+
+    def sample(k_max):
+        return rng.sample(edges, rng.randint(1, min(k_max, len(edges))))
+
+    for _ in range(3):
+        adv = AdversarySpec(blocks=(AdvBlock(sample(len(edges)), rng.randint(0, 2),
+                                             rng.randint(0, 1)),))
+        a = rng.choice((2, 3, 4, 5, 7))
+        assert_matches_formula(net, regions.theo1_region(net, adv, a), theo1_formula(adv, a))
+        chosen = sample(len(edges))
+        split = rng.randint(0, len(chosen))
+        adv = AdversarySpec(blocks=tuple(
+            AdvBlock(part, rng.randint(0, 2), rng.randint(0, 1))
+            for part in (chosen[:split], chosen[split:]) if part))
+        assert_matches_formula(net, regions.theo2_region(net, adv), theo2_formula(adv))
+        adv = AdversarySpec(blocks=tuple(AdvBlock(sample(4), rng.randint(0, 2))
+                                         for _ in range(rng.randint(1, 3))),
+                            variant=network.OVERLAPPING)
+        assert_matches_formula(net, regions.overlap_region(net, adv), overlap_formula(adv))
+        adv = AdversarySpec(blocks=(AdvBlock(sample(len(edges)), rng.randint(0, 3)),),
+                            variant=network.RANK)
+        assert_matches_formula(net, regions.rank_region(net, adv), rank_formula(adv))
+
+
+def test_theo1_ports_the_upper_value_of_an_inexact_beta():
+    net = netlib.two_source_double_relay()
+    adv = network.full_edge_adversary(net, 1)
+    region = regions.theo1_region(net, adv, 6)
+    assert_matches_formula(net, region, theo1_formula(adv, 6))
+    one, both = region.bound_for({1}), region.bound_for({0, 1})
+    assert (one.bound, one.exact) == (2.0, False)
+    assert (both.bound, both.exact) == (3.0000000000000004, False)
+    assert both.cut == ("e1", "e3", "e4", "e11", "e12")
+
+
+def test_port_clips_the_adversary_to_cut_coordinates_in_edge_order():
+    net = netlib.two_source_double_relay()
+    adv = AdversarySpec(blocks=(AdvBlock({"e2", "e10", "e11"}, 1, 1), AdvBlock({"e12"}, 0, 1)))
+
+    def bound(spec):
+        # encodes the first block's coordinates; the minimum favours many
+        # and late ones
+        assert spec.alphabet_size == 3 and spec.variant == network.DISJOINT
+        assert [(b.t, b.e) for b in spec.blocks] == [(1, 1), (0, 1)]
+        return hamming.BaseValue(-sum(2 ** i for i in spec.blocks[0].coords), 3)
+
+    region = regions.port(net, adv, 3, bound)
+    for ineq in region.inequalities:
+        assert list(ineq.cut) == net.edge_positions(ineq.cut)
+        assert ineq.bound == -sum(2 ** i for i, eid in enumerate(ineq.cut)
+                                  if eid in adv.blocks[0].edges)
+    assert any(ineq.bound and sorted(ineq.cut) != list(ineq.cut)
+               for ineq in region.inequalities)
+
+
+def test_negative_budgets_are_rejected():
+    # a negative budget admits no action, so every fan-out would be empty
+    for t, e in ((-1, 0), (0, -1)):
+        with pytest.raises(InvalidParams):
+            AdvBlock({"e1", "e2", "e3"}, t, e)
+        with pytest.raises(InvalidParams):
+            AdversarySpec(variant=network.PER_SYMBOL, t=t, e=e, m=2)
+
+
+def test_rank_adversary_has_one_block():
+    with pytest.raises(InvalidParams):
+        AdversarySpec(blocks=(AdvBlock({"e1"}, 1), AdvBlock({"e2"}, 1)),
+                      variant=network.RANK)
+
+
+def test_overlap_region_rejects_erasures():
+    # a region that ignored these erasure budgets would report a1 <= 1
+    net = netlib.triple_path_bottleneck()
+    adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 1), AdvBlock({"e2", "e3"}, 0, 2)),
+                        variant=network.OVERLAPPING)
+    with pytest.raises(InvalidParams, match="erasure-free"):
+        regions.overlap_region(net, adv)
+
+
+def test_brute_force_port_is_tighter_than_theo2():
+    net = netlib.two_source_grid()
+    adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2", "e4", "e6", "e7", "e8", "e9", "e10"}, 1),
+                                AdvBlock({"e5"}, 1)))
+    ported = regions.port(net, adv, 2, hamming.brute_force_capacity)
+    theo2 = regions.theo2_region(net, adv)
+    assert ported.bound_for({0, 1}).bound == pytest.approx(1.0)
+    assert theo2.bound_for({0, 1}).bound == pytest.approx(2.0)
+    for ineq in ported.inequalities:
+        assert ineq.exact and ineq.bound <= theo2.bound_for(ineq.subset).bound + 1e-9
+
+
+def test_brute_force_port_bounds_network_capacity():
+    rng = random.Random(1706)
+    checked = 0
+    while checked < 60:
+        net = random_small_network(rng)
+        if net is None or len(net.sources) != 1 or len(net.edges) < 2:
+            continue
+        code = random_table_code(rng, net, A2, erasures=True)
+        edges = rng.sample([e.id for e in net.edges], rng.randint(2, len(net.edges)))
+        split = rng.randint(1, len(edges) - 1)
+        adv = AdversarySpec(blocks=(AdvBlock(edges[:split], rng.randint(0, 1), rng.randint(0, 1)),
+                                    AdvBlock(edges[split:], rng.randint(0, 1), rng.randint(0, 1))))
+        capacity = one_shot_capacity(adversarial_channel(net, code, adv, "T", A2))
+        bound = regions.port(net, adv, 2, hamming.brute_force_capacity).bound_for({0})
+        assert capacity.exact
+        assert capacity.value_in_base(2) <= bound.bound + 1e-9, (edges, adv)
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
