@@ -12,6 +12,9 @@ Extension towers are built by composing `make_extension`; `expand` and
 `flatten` are the mutually inverse base-linear maps between an extension
 element and its length-n coefficient column, extended entrywise to matrices
 (matrix entries expand to column vectors, stacked per row).
+
+`mat_vec_row` is the one vector-matrix multiply-accumulate: `Matrix @`
+runs it once per row, and every linear vertex and encoder calls it.
 """
 
 import itertools
@@ -383,21 +386,10 @@ class Matrix:
         return Matrix(F, tuple(tuple(F.neg(a) for a in row) for row in self.rows))
 
     def __matmul__(self, other):
-        F = self.field
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = list(zip(*other.rows)) if other.rows else []
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = F.add(acc, F.mul(a, b))
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix(F, tuple(out))
+        return Matrix(self.field, tuple(mat_vec_row(self.field, row, other)
+                                        for row in self.rows))
 
     @property
     def shape(self):
@@ -471,12 +463,15 @@ def row_span(generator):
 
 
 def mat_vec_row(F, row, matrix):
-    """row (length k) times a k x n matrix, as a tuple of length n."""
-    out = []
-    for j in range(matrix.ncols):
-        acc = 0
-        for i, v in enumerate(row):
-            if v and matrix.rows[i][j]:
-                acc = F.add(acc, F.mul(v, matrix.rows[i][j]))
-        out.append(acc)
-    return tuple(out)
+    """row (length k) times a k x n matrix, as a tuple of length n.
+
+    The one vector-matrix multiply-accumulate: `Matrix.__matmul__`,
+    `network.LinearVertex` and every encoder run through it."""
+    add, mul = F.add, F.mul
+    acc = [0] * matrix.ncols
+    for v, coeffs in zip(row, matrix.rows):
+        if v:
+            for j, c in enumerate(coeffs):
+                if c:
+                    acc[j] = add(acc[j], mul(v, c))
+    return tuple(acc)

@@ -28,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import gf
 from .channel import STAR, SymbolicChannel
 from .errors import (AlphabetMismatch, BadFreeze, CyclicGraph, Infeasible,
                      InvalidParams, MissingCodeFunction, NotACut,
@@ -370,45 +371,27 @@ class TableVertex:
 
 class LinearVertex:
     """Matrix vertex function over F_q acting on symbols that are field
-    elements (m = None) or length-m tuples over the field.  Erasures are
-    replaced by zero before the product (recorded on the instance)."""
+    elements (m = None) or length-m tuples over the field, digit by digit.
+    Either way the product is `gf.mat_vec_row`, once per digit.  Erasures
+    are replaced by zero before the product (recorded on the instance).
+    `matrix` is the tuple of rows, one per in-edge."""
 
     def __init__(self, fld, matrix, m=None):
         self.field = fld
-        self.matrix = tuple(tuple(row) for row in matrix)
+        self._coefficients = gf.Matrix(fld, matrix)
+        self.matrix = self._coefficients.rows
         self.m = m
         self.saw_erasure = False
 
     def __call__(self, values):
-        F = self.field
-        zero = 0 if self.m is None else (0,) * self.m
-        vals = []
-        for v in values:
-            if v == STAR:
-                self.saw_erasure = True
-                vals.append(zero)
-            else:
-                vals.append(v)
-        n_out = len(self.matrix[0]) if self.matrix else 0
-        out = []
-        for j in range(n_out):
-            if self.m is None:
-                acc = 0
-                for i, v in enumerate(vals):
-                    c = self.matrix[i][j]
-                    if c and v:
-                        acc = F.add(acc, F.mul(c, v))
-                out.append(acc)
-            else:
-                acc = [0] * self.m
-                for i, v in enumerate(vals):
-                    c = self.matrix[i][j]
-                    if c:
-                        for d in range(self.m):
-                            if v[d]:
-                                acc[d] = F.add(acc[d], F.mul(c, v[d]))
-                out.append(tuple(acc))
-        return tuple(out)
+        if STAR in values:
+            self.saw_erasure = True
+            zero = 0 if self.m is None else (0,) * self.m
+            values = [zero if v == STAR else v for v in values]
+        if self.m is None:
+            return gf.mat_vec_row(self.field, values, self._coefficients)
+        return tuple(zip(*[gf.mat_vec_row(self.field, digit, self._coefficients)
+                           for digit in zip(*values)]))
 
 
 class FuncVertex:
@@ -519,22 +502,36 @@ def _input_space(net, alphabet, keep=None):
     return count, factory
 
 
+def _kept_sources(net, keep, frozen):
+    """Validate a keep/frozen pair: `keep` (source indices, or None for
+    every source) must be a proper non-empty subset of the sources, and
+    `frozen` must pin every source outside it."""
+    if keep is None:
+        return None
+    keep = tuple(keep)
+    if not keep or len(set(keep)) >= len(net.sources):
+        raise BadFreeze("keep must be a proper non-empty subset of sources")
+    if set(range(len(net.sources))) - set(keep) - set(frozen or {}):
+        raise BadFreeze("frozen inputs must cover all non-selected sources")
+    return keep
+
+
 def _assemble_global(net, keep, xs, frozen):
     if keep is None:
         return tuple(xs)
     full = [None] * len(net.sources)
     for i, x in zip(keep, xs):
         full[i] = x
-    for i, x in (frozen or {}).items():
+    for i, x in frozen.items():
         full[i] = tuple(x)
-    if any(v is None for v in full):
-        raise BadFreeze("frozen inputs must cover all non-selected sources")
     return tuple(full)
 
 
 def transfer_channel(net, code, edge_ids, alphabet=None, keep=None, frozen=None):
-    """Deterministic channel from (selected) source inputs to the values on
-    the given edges, in edge order."""
+    """Deterministic channel from source inputs to the values on the given
+    edges, in edge order.  With `keep` given, only those sources' inputs
+    vary and `frozen` maps every other source index to its fixed input."""
+    keep = _kept_sources(net, keep, frozen)
     ordered = net.edge_positions(edge_ids)
     count, factory = _input_space(net, alphabet, keep)
 
@@ -568,9 +565,11 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
 
     Inputs range over the extended alphabet on the cut edges (edge order);
     coordinates of cut edges that the pass never reads are ignored.  With
-    keep/frozen given, the cut needs to separate only the kept sources and
-    the frozen sources' emissions resolve the pass.
+    keep/frozen given (as for `transfer_channel`), the cut needs to
+    separate only the kept sources and the frozen sources' emissions
+    resolve the pass.
     """
+    keep = _kept_sources(net, keep, frozen)
     alphabet_t = net._alphabet(alphabet)
     cut_list = net.edge_positions(cut_ids)
     cut_set = set(cut_list)
@@ -580,7 +579,6 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
 
     frozen_values = {}
     if keep is not None:
-        frozen = frozen or {}
         for i, x in frozen.items():
             s = net.sources[i]
             for pos, e in enumerate(net.out_edges(s)):
@@ -604,22 +602,6 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
 
     return SymbolicChannel((count, factory), fanout_fn, deterministic=True,
                            name=f"cut{sorted(cut_set)}->{terminal}")
-
-
-def frozen_transfer_channel(net, code, keep, frozen, edge_ids, alphabet=None):
-    """Transfer channel with the non-selected sources pinned to fixed values."""
-    keep = tuple(keep)
-    if not keep or len(keep) >= len(net.sources):
-        raise BadFreeze("keep must be a proper non-empty subset of sources")
-    return transfer_channel(net, code, edge_ids, alphabet, keep=keep, frozen=frozen)
-
-
-def frozen_cut_channel(net, code, keep, frozen, cut_ids, terminal, alphabet=None):
-    keep = tuple(keep)
-    if not keep or len(keep) >= len(net.sources):
-        raise BadFreeze("keep must be a proper non-empty subset of sources")
-    return cut_to_sink_channel(net, code, cut_ids, terminal, alphabet,
-                               keep=keep, frozen=frozen)
 
 
 # -- adversaries ---------------------------------------------------------------

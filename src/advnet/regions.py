@@ -151,6 +151,8 @@ def theo2_region(net, adv):
 
 def product_alphabet_region(net, t, e, m):
     """Sub-symbol adversary on every edge: per J, mu * max(0, m-2t-e) / m."""
+    if m < 1:
+        raise InvalidParams("m must be >= 1")
     factor = max(0, m - 2 * t - e) / m
     return _min_cut_minimize(net, lambda mu: mu * factor)
 

@@ -18,7 +18,8 @@ places each packet row into a use and a symbol coordinate: one-shot
 schemes send every row in the one use, a one-source compound scheme
 sends digit d of every codeword in use d, and a two-source compound
 scheme sends row block j, one digit of the second source's codeword, in
-use j.
+use j.  The product-alphabet scheme is the adversary-free scheme lifted
+digit-wise to F_q^k vectors, with an inner [m, k] code on every link.
 """
 
 import functools
@@ -216,14 +217,8 @@ def build_adversary_free(net, demands, q, max_draws=200, seed=0):
         inv = inverses[t]
 
         def decode(obs):
-            y = gf.Matrix(fld, (tuple(obs),))
-            x = y @ inv
-            out = []
-            pos = 0
-            for a_i in demands:
-                out.append(tuple(x.rows[0][pos:pos + a_i]))
-                pos += a_i
-            return tuple(out)
+            x = gf.mat_vec_row(fld, obs, inv)
+            return tuple(x[o:o + a] for o, a in zip(offsets, demands))
 
         return decode
 
@@ -414,83 +409,46 @@ def build_product_alphabet(net, demands, t, e, q, m, max_draws=200, seed=0):
     """Scheme over the alphabet F_q^m against a per-edge sub-symbol
     adversary (up to t errors and e erasures per edge): an inner
     [m, m-2t-e, 2t+e+1] code on every link around an outer adversary-free
-    linear code.  Achieves rate (m-2t-e)/m * demands."""
+    linear code.  Achieves rate (m-2t-e)/m * demands.
+
+    With k = m-2t-e, vertices, local encoders and terminal decoders are
+    the adversary-free scheme's, applied to each of the k digits of the
+    inner-decoded vectors."""
     k = m - 2 * t - e
     if k < 1:
         raise InvalidParams("need m >= 2t + e + 1")
     fld = gf.make_field(q)
     gen = codes_mod.mds_generator(fld, m, k)
     inner = codes_mod.BlockCode.from_generator(fld, gen)
-    enc_table = {}
-    dec_table = {}
     words = list(itertools.product(range(q), repeat=k))
-    for msg in words:
-        cw = gf.mat_vec_row(fld, msg, gen)
-        enc_table[msg] = cw
-        dec_table[cw] = msg
+    enc_table = {msg: gf.mat_vec_row(fld, msg, gen) for msg in words}
+    dec_table = {cw: msg for msg, cw in enc_table.items()}
     base = build_adversary_free(net, demands, q, max_draws, seed)
-    outer_code = base.network_code
-    encoders = base.meta["encoders"]
-    stacked = base.meta["stacked"]
 
-    fns = {}
-    for v in net.intermediates:
-        lv = outer_code.fn(v)
+    def inner_decode(values):
+        return [dec_table[codes_mod.decode_hamming(inner, v)] for v in values]
 
-        def make_fn(matrix):
-            def apply(values):
-                decoded = [dec_table[codes_mod.decode_hamming(inner, val)]
-                           for val in values]
-                n_out = len(matrix[0]) if matrix else 0
-                out = []
-                for j in range(n_out):
-                    acc = (0,) * k
-                    for i, vec in enumerate(decoded):
-                        c = matrix[i][j]
-                        if c:
-                            acc = tuple(fld.add(x, fld.mul(c, y))
-                                        for x, y in zip(acc, vec))
-                    out.append(enc_table[acc])
-                return tuple(out)
+    def inner_encode(vectors):
+        return tuple(enc_table[vec] for vec in vectors)
 
-            return apply
+    def make_fn(outer):
+        return lambda values: inner_encode(outer(inner_decode(values)))
 
-        fns[v] = make_fn(lv.matrix)
-    code = NetworkCode(fns)
+    code = NetworkCode({v: make_fn(LinearVertex(fld, base.network_code.fn(v).matrix, m=k))
+                        for v in net.intermediates})
+    local = [LinearVertex(fld, enc.rows, m=k) for enc in base.meta["encoders"]]
 
     def local_codeword(i, msg_vectors):
         """msg_vectors: a_i message k-tuples -> b_i inner codewords."""
-        y = []
-        b_i = len(net.out_edges(net.sources[i]))
-        for j in range(b_i):
-            acc = (0,) * k
-            for r in range(demands[i]):
-                c = encoders[i].rows[r][j]
-                if c:
-                    acc = tuple(fld.add(x, fld.mul(c, v))
-                                for x, v in zip(acc, msg_vectors[r]))
-            y.append(enc_table[acc])
-        return tuple(y)
-
-    inverses = {t_: stacked[t_].right_inverse() for t_ in net.terminals}
+        return inner_encode(local[i](msg_vectors))
 
     def make_decoder(t_):
-        inv = inverses[t_]
+        outer = base.decoders[t_]
 
         def decode(obs):
-            vecs = [dec_table[codes_mod.decode_hamming(inner, v)] for v in obs]
-            per_source = []
-            for d in range(k):
-                y = gf.Matrix(fld, (tuple(v[d] for v in vecs),))
-                per_source.append((y @ inv).rows[0])
-            out = []
-            pos = 0
-            for a_i in demands:
-                msgs = tuple(tuple(per_source[d][pos + r] for d in range(k))
-                             for r in range(a_i))
-                out.append(msgs)
-                pos += a_i
-            return tuple(out)
+            per_digit = [outer(digit) for digit in zip(*inner_decode(obs))]
+            return tuple(tuple(zip(*(msgs[i] for msgs in per_digit)))
+                         for i in range(len(demands)))
 
         return decode
 

@@ -171,6 +171,44 @@ def test_row_span_and_mat_vec():
     assert gf.mat_vec_row(F2, (1, 1), g) == (1, 1, 0)
 
 
+def _random_matrix(rng, F, r, c):
+    return gf.Matrix(F, tuple(tuple(rng.randrange(F.q) for _ in range(c)) for _ in range(r)))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_matmul_is_mat_vec_row_per_row(q):
+    F = gf.make_field(q)
+    rng = random.Random(q)
+    for _ in range(30):
+        k, n, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, b = _random_matrix(rng, F, k, n), _random_matrix(rng, F, n, p)
+        prod = a @ b
+        assert prod.rows == tuple(gf.mat_vec_row(F, row, b) for row in a.rows)
+        for i in range(k):          # independent oracle: the entry sums
+            for j in range(p):
+                want = 0
+                for l in range(n):
+                    want = F.add(want, F.mul(a.rows[i][l], b.rows[l][j]))
+                assert prod.rows[i][j] == want
+
+
+def test_matmul_empty_shapes():
+    F3 = gf.make_field(3)
+    rng = random.Random(5)
+    a = _random_matrix(rng, F3, 3, 2)
+    no_cols = gf.Matrix(F3, ((), ()))                   # 2 x 0
+    assert (a @ no_cols).shape == (3, 0)
+    assert (a @ no_cols).rows == tuple(gf.mat_vec_row(F3, row, no_cols) for row in a.rows)
+    # a matrix without rows has no columns either: 0 x n reads as 0 x 0
+    no_rows = gf.Matrix.zeros(F3, 0, 4)
+    assert no_rows.shape == (0, 0)
+    assert (no_rows @ no_rows).shape == (0, 0)
+    assert (gf.Matrix(F3, ((),) * 3) @ no_rows).rows == ((), (), ())
+    assert gf.mat_vec_row(F3, (), no_rows) == ()
+    with pytest.raises(ValueError):
+        no_rows @ a
+
+
 def test_smallest_irreducible_is_canonical_for_f8():
     F2 = gf.make_field(2)
     F8, _, _ = gf.make_extension(F2, 3)

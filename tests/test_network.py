@@ -5,13 +5,12 @@ import pytest
 
 from advnet import netlib, network
 from advnet.channel import STAR, concat, same_fanout_map
-from advnet.errors import CyclicGraph, Infeasible, NotACut
+from advnet.errors import BadFreeze, CyclicGraph, Infeasible, NotACut
 from advnet.network import (AdvBlock, AdversarySpec, Edge, FuncVertex,
                             LinearVertex, Network, NetworkCode, TableVertex,
                             adversarial_channel, adversarial_fanouts,
                             cut_to_sink_channel, edge_disjoint_paths,
                             enumerate_minimal_cuts, evaluate,
-                            frozen_cut_channel, frozen_transfer_channel,
                             is_cut, linear_extension, min_cut,
                             transfer_channel, validate)
 
@@ -305,7 +304,7 @@ def test_frozen_transfer_matches_manual_pinning():
     net = netlib.two_source_hub(A2)
     code = hub_code()
     frozen = {1: (1,)}
-    chan = frozen_transfer_channel(net, code, [0], frozen, ["e4", "e5", "e6", "e7"], A2)
+    chan = transfer_channel(net, code, ["e4", "e5", "e6", "e7"], A2, keep=[0], frozen=frozen)
     for x1 in itertools.product(A2, repeat=2):
         want = evaluate(net, code, (x1, (1,))).observations["T"]
         assert chan.fanout((x1,)) == frozenset({want})
@@ -316,11 +315,26 @@ def test_frozen_cut_channel_factorization():
     code = hub_code()
     frozen = {1: (0,)}
     cut = {"e1", "e2"}
-    direct = frozen_transfer_channel(net, code, [0], frozen,
-                                     [e.id for e in net.in_edges("T")], A2)
-    left = frozen_transfer_channel(net, code, [0], frozen, cut, A2)
-    right = frozen_cut_channel(net, code, [0], frozen, cut, "T", A2)
+    direct = transfer_channel(net, code, [e.id for e in net.in_edges("T")], A2,
+                              keep=[0], frozen=frozen)
+    left = transfer_channel(net, code, cut, A2, keep=[0], frozen=frozen)
+    right = cut_to_sink_channel(net, code, cut, "T", A2, keep=[0], frozen=frozen)
     assert same_fanout_map(concat(left, right), direct)
+
+
+@pytest.mark.parametrize("keep, frozen, reason", [
+    ([], {0: (0, 0), 1: (0,)}, "proper non-empty"),
+    ([0, 1], {}, "proper non-empty"),
+    ([1], {}, "cover all non-selected"),
+])
+def test_bad_freeze_is_rejected_by_both_channels(keep, frozen, reason):
+    net = netlib.two_source_hub(A2)
+    code = hub_code()
+    with pytest.raises(BadFreeze, match=reason):
+        transfer_channel(net, code, ["e4", "e5", "e6", "e7"], A2, keep=keep, frozen=frozen)
+    with pytest.raises(BadFreeze, match=reason):
+        cut_to_sink_channel(net, code, ["e1", "e2", "e3"], "T", A2,
+                            keep=keep, frozen=frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +390,28 @@ def test_per_symbol_adversary():
     # each edge independently corrupts at most one sub-symbol
     assert ((0, 0),) in obs and ((1, 1),) in obs
     assert all(sum(a != b for a, b in zip(y[0], (0, 0))) <= 2 for y in obs)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_linear_vertex_on_tuples_is_digitwise(q):
+    from advnet import gf
+    F = gf.make_field(q)
+    rng = random.Random(q)
+    symbols = tuple(range(q)) + (STAR,)
+    for _ in range(20):
+        r, s, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        rows = tuple(tuple(rng.randrange(q) for _ in range(s)) for _ in range(r))
+        values = tuple(STAR if rng.random() < 0.2
+                       else tuple(rng.randrange(q) for _ in range(k)) for _ in range(r))
+        vector = LinearVertex(F, rows, m=k)
+        got = vector(values)
+        assert vector.saw_erasure == (STAR in values)
+        cleaned = [(0,) * k if v == STAR else v for v in values]
+        digits = [LinearVertex(F, rows)(tuple(v[d] for v in cleaned)) for d in range(k)]
+        assert got == tuple(tuple(digits[d][j] for d in range(k)) for j in range(s))
+        # STAR on a field-element vertex also reads as zero
+        digit0 = tuple(STAR if v == STAR else v[0] for v in values)
+        assert LinearVertex(F, rows)(digit0) == digits[0]
 
 
 def test_linear_vertex_erasure_totalization():

@@ -91,6 +91,8 @@ def test_product_alphabet_region():
     assert region0.bound_for({0}).bound == pytest.approx(1.0)
     region_z = regions.product_alphabet_region(net, 1, 1, 3)
     assert region_z.bound_for({0}).bound == pytest.approx(0.0)
+    with pytest.raises(InvalidParams, match="m must be >= 1"):
+        regions.product_alphabet_region(net, 0, 0, 0)
 
 
 def test_overlap_region_reduces_to_theo2_on_disjoint_blocks():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from advnet import gf, netlib, network, regions, schemes
+from advnet.channel import STAR
 from advnet.errors import (AmbiguousDecode, DrawsExhausted, InvalidParams,
                            NoCodewordInRange, RegionViolated, UnsupportedSources)
 from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, evaluate,
@@ -464,6 +465,44 @@ def test_product_alphabet_decodes_with_erasures():
     res = regions.verify_one_shot(net, scheme.network_code,
                                   scheme.source_codes, adv, scheme.alphabet)
     assert res.ok
+
+
+@pytest.mark.parametrize("net, demands, key", [
+    (netlib.single_path(None), (1,), (1, 0, 5, 4)),
+    (netlib.parallel_path(2, None), (2,), (0, 1, 2, 3)),
+], ids=["single_path", "parallel_path2"])
+def test_product_alphabet_vector_symbols_verify(net, demands, key):
+    t, e, q, m = key
+    k = m - 2 * t - e
+    assert k >= 2               # the outer code acts on k-vectors
+    scheme = schemes.build_product_alphabet(net, demands, *key, seed=0)
+    assert scheme.rate == tuple(pytest.approx(k / m * a) for a in demands)
+    res = regions.verify_one_shot(net, scheme.network_code, scheme.source_codes,
+                                  scheme.meta["adversary"], scheme.alphabet)
+    assert res.ok
+
+
+def test_product_alphabet_two_sources_decode_under_erasures():
+    # (t, e, q, m) = (0, 1, 2, 3): k = 2; a full verify takes seconds, so
+    # check every message clean and under one erased sub-symbol per edge,
+    # at every rotation of the erased positions
+    net = netlib.two_source_hub(None)
+    m = 3
+    scheme = schemes.build_product_alphabet(net, (2, 1), 0, 1, 2, m, seed=0)
+    decode = scheme.decoders["T"]
+    edges = [e.id for e in net.edges]
+    for msgs in itertools.product(*scheme.messages):
+        x = tuple(scheme.encode(i, msg) for i, msg in enumerate(msgs))
+        clean = evaluate(net, scheme.network_code, x)
+        assert decode(clean.observations["T"]) == msgs
+        for shift in range(m):
+            action = {}
+            for j, eid in enumerate(edges):
+                y = list(clean.edge_values[eid])
+                y[(j + shift) % m] = STAR
+                action[eid] = tuple(y)
+            got = evaluate(net, scheme.network_code, x, action).observations["T"]
+            assert decode(got) == msgs
 
 
 def test_product_alphabet_zero_budget_reduces_to_outer():
