@@ -467,6 +467,8 @@ def mat_vec_row(F, row, matrix):
 
     The one vector-matrix multiply-accumulate: `Matrix.__matmul__`,
     `network.LinearVertex` and every encoder run through it."""
+    if len(row) != matrix.nrows:
+        raise ValueError(f"vector of length {len(row)} @ {matrix.shape} matrix")
     add, mul = F.add, F.mul
     acc = [0] * matrix.ncols
     for v, coeffs in zip(row, matrix.rows):

@@ -708,7 +708,9 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None, limit=10 ** 6):
 def adversarial_channel(net, code, adv, terminal, alphabet=None, keep=None,
                         frozen=None, limit=10 ** 6):
     """Channel from (selected) source inputs to the terminal's observations
-    under all admissible adversary actions."""
+    under all admissible adversary actions.  keep/frozen as for
+    `transfer_channel`."""
+    keep = _kept_sources(net, keep, frozen)
     count, factory = _input_space(net, alphabet, keep)
 
     def fanout_fn(xs):

@@ -20,6 +20,7 @@ sends digit d of every codeword in use d, and a two-source compound
 scheme sends row block j, one digit of the second source's codeword, in
 use j.  The product-alphabet scheme is the adversary-free scheme lifted
 digit-wise to F_q^k vectors, with an inner [m, k] code on every link.
+Drawn encoders and vertices multiply through `gf.mat_vec_row`, one kernel.
 """
 
 import functools
@@ -204,10 +205,8 @@ def build_adversary_free(net, demands, q, max_draws=200, seed=0):
     transfer = linear_transfer_matrices(net, code, fld)
     stacked = {}
     for t in net.terminals:
-        blocks = [encoders[i] @ transfer[t][i] for i in range(len(net.sources))]
-        m_t = blocks[0]
-        for b in blocks[1:]:
-            m_t = m_t.vstack(b)
+        m_t = functools.reduce(gf.Matrix.vstack, [encoders[i] @ transfer[t][i]
+                                                   for i in range(len(net.sources))])
         if m_t.rank() < h:
             raise AssertionError(f"constructed code does not decode at {t}")
         stacked[t] = m_t
@@ -442,9 +441,7 @@ def build_product_alphabet(net, demands, t, e, q, m, max_draws=200, seed=0):
         """msg_vectors: a_i message k-tuples -> b_i inner codewords."""
         return inner_encode(local[i](msg_vectors))
 
-    def make_decoder(t_):
-        outer = base.decoders[t_]
-
+    def make_decoder(outer):
         def decode(obs):
             per_digit = [outer(digit) for digit in zip(*inner_decode(obs))]
             return tuple(tuple(zip(*(msgs[i] for msgs in per_digit)))
@@ -452,7 +449,7 @@ def build_product_alphabet(net, demands, t, e, q, m, max_draws=200, seed=0):
 
         return decode
 
-    decoders = {t_: make_decoder(t_) for t_ in net.terminals}
+    decoders = {t_: make_decoder(base.decoders[t_]) for t_ in net.terminals}
     alphabet = tuple(itertools.product(range(q), repeat=m))
     rate = tuple(k / m * a for a in demands)
     return Scheme(1, [code], [list(itertools.product(words, repeat=a)) for a in demands],

@@ -209,6 +209,14 @@ def test_matmul_empty_shapes():
         no_rows @ a
 
 
+def test_mat_vec_row_rejects_wrong_length():
+    F3 = gf.make_field(3)
+    m = _random_matrix(random.Random(6), F3, 3, 2)
+    for row in [(1, 2), (1, 2, 0, 1), ()]:
+        with pytest.raises(ValueError):
+            gf.mat_vec_row(F3, row, m)
+
+
 def test_smallest_irreducible_is_canonical_for_f8():
     F2 = gf.make_field(2)
     F8, _, _ = gf.make_extension(F2, 3)

@@ -326,10 +326,14 @@ def test_frozen_cut_channel_factorization():
     ([], {0: (0, 0), 1: (0,)}, "proper non-empty"),
     ([0, 1], {}, "proper non-empty"),
     ([1], {}, "cover all non-selected"),
+    ([0], None, "cover all non-selected"),
 ])
-def test_bad_freeze_is_rejected_by_both_channels(keep, frozen, reason):
+def test_bad_freeze_is_rejected_by_every_channel(keep, frozen, reason):
     net = netlib.two_source_hub(A2)
     code = hub_code()
+    adv = AdversarySpec(blocks=(AdvBlock({"e4"}, 0, 0),))
+    with pytest.raises(BadFreeze, match=reason):
+        adversarial_channel(net, code, adv, "T", A2, keep=keep, frozen=frozen)
     with pytest.raises(BadFreeze, match=reason):
         transfer_channel(net, code, ["e4", "e5", "e6", "e7"], A2, keep=keep, frozen=frozen)
     with pytest.raises(BadFreeze, match=reason):
@@ -412,6 +416,17 @@ def test_linear_vertex_on_tuples_is_digitwise(q):
         # STAR on a field-element vertex also reads as zero
         digit0 = tuple(STAR if v == STAR else v[0] for v in values)
         assert LinearVertex(F, rows)(digit0) == digits[0]
+
+
+def test_linear_vertex_rejects_wrong_number_of_inputs():
+    from advnet import gf
+    F3 = gf.make_field(3)
+    rows = ((1, 2), (0, 1))
+    for values in [(1,), (1, 2, 0)]:
+        with pytest.raises(ValueError):
+            LinearVertex(F3, rows)(values)
+        with pytest.raises(ValueError):
+            LinearVertex(F3, rows, m=2)(tuple((v, v) for v in values))
 
 
 def test_linear_vertex_erasure_totalization():
