@@ -52,9 +52,6 @@ class Channel:
     def is_deterministic(self):
         return all(len(self.fanout(x)) == 1 for x in self.iter_inputs())
 
-    def describe(self):
-        return f"{type(self).__name__}(|X|={self.input_count})"
-
 
 class TableChannel(Channel):
     def __init__(self, inputs, outputs, table):
@@ -90,8 +87,7 @@ class SymbolicChannel(Channel):
     against explicit enumeration on small instances).
     """
 
-    def __init__(self, inputs, fanout_fn, confusable_fn=None,
-                 deterministic=False, name=None):
+    def __init__(self, inputs, fanout_fn, confusable_fn=None):
         if isinstance(inputs, tuple) and len(inputs) == 2 and callable(inputs[1]):
             self._count, self._factory = inputs
         else:
@@ -99,8 +95,6 @@ class SymbolicChannel(Channel):
             self._count, self._factory = len(seq), lambda: iter(seq)
         self._fanout_fn = fanout_fn
         self._confusable_fn = confusable_fn
-        self._deterministic = deterministic
-        self.name = name or "symbolic"
 
     def iter_inputs(self):
         return self._factory()
@@ -116,14 +110,6 @@ class SymbolicChannel(Channel):
         if self._confusable_fn is not None:
             return self._confusable_fn(x, xp)
         return super().confusable(x, xp)
-
-    def is_deterministic(self):
-        if self._deterministic:
-            return True
-        return super().is_deterministic()
-
-    def describe(self):
-        return f"{self.name}(|X|={self.input_count})"
 
 
 class ProductChannel(Channel):
@@ -155,9 +141,6 @@ class ProductChannel(Channel):
     def confusable(self, x, xp):
         return all(f.confusable(a, b) for f, a, b in zip(self.factors, x, xp))
 
-    def describe(self):
-        return f"product[{', '.join(f.describe() for f in self.factors)}]"
-
 
 class ConcatChannel(Channel):
     def __init__(self, first, second):
@@ -185,9 +168,6 @@ class ConcatChannel(Channel):
         return any(fanouts_intersect(self.second, self.second, y, yp)
                    for y in mid for yp in mid_p)
 
-    def describe(self):
-        return f"concat[{self.first.describe()} |> {self.second.describe()}]"
-
 
 class UnionChannel(Channel):
     def __init__(self, branches):
@@ -209,9 +189,6 @@ class UnionChannel(Channel):
     def confusable(self, x, xp):
         return any(fanouts_intersect(a, b, x, xp)
                    for a in self.branches for b in self.branches)
-
-    def describe(self):
-        return f"union[{len(self.branches)} branches]"
 
 
 def fanouts_intersect(ch_a, ch_b, x_a, x_b):
@@ -237,6 +214,10 @@ def fanouts_intersect(ch_a, ch_b, x_a, x_b):
 
 
 # -- constructors ------------------------------------------------------------
+
+# `concat` and `union` check alphabets of at most this many inputs
+_ALPHABET_CHECK_LIMIT = 1 << 16
+
 
 def explicit(inputs, outputs, table):
     return TableChannel(inputs, outputs, table)
@@ -264,7 +245,7 @@ def concat(ch1, ch2):
     outs = getattr(ch1, "outputs", None)
     if outs is not None:
         try:
-            ins2 = set(ch2.inputs_tuple(1 << 16))
+            ins2 = set(ch2.inputs_tuple(_ALPHABET_CHECK_LIMIT))
         except (SearchLimitExceeded, NotImplementedError):
             ins2 = None
         if ins2 is not None and not set(outs) <= ins2:
@@ -276,9 +257,9 @@ def union(channels):
     channels = tuple(channels)
     if not channels:
         raise EmptyFamily("union of an empty family")
-    first_inputs = channels[0].inputs_tuple(1 << 16)
+    first_inputs = channels[0].inputs_tuple(_ALPHABET_CHECK_LIMIT)
     for ch in channels[1:]:
-        if ch.inputs_tuple(1 << 16) != first_inputs:
+        if ch.inputs_tuple(_ALPHABET_CHECK_LIMIT) != first_inputs:
             raise AlphabetMismatch("union members must share the input alphabet")
     return UnionChannel(channels)
 
@@ -324,13 +305,15 @@ class CapacityResult:
         return f"CapacityResult(bits={self.bits:.6g}, |C|={self.size}, {tag})"
 
 
-def confusability_adjacency(ch, inputs=None, max_vertices=512):
+MAX_VERTICES = 512
+
+
+def confusability_adjacency(ch, max_vertices=MAX_VERTICES):
     """Neighbor bitmasks of the confusability graph (self-loops dropped)."""
-    if inputs is None:
-        if ch.input_count > max_vertices:
-            raise SearchLimitExceeded(
-                f"{ch.input_count} inputs exceed the search limit {max_vertices}")
-        inputs = ch.inputs_tuple()
+    if ch.input_count > max_vertices:
+        raise SearchLimitExceeded(
+            f"{ch.input_count} inputs exceed the search limit {max_vertices}")
+    inputs = ch.inputs_tuple()
     n = len(inputs)
     adj = [0] * n
     for i in range(n):
@@ -341,7 +324,7 @@ def confusability_adjacency(ch, inputs=None, max_vertices=512):
     return inputs, adj
 
 
-def one_shot_capacity(ch, max_vertices=512, node_budget=None):
+def one_shot_capacity(ch, max_vertices=MAX_VERTICES, node_budget=None):
     """Exact one-shot capacity via maximum independent set of the
     confusability graph.  The witness is the lexicographically smallest
     maximum good code in the canonical input order.  If the node budget is
@@ -356,34 +339,29 @@ def one_shot_capacity(ch, max_vertices=512, node_budget=None):
         return CapacityResult(len(lower), (inputs[v] for v in lower), False, upper)
 
 
-def zero_error_bounds(ch, n_max, analytic_upper=None, max_vertices=512,
-                      node_budget=None):
+def zero_error_bounds(ch, n_max):
     """(lower, upper) bounds on the zero-error capacity in bits.
 
-    lower = max over n <= n_max of C(ch^n)/n.  upper combines the universal
-    log2|X| bound with a caller-supplied analytic bound, and collapses to 0
-    when the one-shot capacity is 0.
+    lower = max over n <= n_max of C(ch^n)/n.  upper is the universal
+    log2|X| bound, and collapses to 0 when the one-shot capacity is 0.
     """
     best = 0.0
     one_shot = None
     for n in range(1, n_max + 1):
-        res = one_shot_capacity(power(ch, n), max_vertices=max_vertices,
-                                node_budget=node_budget)
+        res = one_shot_capacity(power(ch, n))
         if not res.exact:
             raise SearchLimitExceeded(f"capacity search for power {n} not exact")
         if n == 1:
             one_shot = res
         best = max(best, res.bits / n)
-    if one_shot.bits == 0:
-        upper = 0.0
-    else:
-        upper = math.log2(ch.input_count)
-        if analytic_upper is not None:
-            upper = min(upper, analytic_upper)
+    upper = 0.0 if one_shot.bits == 0 else math.log2(ch.input_count)
     return best, upper
 
 
-def isomorphic(ch1, ch2, node_budget=2_000_000):
+ISOMORPHISM_BUDGET = 2_000_000
+
+
+def isomorphic(ch1, ch2):
     """A bijection between input alphabets preserving the adjacency
     structure, or None.  Backtracking with degree pruning."""
     in1, adj1 = confusability_adjacency(ch1)
@@ -397,7 +375,7 @@ def isomorphic(ch1, ch2, node_budget=2_000_000):
         return None
     mapping = [None] * n
     used = [False] * n
-    budget = [node_budget]
+    budget = [ISOMORPHISM_BUDGET]
 
     def backtrack(i):
         if i == n:
@@ -427,10 +405,13 @@ def isomorphic(ch1, ch2, node_budget=2_000_000):
     return None
 
 
-def same_fanout_map(ch1, ch2, limit=1 << 14):
+_COMPARE_LIMIT = 1 << 14
+
+
+def same_fanout_map(ch1, ch2):
     """Exact equality of the two channels as fan-out maps."""
-    xs1 = ch1.inputs_tuple(limit)
-    xs2 = ch2.inputs_tuple(limit)
+    xs1 = ch1.inputs_tuple(_COMPARE_LIMIT)
+    xs2 = ch2.inputs_tuple(_COMPARE_LIMIT)
     if xs1 != xs2:
         return False
     return all(ch1.fanout(x) == ch2.fanout(x) for x in xs1)

@@ -126,12 +126,13 @@ def beta(a, u, d, node_budget=300_000):
     at least two words exists).  Exact via constructions matching the
     Singleton bound, or exhaustive search when a**u is small; otherwise (or
     when the search budget runs out) a (lower, Singleton-upper) bounded
-    value."""
+    value.  Values are memoized per budget, since a budget that runs out
+    gives a bounded value where a larger one may give the exact size."""
     if a < 2:
         raise InvalidParams("alphabet size must be >= 2")
     if d < 1:
         raise InvalidParams("distance must be >= 1")
-    key = (a, u, d)
+    key = (a, u, d, node_budget)
     with _beta_lock:
         hit = _beta_memo.get(key)
     if hit is not None:
@@ -301,7 +302,7 @@ class RankCode:
         return found
 
 
-def gabidulin(field_q, m, n, k, max_order=1 << 16):
+def gabidulin(field_q, m, n, k):
     """Gabidulin [n, k] code over the degree-m extension of field_q."""
-    ext, expand, flatten = gf.make_extension(field_q, m, max_order=max_order)
+    ext, expand, flatten = gf.make_extension(field_q, m)
     return RankCode(field_q, ext, expand, flatten, m, n, k)

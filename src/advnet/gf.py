@@ -260,11 +260,11 @@ def _smallest_irreducible(base, degree):
 _field_cache = {}
 
 
-def make_field(q, max_order=MAX_FIELD_ORDER):
+def make_field(q):
     """Field of order q (a prime power).  Deterministic construction:
     extensions use the smallest irreducible modulus over the prime field."""
-    if q > max_order:
-        raise TooLarge(f"field order {q} exceeds limit {max_order}")
+    if q > MAX_FIELD_ORDER:
+        raise TooLarge(f"field order {q} exceeds limit {MAX_FIELD_ORDER}")
     cached = _field_cache.get(q)
     if cached is not None:
         return cached
@@ -275,7 +275,7 @@ def make_field(q, max_order=MAX_FIELD_ORDER):
     if k == 1:
         field = PrimeField(p)
     else:
-        field, _, _ = make_extension(PrimeField(p), k, max_order=max_order)
+        field, _, _ = make_extension(PrimeField(p), k)
     _field_cache[q] = field
     return field
 
@@ -283,7 +283,7 @@ def make_field(q, max_order=MAX_FIELD_ORDER):
 _extension_cache = {}
 
 
-def make_extension(base, degree, max_order=MAX_FIELD_ORDER):
+def make_extension(base, degree):
     """Extension of `base` of the given degree.
 
     Returns (field, expand, flatten) where expand maps an extension element
@@ -292,8 +292,8 @@ def make_extension(base, degree, max_order=MAX_FIELD_ORDER):
     """
     if degree < 1:
         raise TooLarge("extension degree must be >= 1")
-    if base.q ** degree > max_order:
-        raise TooLarge(f"extension order {base.q ** degree} exceeds limit {max_order}")
+    if base.q ** degree > MAX_FIELD_ORDER:
+        raise TooLarge(f"extension order {base.q ** degree} exceeds limit {MAX_FIELD_ORDER}")
     key = (base.signature, degree)
     cached = _extension_cache.get(key)
     if cached is not None:
@@ -371,19 +371,10 @@ class Matrix:
     def __hash__(self):
         return hash((self.field.signature, self.rows))
 
-    def __add__(self, other):
-        F = self.field
-        return Matrix(F, tuple(tuple(F.add(a, b) for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.rows, other.rows)))
-
     def __sub__(self, other):
         F = self.field
         return Matrix(F, tuple(tuple(F.sub(a, b) for a, b in zip(ra, rb))
                                for ra, rb in zip(self.rows, other.rows)))
-
-    def __neg__(self):
-        F = self.field
-        return Matrix(F, tuple(tuple(F.neg(a) for a in row) for row in self.rows))
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:

@@ -244,7 +244,11 @@ def confusable_analytic(spec, x, xp):
     return True
 
 
-def explicit_channel(spec, limit=1 << 12):
+# inputs of an explicit channel table (a compound channel allows its square)
+TABLE_LIMIT = 1 << 12
+
+
+def explicit_channel(spec, limit=TABLE_LIMIT):
     a, s = spec.alphabet_size, spec.length
     if a ** s > limit:
         raise SearchLimitExceeded("alphabet too large for an explicit table")
@@ -260,8 +264,7 @@ def symbolic_channel(spec):
         conf = lambda x, xp: confusable_analytic(spec, x, xp)
     return SymbolicChannel((a ** s, lambda: words(a, s)),
                            lambda x: fanout(spec, x),
-                           confusable_fn=conf,
-                           name=f"hamming[{spec.variant}]")
+                           confusable_fn=conf)
 
 
 # -- capacity values ----------------------------------------------------------
@@ -320,17 +323,17 @@ def multi_block_bound(spec, n=1):
 
 # -- compound channels ---------------------------------------------------------
 
-def compound_channel(spec, n, limit=1 << 12):
+def compound_channel(spec, n):
     """Union over coordinate choices V of the n-fold product of the clipped
     channels: the adversaries fix their vulnerable coordinates across uses."""
     if spec.variant != DISJOINT:
         raise InvalidParams("disjoint variant required")
     choices = chosen_subsets(spec.blocks)
-    if len(choices) * spec.alphabet_size ** (spec.length * n) > limit ** 2:
+    if len(choices) * spec.alphabet_size ** (spec.length * n) > TABLE_LIMIT ** 2:
         raise SearchLimitExceeded("compound channel too large")
     branches = []
     for chosen in choices:
-        clipped = explicit_channel(spec.clip(chosen), limit)
+        clipped = explicit_channel(spec.clip(chosen))
         branches.append(ProductChannel([clipped] * n) if n > 1 else clipped)
     return UnionChannel(branches)
 
@@ -354,8 +357,13 @@ def compound_confusable(spec, n, xs, xps):
 
 # -- achievability -------------------------------------------------------------
 
-def achievability_code(spec, field, verify=True):
-    """[s, s-sigma, sigma+1] MDS code, good for the spec's channel."""
+# codewords that `achievability_code` and `rank_achievability` check pairwise
+PAIRWISE_LIMIT = 1 << 11
+
+
+def achievability_code(spec, field):
+    """[s, s-sigma, sigma+1] MDS code, checked pairwise to be good for the
+    spec's channel."""
     if spec.variant != DISJOINT:
         raise InvalidParams("disjoint variant required")
     if field.q != spec.alphabet_size:
@@ -365,13 +373,12 @@ def achievability_code(spec, field, verify=True):
         raise InvalidParams("zero-rate spec: sigma >= s")
     gen = codes.mds_generator(field, spec.length, spec.length - sg)
     code = codes.BlockCode.from_generator(field, gen)
-    if verify:
-        cw = code.codewords
-        if len(cw) > 1 << 11:
-            raise SearchLimitExceeded("code too large to verify pairwise")
-        for w1, w2 in itertools.combinations(cw, 2):
-            if confusable_analytic(spec, w1, w2):
-                raise FieldTooSmall("construction not good for this spec")
+    cw = code.codewords
+    if len(cw) > PAIRWISE_LIMIT:
+        raise SearchLimitExceeded("code too large to verify pairwise")
+    for w1, w2 in itertools.combinations(cw, 2):
+        if confusable_analytic(spec, w1, w2):
+            raise FieldTooSmall("construction not good for this spec")
     return code
 
 
@@ -384,13 +391,13 @@ def product_alphabet_bound(t, e, b, m, s, n=1):
     return BaseValue(n * s / m * max(0, m - 2 * t - e), b ** m)
 
 
-def product_alphabet_channel(b, m, s, t, e, limit=1 << 12):
+def product_alphabet_channel(b, m, s, t, e):
     """Channel on (B^m)^s where every symbol independently suffers up to t
     sub-symbol errors and e erasures."""
     symbol_spec = single_block(b, m, range(m), t, e)
-    if (b ** m) ** s > limit:
+    if (b ** m) ** s > TABLE_LIMIT:
         raise SearchLimitExceeded("product-alphabet channel too large")
-    inner = explicit_channel(symbol_spec, limit)
+    inner = explicit_channel(symbol_spec)
     return ProductChannel([inner] * s) if s > 1 else inner
 
 
@@ -498,10 +505,10 @@ def rank_confusable(spec, m1, m2):
     return _differ_within(spec, m1, m2, 2 * spec.t)
 
 
-def rank_explicit_channel(spec, limit=1 << 12):
+def rank_explicit_channel(spec):
     field = gf.make_field(spec.q)
     total = spec.q ** (spec.m * spec.s)
-    if total > limit:
+    if total > TABLE_LIMIT:
         raise SearchLimitExceeded("matrix space too large")
     mats = []
     for combo in itertools.product(range(spec.q), repeat=spec.m * spec.s):
@@ -517,32 +524,34 @@ def rank_channel_bound(spec, n=1):
     return BaseValue(n * (spec.s - min(2 * spec.t, len(spec.coords))), spec.q ** spec.m)
 
 
-def rank_achievability(q, m, s, t, verify=True):
-    """Gabidulin code of rank distance 2t+1 achieving s - 2t; requires
-    q >= m >= s and 2t < s."""
+def rank_achievability(q, m, s, t):
+    """Gabidulin code of rank distance 2t+1 achieving s - 2t, checked
+    pairwise; requires q >= m >= s and 2t < s."""
     if not (q >= m >= s):
         raise FieldTooSmall("achievability needs q >= m >= s")
     if 2 * t >= s:
         raise InvalidParams("need 2t < s for a positive rate")
     field = gf.make_field(q)
     rc = codes.gabidulin(field, m, s, s - 2 * t)
-    if verify:
-        cw = rc.codewords()
-        if len(cw) > 1 << 11:
-            raise SearchLimitExceeded("code too large to verify pairwise")
-        for w1, w2 in itertools.combinations(cw, 2):
-            if rc.rank_distance(w1, w2) <= 2 * t:
-                raise FieldTooSmall("construction not good for this spec")
+    cw = rc.codewords()
+    if len(cw) > PAIRWISE_LIMIT:
+        raise SearchLimitExceeded("code too large to verify pairwise")
+    for w1, w2 in itertools.combinations(cw, 2):
+        if rc.rank_distance(w1, w2) <= 2 * t:
+            raise FieldTooSmall("construction not good for this spec")
     return rc
 
 
 # -- brute-force capacity helper -------------------------------------------------
 
-def brute_force_capacity(spec, limit=1 << 10, node_budget=None):
+BRUTE_FORCE_LIMIT = 1 << 10
+
+
+def brute_force_capacity(spec, node_budget=None):
     """Exact one-shot capacity of a tiny spec by explicit search, as a
     BaseValue in base a."""
-    chan = explicit_channel(spec, limit)
-    res = one_shot_capacity(chan, max_vertices=limit, node_budget=node_budget)
+    chan = explicit_channel(spec, BRUTE_FORCE_LIMIT)
+    res = one_shot_capacity(chan, max_vertices=BRUTE_FORCE_LIMIT, node_budget=node_budget)
     if not res.exact:
         raise SearchLimitExceeded("budget exhausted in brute-force capacity")
     return BaseValue(res.value_in_base(spec.alphabet_size), spec.alphabet_size)

@@ -291,12 +291,15 @@ def is_cut(net, edge_ids, source_subset, terminal):
     return terminal not in seen
 
 
-def enumerate_minimal_cuts(net, source_subset, terminal, limit=1 << 20):
+BIPARTITION_LIMIT = 1 << 20
+
+
+def enumerate_minimal_cuts(net, source_subset, terminal):
     """All inclusion-minimal edge cuts between the sources and the terminal,
     via the crossing sets of vertex bipartitions."""
     subset = set(_as_sources(net, source_subset))
     others = [v for v in net.vertices if v not in subset and v != terminal]
-    if 2 ** len(others) > limit:
+    if 2 ** len(others) > BIPARTITION_LIMIT:
         raise SearchLimitExceeded("too many vertex bipartitions")
     crossings = set()
     for mask in range(2 ** len(others)):
@@ -540,8 +543,7 @@ def transfer_channel(net, code, edge_ids, alphabet=None, keep=None, frozen=None)
         res = evaluate(net, code, x)
         return (tuple(res.edge_values[eid] for eid in ordered),)
 
-    return SymbolicChannel((count, factory), fanout_fn, deterministic=True,
-                           name=f"transfer->{sorted(edge_ids)}")
+    return SymbolicChannel((count, factory), fanout_fn)
 
 
 def _cone(net, terminal, resolved):
@@ -600,8 +602,7 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
                            lambda eid, v: (start.get(eid, v),), start)
         return (tuple(values[eid] for eid in in_ids),)
 
-    return SymbolicChannel((count, factory), fanout_fn, deterministic=True,
-                           name=f"cut{sorted(cut_set)}->{terminal}")
+    return SymbolicChannel((count, factory), fanout_fn)
 
 
 # -- adversaries ---------------------------------------------------------------
@@ -668,11 +669,14 @@ def _count_actions(net, adv, alphabet):
     raise UnsupportedVariant(f"cannot enumerate actions for variant {adv.variant}")
 
 
-def adversarial_fanouts(net, code, adv, x, alphabet=None, limit=10 ** 6):
+ACTION_LIMIT = 10 ** 6
+
+
+def adversarial_fanouts(net, code, adv, x, alphabet=None):
     """Fan-out sets at every terminal for global input x: the union over
     all admissible adversary actions of the forward-pass observations."""
     alphabet_t = net._alphabet(alphabet)
-    if _count_actions(net, adv, alphabet_t) > limit:
+    if _count_actions(net, adv, alphabet_t) > ACTION_LIMIT:
         raise SearchLimitExceeded("adversary action space exceeds the limit")
     steps = _steps(net)
     if adv.variant == DISJOINT:
@@ -706,7 +710,7 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None, limit=10 ** 6):
 
 
 def adversarial_channel(net, code, adv, terminal, alphabet=None, keep=None,
-                        frozen=None, limit=10 ** 6):
+                        frozen=None):
     """Channel from (selected) source inputs to the terminal's observations
     under all admissible adversary actions.  keep/frozen as for
     `transfer_channel`."""
@@ -715,8 +719,7 @@ def adversarial_channel(net, code, adv, terminal, alphabet=None, keep=None,
 
     def fanout_fn(xs):
         x = _assemble_global(net, keep, xs, frozen)
-        fans = adversarial_fanouts(net, code, adv, x, alphabet, limit)
+        fans = adversarial_fanouts(net, code, adv, x, alphabet)
         return fans[terminal]
 
-    return SymbolicChannel((count, factory), fanout_fn,
-                           name=f"adv->{terminal}")
+    return SymbolicChannel((count, factory), fanout_fn)

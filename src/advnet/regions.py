@@ -25,6 +25,10 @@ from .network import (DISJOINT, OVERLAPPING, RANK, adversarial_fanouts,
                       enumerate_minimal_cuts, min_cut)
 
 
+# slack on every rate comparison, for bounds computed as floating logs
+TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class Inequality:
     subset: frozenset
@@ -33,8 +37,8 @@ class Inequality:
     terminal: str = None
     cut: tuple = None
 
-    def holds(self, alpha, tol=1e-9):
-        return sum(alpha[i] for i in self.subset) <= self.bound + tol
+    def holds(self, alpha):
+        return sum(alpha[i] for i in self.subset) <= self.bound + TOL
 
 
 class RateRegion:
@@ -49,10 +53,10 @@ class RateRegion:
                 return ineq
         raise KeyError(subset)
 
-    def contains(self, alpha, tol=1e-9):
-        if len(alpha) != self.n_sources or any(a < -tol for a in alpha):
+    def contains(self, alpha):
+        if len(alpha) != self.n_sources or any(a < -TOL for a in alpha):
             return False
-        return all(ineq.holds(alpha, tol) for ineq in self.inequalities)
+        return all(ineq.holds(alpha) for ineq in self.inequalities)
 
     def integer_points(self, box=None):
         """Lattice points of the region within the given per-coordinate box
@@ -61,7 +65,7 @@ class RateRegion:
             box = []
             for i in range(self.n_sources):
                 b = self.bound_for({i}).bound
-                box.append(int(math.floor(b + 1e-9)))
+                box.append(int(math.floor(b + TOL)))
         ranges = [range(0, b + 1) for b in box]
         return [pt for pt in itertools.product(*ranges) if self.contains(pt)]
 
@@ -191,14 +195,13 @@ def _rates(source_codes, alphabet_size, n=1):
     return tuple(math.log(len(c), alphabet_size) / n for c in source_codes)
 
 
-def verify_one_shot(net, code, source_codes, adv, alphabet=None, limit=10 ** 6):
+def verify_one_shot(net, code, source_codes, adv, alphabet=None):
     """Whether the product of the source codes is good for every terminal's
     adversarial channel; the certificate of failure is (terminal, pair)."""
     alphabet_t = net._alphabet(alphabet)
     rate = _rates(source_codes, len(alphabet_t))
     messages = [tuple(x) for x in itertools.product(*source_codes)]
-    fans = {x: adversarial_fanouts(net, code, adv, x, alphabet_t, limit)
-            for x in messages}
+    fans = {x: adversarial_fanouts(net, code, adv, x, alphabet_t) for x in messages}
     for t in net.terminals:
         for x, xp in itertools.combinations(messages, 2):
             common = fans[x][t] & fans[xp][t]
@@ -207,16 +210,14 @@ def verify_one_shot(net, code, source_codes, adv, alphabet=None, limit=10 ** 6):
     return VerifyResult(True, rate)
 
 
-def verify_n_shot(net, codes_per_use, source_codes, adv, alphabet=None,
-                  limit=10 ** 6):
+def verify_n_shot(net, codes_per_use, source_codes, adv, alphabet=None):
     """n-shot goodness: each use k has its own network code; the adversary
     picks a fresh admissible action per use.  Source codes contain n-tuples
     of local inputs."""
-    return _verify_uses(net, codes_per_use, source_codes, [adv], alphabet, limit)
+    return _verify_uses(net, codes_per_use, source_codes, [adv], alphabet)
 
 
-def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None,
-                    limit=10 ** 6):
+def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None):
     """Compound goodness: the adversary fixes per-block vulnerable edge sets
     (within budget sizes) across all uses, then acts freely within them."""
     if adv.variant != DISJOINT:
@@ -224,10 +225,10 @@ def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None,
     clipped = [net_mod.AdversarySpec(blocks=tuple(
         net_mod.AdvBlock(v, b.t, b.e) for v, b in zip(choice, adv.blocks)))
         for choice in hamming_mod.chosen_subsets(adv.blocks)]
-    return _verify_uses(net, codes_per_use, source_codes, clipped, alphabet, limit)
+    return _verify_uses(net, codes_per_use, source_codes, clipped, alphabet)
 
 
-def _verify_uses(net, codes_per_use, source_codes, advs, alphabet, limit):
+def _verify_uses(net, codes_per_use, source_codes, advs, alphabet):
     """Goodness over n = len(codes_per_use) uses when the adversary of each
     message keeps one of `advs` for every use and picks a fresh admissible
     action of it per use; the certificate of failure is (terminal, pair)."""
@@ -241,7 +242,7 @@ def _verify_uses(net, codes_per_use, source_codes, advs, alphabet, limit):
             for k in range(n):
                 x = tuple(msg[i][k] for i in range(len(net.sources)))
                 fans[(ci, msg, k)] = adversarial_fanouts(net, codes_per_use[k], adv,
-                                                         x, alphabet_t, limit)
+                                                         x, alphabet_t)
     for t in net.terminals:
         for m1, m2 in itertools.combinations(messages, 2):
             for ci in range(len(advs)):

@@ -37,7 +37,7 @@ from .errors import (DrawsExhausted, InvalidParams, RegionViolated,
 from .network import (AdvBlock, AdversarySpec, FuncVertex, LinearVertex,
                       NetworkCode, PER_SYMBOL, TableVertex,
                       edge_disjoint_paths, evaluate, min_cut)
-from .regions import _subsets
+from .regions import TOL, _subsets
 
 
 @dataclass
@@ -77,6 +77,8 @@ class Scheme:
 def _check_min_cut_region(net, demands, slack=0):
     if len(demands) != len(net.sources):
         raise InvalidParams(f"{len(demands)} demands for {len(net.sources)} sources")
+    if any(a < 1 for a in demands):
+        raise InvalidParams("demands must be positive integers")
     for subset in _subsets(len(net.sources)):
         need = sum(demands[i] for i in subset)
         for t in net.terminals:
@@ -135,7 +137,11 @@ def _columns(matrix):
 
 # -- adversary-free linear multicast -------------------------------------------
 
-def build_adversary_free(net, demands, q, max_draws=200, seed=0):
+# default draw budget of the seeded builders
+MAX_DRAWS = 200
+
+
+def build_adversary_free(net, demands, q, max_draws=MAX_DRAWS, seed=0):
     """Linear network code plus injective local encoders achieving the
     integer rate vector `demands` with no adversary.
 
@@ -203,17 +209,13 @@ def build_adversary_free(net, demands, q, max_draws=200, seed=0):
         tuple(coeffs[e.id].get(offsets[i] + r, 0) for e in net.out_edges(s))
         for r in range(demands[i]))) for i, s in enumerate(net.sources)]
     transfer = linear_transfer_matrices(net, code, fld)
-    stacked = {}
-    for t in net.terminals:
-        m_t = functools.reduce(gf.Matrix.vstack, [encoders[i] @ transfer[t][i]
-                                                   for i in range(len(net.sources))])
-        if m_t.rank() < h:
-            raise AssertionError(f"constructed code does not decode at {t}")
-        stacked[t] = m_t
-    inverses = {t: stacked[t].right_inverse() for t in net.terminals}
 
     def make_decoder(t):
-        inv = inverses[t]
+        stacked = functools.reduce(gf.Matrix.vstack, [encoders[i] @ transfer[t][i]
+                                                      for i in range(len(net.sources))])
+        if stacked.rank() < h:
+            raise AssertionError(f"constructed code does not decode at {t}")
+        inv = stacked.right_inverse()
 
         def decode(obs):
             x = gf.mat_vec_row(fld, obs, inv)
@@ -226,8 +228,7 @@ def build_adversary_free(net, demands, q, max_draws=200, seed=0):
                   lambda i, msg: gf.mat_vec_row(fld, msg, encoders[i]),
                   decoders, tuple(range(q)),
                   tuple(float(a) for a in demands),
-                  meta={"field": fld, "encoders": encoders,
-                        "transfer": transfer, "stacked": stacked})
+                  meta={"field": fld, "encoders": encoders})
 
 
 def _choose_combination(rng, basis, hits, duals, max_draws):
@@ -248,7 +249,7 @@ def _choose_combination(rng, basis, hits, duals, max_draws):
 
 # -- rank-metric schemes ---------------------------------------------------------
 
-def build_achiev1(net, demands, t, q, max_draws=200, seed=0):
+def build_achiev1(net, demands, t, q, max_draws=MAX_DRAWS, seed=0):
     """One-shot scheme against an adversary corrupting up to t arbitrary
     edges, for one or two sources, over the alphabet F_q^m with
     m = prod_i (a_i + 2t).  Nested rank-metric outer codes protect the
@@ -257,7 +258,7 @@ def build_achiev1(net, demands, t, q, max_draws=200, seed=0):
     return _rank_scheme(net, demands, t, q, max_draws, seed, compound=False)
 
 
-def build_achiev2(net, demands, t, q, max_draws=200, seed=0):
+def build_achiev2(net, demands, t, q, max_draws=MAX_DRAWS, seed=0):
     """Compound-model scheme: the same linear network code is reused over
     several uses and the adversary must corrupt a fixed edge set in every
     use; alphabet F_q^n1 with n1 = a1 + 2t, for one or two sources
@@ -287,8 +288,6 @@ def _rank_scheme(net, demands, t, q, max_draws, seed, compound):
     n_sources = len(net.sources)
     if n_sources not in (1, 2):
         raise UnsupportedSources("the construction covers one or two sources")
-    if any(a < 1 for a in demands):
-        raise InvalidParams("demands must be positive integers")
     _check_min_cut_region(net, demands, slack=2 * t)
     two = n_sources == 2
     if compound and two and demands[0] > demands[1]:
@@ -404,7 +403,7 @@ def _rank_scheme(net, demands, t, q, max_draws, seed, compound):
 
 # -- link-level coded scheme ------------------------------------------------------
 
-def build_product_alphabet(net, demands, t, e, q, m, max_draws=200, seed=0):
+def build_product_alphabet(net, demands, t, e, q, m, seed=0):
     """Scheme over the alphabet F_q^m against a per-edge sub-symbol
     adversary (up to t errors and e erasures per edge): an inner
     [m, m-2t-e, 2t+e+1] code on every link around an outer adversary-free
@@ -422,7 +421,7 @@ def build_product_alphabet(net, demands, t, e, q, m, max_draws=200, seed=0):
     words = list(itertools.product(range(q), repeat=k))
     enc_table = {msg: gf.mat_vec_row(fld, msg, gen) for msg in words}
     dec_table = {cw: msg for msg, cw in enc_table.items()}
-    base = build_adversary_free(net, demands, q, max_draws, seed)
+    base = build_adversary_free(net, demands, q, seed=seed)
 
     def inner_decode(values):
         return [dec_table[codes_mod.decode_hamming(inner, v)] for v in values]
@@ -518,7 +517,10 @@ def double_relay_scheme():
 
 # -- exhaustive linear impossibility ---------------------------------------------
 
-def linear_impossibility(net, adv, q, target, limit=1 << 16):
+ASSIGNMENT_LIMIT = 1 << 16
+
+
+def linear_impossibility(net, adv, q, target):
     """For a single-relay network, enumerate every linear vertex assignment
     and compute the exact one-shot capacity of the induced adversarial
     channel.  Returns the per-assignment capacities (all below `target`
@@ -534,7 +536,7 @@ def linear_impossibility(net, adv, q, target, limit=1 << 16):
     fld = gf.make_field(q)
     r = len(net.in_edges(relay))
     s = len(net.out_edges(relay))
-    if q ** (r * s) > limit:
+    if q ** (r * s) > ASSIGNMENT_LIMIT:
         raise InvalidParams("too many linear assignments to enumerate")
     alphabet = tuple(range(q))
     inputs = list(itertools.product(
@@ -551,7 +553,7 @@ def linear_impossibility(net, adv, q, target, limit=1 << 16):
         chan = TableChannel(inputs, outputs, table)
         cap = one_shot_capacity(chan)
         results.append((rows, cap.value_in_base(q)))
-    all_below = all(value < target - 1e-9 for _, value in results)
+    all_below = all(value < target - TOL for _, value in results)
 
     nonlinear = None
     if r >= 3 and s == 1:

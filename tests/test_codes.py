@@ -136,6 +136,15 @@ def test_beta_bounds_path_for_large_spaces():
     assert b.upper_size == 6 ** 4
 
 
+def test_beta_memo_keeps_budgets_apart():
+    # a search that runs out of budget is not the answer for a larger budget
+    starved = codes.beta(2, 6, 3, node_budget=1)
+    assert not starved.exact and starved.size == 2
+    full = codes.beta(2, 6, 3)
+    assert full.exact and full.size == 8 == brute_max_code_size(2, 6, 3)
+    assert codes.beta(2, 6, 3, node_budget=1) is starved
+
+
 # ---------------------------------------------------------------------------
 # MDS generators
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from advnet import netlib, network
+from advnet import channel as ch
+from advnet import codes, gf, hamming, netlib, network, schemes
 from advnet.channel import STAR, concat, same_fanout_map
-from advnet.errors import BadFreeze, CyclicGraph, Infeasible, NotACut
+from advnet.errors import (BadFreeze, CyclicGraph, Infeasible, InvalidParams,
+                           NotACut, SearchLimitExceeded, TooLarge)
 from advnet.network import (AdvBlock, AdversarySpec, Edge, FuncVertex,
                             LinearVertex, Network, NetworkCode, TableVertex,
                             adversarial_channel, adversarial_fanouts,
@@ -559,3 +561,104 @@ def test_count_actions_matches_enumerated_actions(a):
         adv = AdversarySpec(variant=network.PER_SYMBOL, t=t, e=e, m=2)
         per_edge = len(_edge_words((0, 0), t, e, symbols))
         assert network._count_actions(path, adv, alphabet) == per_edge ** len(path.edges)
+
+
+# ---------------------------------------------------------------------------
+# size guards
+# ---------------------------------------------------------------------------
+
+
+def _hop_net(hops, alphabet=None):
+    """A path of `hops` edges through hops - 1 relays."""
+    vertices = ["S"] + [f"V{i}" for i in range(1, hops)] + ["T"]
+    edges = [Edge(f"e{i + 1}", vertices[i], vertices[i + 1]) for i in range(hops)]
+    return Network(vertices, edges, ("S",), ("T",), alphabet)
+
+
+def _star_net(relays):
+    """S -> V_i -> T for `relays` relays: that many vertices besides S and T."""
+    mids = [f"V{i}" for i in range(relays)]
+    edges = [Edge(f"a{i}", "S", v) for i, v in enumerate(mids)]
+    edges += [Edge(f"b{i}", v, "T") for i, v in enumerate(mids)]
+    return Network(["S", *mids, "T"], edges, ("S",), ("T",))
+
+
+_STAR_21 = _star_net(21)
+
+
+def _fanouts_past_limit():
+    # 101**3 = 1,030,301 actions; 100 symbols make exactly 10**6
+    net = _hop_net(3, range(101))
+    return adversarial_fanouts(net, network.identity_routing_code(net),
+                               network.full_edge_adversary(net, 3), ((0,),))
+
+
+def _impossibility_past_limit():
+    # two relay inputs and one output over GF(257): 257**2 = 66,049 codes
+    net = Network(("S", "V", "T"), [Edge("e1", "S", "V"), Edge("e2", "S", "V"),
+                                    Edge("e3", "V", "T")], ("S",), ("T",))
+    return schemes.linear_impossibility(net, network.adversary_free(), 257, 1.0)
+
+
+def _no_blocks(a, s):
+    return hamming.HammingSpec(a, s, ())
+
+
+# name -> (a call on the smallest input past the guard's value, the error
+# it raises, the (owner, attribute) pairs that do the guarded work).  The
+# limits: 2**16 field elements, 10**6 adversary actions, 2**20 vertex
+# bipartitions, 2**12 table words (2**24 for a compound channel), 2**10
+# words for brute force, 512 graph vertices, 2**14 compared inputs, 2**16
+# linear codes and 2**11 codewords checked pairwise.  The sizes are written
+# out rather than read from the constants, so that they pin the values.
+SIZE_GUARDS = {
+    "make_extension": (lambda: gf.make_extension(gf.make_field(257), 2),
+                       TooLarge, [(gf, "_smallest_irreducible")]),
+    "adversarial_fanouts": (_fanouts_past_limit, SearchLimitExceeded,
+                            [(network, "_forward")]),
+    "enumerate_minimal_cuts": (lambda: enumerate_minimal_cuts(_STAR_21, ["S"], "T"),
+                               SearchLimitExceeded, [(_STAR_21, "edges")]),
+    "explicit_channel": (lambda: hamming.explicit_channel(_no_blocks(2 ** 12 + 1, 1)),
+                         SearchLimitExceeded, [(hamming, "fanout")]),
+    "compound_channel": (lambda: hamming.compound_channel(_no_blocks(2 ** 24 + 1, 1), 1),
+                         SearchLimitExceeded, [(hamming, "explicit_channel")]),
+    "product_alphabet_channel": (
+        lambda: hamming.product_alphabet_channel(2 ** 12 + 1, 1, 1, 0, 0),
+        SearchLimitExceeded, [(hamming, "explicit_channel")]),
+    "rank_explicit_channel": (   # 4099 is the least prime power past 2**12
+        lambda: hamming.rank_explicit_channel(hamming.RankMetricSpec(4099, 1, 1, (), 0)),
+        SearchLimitExceeded, [(hamming, "rank_in_fanout")]),
+    "brute_force_capacity": (lambda: hamming.brute_force_capacity(_no_blocks(2 ** 10 + 1, 1)),
+                             SearchLimitExceeded, [(hamming, "fanout")]),
+    "confusability_adjacency": (
+        lambda: ch.confusability_adjacency(ch.identity_channel(range(513))),
+        SearchLimitExceeded, [(ch.Channel, "confusable")]),
+    "same_fanout_map": (
+        lambda: same_fanout_map(*[ch.identity_channel(range(2 ** 14 + 1))] * 2),
+        SearchLimitExceeded, [(ch.TableChannel, "fanout")]),
+    "linear_impossibility": (_impossibility_past_limit, InvalidParams,
+                             [(network, "adversarial_fanouts")]),
+    "achievability_code": (   # the [1, 1] code over GF(2053), a prime
+        lambda: hamming.achievability_code(_no_blocks(2053, 1), gf.make_field(2053)),
+        SearchLimitExceeded, [(hamming, "confusable_analytic")]),
+    "rank_achievability": (lambda: hamming.rank_achievability(2053, 1, 1, 0),
+                           SearchLimitExceeded, [(codes.RankCode, "rank_distance")]),
+}
+
+
+class _GuardedWork:
+    """Stands in for the work a guard protects: calling or iterating fails."""
+
+    def __call__(self, *_args):
+        raise AssertionError("the guarded work ran")
+
+    __iter__ = __call__
+
+
+@pytest.mark.parametrize("name", SIZE_GUARDS)
+def test_size_guard_fires_before_the_work(name, monkeypatch):
+    call, error, work = SIZE_GUARDS[name]
+    for owner, attr in work:
+        monkeypatch.setattr(owner, attr, _GuardedWork())
+    with pytest.raises(error):
+        call()

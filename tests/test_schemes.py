@@ -434,7 +434,8 @@ def test_every_builder_decodes_its_own_codewords(name):
 @pytest.mark.parametrize("net, demands", [
     (netlib.two_source_hub(None), (1,)),
     (netlib.parallel_path(3, None), (1, 1)),
-], ids=["too_few_demands", "too_many_demands"])
+    (netlib.two_source_hub(None), (2, 0)),
+], ids=["too_few_demands", "too_many_demands", "zero_demand"])
 def test_demands_must_match_sources(build, net, demands):
     with pytest.raises(InvalidParams):
         build(net, demands)
