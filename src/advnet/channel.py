@@ -6,7 +6,8 @@ come in three representations:
 
 * explicit tables (small alphabets),
 * symbolic channels (fan-out by rule, with an optional analytic
-  confusability predicate),
+  confusability predicate; each input's fan-out is computed once and
+  kept),
 * composites (product / concatenation / union trees over children).
 
 Composites keep their operation tree and answer confusability lazily,
@@ -84,7 +85,9 @@ class SymbolicChannel(Channel):
     inputs may be any finite iterable: pass (count, factory) for large
     spaces or a concrete sequence for small ones.  confusable_fn, when
     provided, must agree with fan-out intersection (callers validate this
-    against explicit enumeration on small instances).
+    against explicit enumeration on small instances).  Each input's fan-out
+    is computed once, on first use, and kept for the channel's lifetime, so
+    a confusability search makes one fan-out call per input.
     """
 
     def __init__(self, inputs, fanout_fn, confusable_fn=None):
@@ -95,6 +98,7 @@ class SymbolicChannel(Channel):
             self._count, self._factory = len(seq), lambda: iter(seq)
         self._fanout_fn = fanout_fn
         self._confusable_fn = confusable_fn
+        self._fanouts = {}
 
     def iter_inputs(self):
         return self._factory()
@@ -104,7 +108,10 @@ class SymbolicChannel(Channel):
         return self._count
 
     def fanout(self, x):
-        return frozenset(self._fanout_fn(x))
+        fan = self._fanouts.get(x)
+        if fan is None:
+            fan = self._fanouts[x] = frozenset(self._fanout_fn(x))
+        return fan
 
     def confusable(self, x, xp):
         if self._confusable_fn is not None:
@@ -223,10 +230,9 @@ def explicit(inputs, outputs, table):
     return TableChannel(inputs, outputs, table)
 
 
-def identity_channel(symbols, outputs=None):
+def identity_channel(symbols):
     symbols = tuple(symbols)
-    outs = symbols if outputs is None else tuple(outputs)
-    return TableChannel(symbols, outs, {x: {x} for x in symbols})
+    return TableChannel(symbols, symbols, {x: {x} for x in symbols})
 
 
 def product(ch1, ch2):

@@ -372,6 +372,8 @@ class Matrix:
         return hash((self.field.signature, self.rows))
 
     def __sub__(self, other):
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
         F = self.field
         return Matrix(F, tuple(tuple(F.sub(a, b) for a, b in zip(ra, rb))
                                for ra, rb in zip(self.rows, other.rows)))

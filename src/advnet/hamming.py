@@ -16,14 +16,13 @@ Capacity values in this module are logarithms in base a, with the base
 recorded on the returned value.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from . import codes, gf
 from .channel import (STAR, ProductChannel, SymbolicChannel, TableChannel,
-                      UnionChannel, one_shot_capacity)
+                      UnionChannel, is_good_code, one_shot_capacity)
 from .errors import (AlphabetMismatch, FieldTooSmall, IndexOutOfRange,
                      InvalidParams, SearchLimitExceeded, UnsupportedVariant)
 
@@ -338,23 +337,6 @@ def compound_channel(spec, n):
     return UnionChannel(branches)
 
 
-def compound_confusable(spec, n, xs, xps):
-    """Whether two n-tuples of words are confusable for the compound channel."""
-    if spec.variant != DISJOINT:
-        raise InvalidParams("disjoint variant required")
-    choices = chosen_subsets(spec.blocks)
-
-    @functools.cache
-    def fan(chosen, w):
-        return fanout(spec.clip(chosen), w)
-
-    for ca in choices:
-        for cb in choices:
-            if all(fan(ca, x) & fan(cb, xp) for x, xp in zip(xs, xps)):
-                return True
-    return False
-
-
 # -- achievability -------------------------------------------------------------
 
 # codewords that `achievability_code` and `rank_achievability` check pairwise
@@ -376,19 +358,18 @@ def achievability_code(spec, field):
     cw = code.codewords
     if len(cw) > PAIRWISE_LIMIT:
         raise SearchLimitExceeded("code too large to verify pairwise")
-    for w1, w2 in itertools.combinations(cw, 2):
-        if confusable_analytic(spec, w1, w2):
-            raise FieldTooSmall("construction not good for this spec")
+    if not is_good_code(symbolic_channel(spec), cw):
+        raise FieldTooSmall("construction not good for this spec")
     return code
 
 
 # -- product alphabets ---------------------------------------------------------
 
-def product_alphabet_bound(t, e, b, m, s, n=1):
-    """n * s/m * max(0, m - 2t - e) in base-(b^m) units."""
+def product_alphabet_bound(t, e, b, m, s):
+    """s/m * max(0, m - 2t - e) in base-(b^m) units."""
     if m < 1:
         raise InvalidParams("m must be >= 1")
-    return BaseValue(n * s / m * max(0, m - 2 * t - e), b ** m)
+    return BaseValue(s / m * max(0, m - 2 * t - e), b ** m)
 
 
 def product_alphabet_channel(b, m, s, t, e):
@@ -410,10 +391,10 @@ def adversarial_strength(blocks):
                for first in choices for second in choices)
 
 
-def overlap_bound(spec, n=1):
+def overlap_bound(spec):
     if spec.variant != OVERLAPPING:
         raise InvalidParams("overlapping variant required")
-    return BaseValue(n * (spec.length - adversarial_strength(spec.blocks)),
+    return BaseValue(spec.length - adversarial_strength(spec.blocks),
                      spec.alphabet_size)
 
 
@@ -519,9 +500,9 @@ def rank_explicit_channel(spec):
     return TableChannel(mats, mats, table)
 
 
-def rank_channel_bound(spec, n=1):
-    """n(s - min(2t, |U|)) in base-(q^m) units."""
-    return BaseValue(n * (spec.s - min(2 * spec.t, len(spec.coords))), spec.q ** spec.m)
+def rank_channel_bound(spec):
+    """s - min(2t, |U|) in base-(q^m) units."""
+    return BaseValue(spec.s - min(2 * spec.t, len(spec.coords)), spec.q ** spec.m)
 
 
 def rank_achievability(q, m, s, t):

@@ -130,20 +130,7 @@ class Network:
 
     def precedes(self, e1, e2):
         """Path order: a directed path starts with e1 and ends with e2."""
-        if e1.id == e2.id:
-            return True
-        frontier = {e1.head}
-        seen = set()
-        while frontier:
-            v = frontier.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            for e in self._out[v]:
-                if e.id == e2.id:
-                    return True
-                frontier.add(e.head)
-        return False
+        return e1.id == e2.id or e2.tail in _reachable(self, {e1.head})
 
     def edge_positions(self, edge_ids):
         """The given edge ids sorted into the global edge order."""
@@ -186,13 +173,15 @@ def validate(net):
     return problems
 
 
-def _reachable(net, start_vertices):
+def _reachable(net, start_vertices, blocked=()):
+    """Vertices reachable from the start vertices along edges whose ids
+    are not blocked."""
     seen = set(start_vertices)
     stack = list(start_vertices)
     while stack:
         v = stack.pop()
         for e in net.out_edges(v):
-            if e.head not in seen:
+            if e.id not in blocked and e.head not in seen:
                 seen.add(e.head)
                 stack.append(e.head)
     return seen
@@ -277,18 +266,7 @@ def _as_sources(net, source_subset):
 
 def is_cut(net, edge_ids, source_subset, terminal):
     """Whether removing the edges disconnects the sources from the terminal."""
-    subset = set(_as_sources(net, source_subset))
-    blocked = set(edge_ids)
-    seen = set(subset)
-    stack = list(subset)
-    while stack:
-        v = stack.pop()
-        for e in net.out_edges(v):
-            if e.id in blocked or e.head in seen:
-                continue
-            seen.add(e.head)
-            stack.append(e.head)
-    return terminal not in seen
+    return terminal not in _reachable(net, _as_sources(net, source_subset), set(edge_ids))
 
 
 BIPARTITION_LIMIT = 1 << 20

@@ -29,6 +29,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from . import channel, network
 from . import codes as codes_mod
 from . import gf
 from .channel import STAR
@@ -213,9 +214,9 @@ def build_adversary_free(net, demands, q, max_draws=MAX_DRAWS, seed=0):
     def make_decoder(t):
         stacked = functools.reduce(gf.Matrix.vstack, [encoders[i] @ transfer[t][i]
                                                       for i in range(len(net.sources))])
-        if stacked.rank() < h:
-            raise AssertionError(f"constructed code does not decode at {t}")
         inv = stacked.right_inverse()
+        if inv is None:
+            raise AssertionError(f"constructed code does not decode at {t}")
 
         def decode(obs):
             x = gf.mat_vec_row(fld, obs, inv)
@@ -497,15 +498,11 @@ def double_relay_scheme():
     cw_to_msg = {}
     for msg in itertools.product(range(5), repeat=3):
         cw_to_msg[gf.mat_vec_row(fld, msg, gen)] = msg
-    table = {}
-    for obs in itertools.product(range(5), repeat=5):
-        a, b, c = cw_to_msg[codes_mod.decode_hamming(block, obs)]
-        table[obs] = ((a, fld.mul(3, a)),
-                      (b, c, fld.add(fld.mul(2, b), c),
-                       fld.add(fld.mul(2, b), c), fld.add(fld.mul(2, b), c)))
 
     def decode(obs):
-        return table[tuple(obs)]
+        a, b, c = cw_to_msg[codes_mod.decode_hamming(block, tuple(obs))]
+        s = fld.add(fld.mul(2, b), c)
+        return ((a, fld.mul(3, a)), (b, c, s, s, s))
 
     adv = AdversarySpec(blocks=(
         AdvBlock({"e5", "e6", "e7"}, 1, 0),
@@ -526,9 +523,6 @@ def linear_impossibility(net, adv, q, target):
     channel.  Returns the per-assignment capacities (all below `target`
     proves linear coding insufficient) and a nonlinear majority scheme
     achieving `target` when the relay has at least three inputs."""
-    from .channel import TableChannel, one_shot_capacity
-    from .network import adversarial_fanouts as fanouts
-
     relays = net.intermediates
     if len(relays) != 1:
         raise InvalidParams("exhaustive search covers single-relay networks")
@@ -539,19 +533,12 @@ def linear_impossibility(net, adv, q, target):
     if q ** (r * s) > ASSIGNMENT_LIMIT:
         raise InvalidParams("too many linear assignments to enumerate")
     alphabet = tuple(range(q))
-    inputs = list(itertools.product(
-        *[list(itertools.product(alphabet, repeat=len(net.out_edges(src))))
-          for src in net.sources]))
     results = []
     for combo in itertools.product(range(q), repeat=r * s):
         rows = tuple(tuple(combo[i * s + j] for j in range(s)) for i in range(r))
         code = NetworkCode({relay: LinearVertex(fld, rows)})
-        table = {}
-        for x in inputs:
-            table[x] = fanouts(net, code, adv, x, alphabet)[net.terminals[0]]
-        outputs = sorted(set().union(*table.values()))
-        chan = TableChannel(inputs, outputs, table)
-        cap = one_shot_capacity(chan)
+        cap = channel.one_shot_capacity(network.adversarial_channel(
+            net, code, adv, net.terminals[0], alphabet))
         results.append((rows, cap.value_in_base(q)))
     all_below = all(value < target - TOL for _, value in results)
 

@@ -217,6 +217,19 @@ def test_mat_vec_row_rejects_wrong_length():
             gf.mat_vec_row(F3, row, m)
 
 
+def test_sub_rejects_shape_mismatch():
+    F3 = gf.make_field(3)
+    rng = random.Random(7)
+    a = _random_matrix(rng, F3, 2, 2)
+    assert (a - a) == gf.Matrix.zeros(F3, 2, 2)
+    for b in [gf.Matrix(F3, ((1, 1),)), _random_matrix(rng, F3, 2, 1),
+              _random_matrix(rng, F3, 3, 2)]:
+        with pytest.raises(ValueError):
+            a - b
+        with pytest.raises(ValueError):
+            b - a
+
+
 def test_smallest_irreducible_is_canonical_for_f8():
     F2 = gf.make_field(2)
     F8, _, _ = gf.make_extension(F2, 3)

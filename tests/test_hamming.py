@@ -235,7 +235,7 @@ def test_compound_confusable_consistency():
     for xs in inputs[:6]:
         for xps in inputs[:6]:
             want = bool(comp.fanout(xs) & comp.fanout(xps))
-            got = hamming.compound_confusable(spec, 2, xs, xps)
+            got = comp.confusable(xs, xps)
             assert got == want
 
 
@@ -435,6 +435,17 @@ def test_rank_confusable_respects_column_restriction():
     m3 = gf.Matrix(F, ((0, 1, 0), (0, 0, 0)))
     assert hamming.rank_in_fanout(spec, m1, m2)
     assert not hamming.rank_in_fanout(spec, m1, m3)
+
+
+def test_rank_fanout_rejects_matrices_of_another_shape():
+    spec = hamming.RankMetricSpec(2, 2, 2, (0, 1), 0)
+    F = gf.make_field(2)
+    one_row = gf.Matrix(F, ((1, 1),))
+    square = gf.Matrix(F, ((1, 1), (0, 1)))
+    for m1, m2 in [(one_row, square), (square, one_row),
+                   (one_row, gf.Matrix(F, ((1,),)))]:
+        with pytest.raises(ValueError):
+            hamming.rank_in_fanout(spec, m1, m2)
 
 
 def test_rank_channel_bound_values():

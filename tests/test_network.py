@@ -452,6 +452,25 @@ def test_adversarial_channel_agrees_with_restricted_middle():
         assert chan.fanout((x[0], x[1])) == fans["T"]
 
 
+def test_adversarial_channel_computes_each_fanout_once(monkeypatch):
+    net = netlib.triple_path_bottleneck((0, 1, 2))
+    code = NetworkCode({"V": LinearVertex(gf.make_field(3), ((1,), (2,), (1,)))})
+    adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 0),))
+    inputs = list(network.global_inputs(net))
+    table = {x: adversarial_fanouts(net, code, adv, x)["T"] for x in inputs}
+    want = ch.one_shot_capacity(ch.explicit(inputs, set().union(*table.values()), table))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return adversarial_fanouts(*args)
+
+    monkeypatch.setattr(network, "adversarial_fanouts", counted)
+    got = ch.one_shot_capacity(adversarial_channel(net, code, adv, "T"))
+    assert sorted(calls) == sorted(inputs)
+    assert (got.size, got.witness, got.exact) == (want.size, want.witness, want.exact)
+
+
 def test_cyclic_network_raises_typed_error():
     net = Network(("S", "A", "B", "T"),
                   [Edge("e1", "S", "A"), Edge("e2", "A", "B"),
