@@ -3,8 +3,9 @@
 Covers minimum-distance computation, the beta table (largest code of a
 given length and minimum distance, measured as a log in the alphabet
 size), MDS generator constructions, erasure-aware minimum-distance
-decoding, and Gabidulin rank-metric codes with brute-force rank-error
-decoding at desk scale.
+decoding, and Gabidulin rank-metric codes with Welch-Berlekamp
+rank-error decoding (Loidreau, "A Welch-Berlekamp like algorithm for
+decoding Gabidulin codes", 2006).
 """
 
 import itertools
@@ -13,8 +14,8 @@ import threading
 
 from . import gf
 from .channel import STAR
-from .errors import (AmbiguousDecode, FieldTooSmall, InvalidParams,
-                     NoCodewordInRange, SearchLimitExceeded, SingletonCode)
+from .errors import (FieldTooSmall, InvalidParams, NoCodewordInRange,
+                     SearchLimitExceeded, SingletonCode)
 from .search import max_independent_set
 
 
@@ -234,8 +235,10 @@ def majority_extend(x5, x6, x7):
 # -- Gabidulin rank-metric codes ----------------------------------------------
 
 class RankCode:
-    """Gabidulin code: rows of the generator evaluate the q^i-power maps at
-    base-linearly independent points of the extension field.
+    """Gabidulin code: the codeword of a message f = (f_0, ..., f_{k-1}) is
+    the linearized polynomial f(x) = sum_i f_i x^(q^i) evaluated at the
+    base-linearly independent points g_j = basis element j of the
+    extension field; rows of the generator are (g_j^(q^i))_j.
 
     base_field : the small field F_q over which rank is measured
     ext_field  : F_{q^m}; codeword symbols live here
@@ -252,17 +255,12 @@ class RankCode:
         self.m, self.n, self.k = m, n, k
         self.min_rank_distance = n - k + 1
         q = base_field.q
-        points = [self._basis_element(j) for j in range(n)]
-        rows = []
-        for i in range(k):
-            e = q ** i
-            rows.append(tuple(ext_field.pow(g, e) for g in points))
-        self.generator = gf.Matrix(ext_field, tuple(rows))
-
-    def _basis_element(self, j):
-        coeffs = [0] * self.m
-        coeffs[j] = 1
-        return self.flatten(tuple(coeffs))
+        self.points = tuple(flatten(tuple(1 if i == j else 0 for i in range(m)))
+                            for j in range(n))
+        # g_j^(q^l) for l < n: the generator's rows (l < k), and the decoder's
+        self._point_powers = tuple(tuple(ext_field.pow(g, q ** l) for g in self.points)
+                                   for l in range(n))
+        self.generator = gf.Matrix(ext_field, self._point_powers[:k])
 
     def encode(self, message):
         """message: tuple of k extension elements -> codeword of length n."""
@@ -273,8 +271,9 @@ class RankCode:
     def codewords(self):
         return gf.row_span(self.generator)
 
-    def messages(self):
-        return gf.digit_tuples(self.ext_field.q, self.k)
+    def _check_length(self, word):
+        if len(word) != self.n:
+            raise InvalidParams(f"word length must be {self.n}, got {len(word)}")
 
     def rank_of_word(self, word):
         """Rank over the base field of the m x n expansion of a word."""
@@ -282,24 +281,61 @@ class RankCode:
         return mat.rank()
 
     def rank_distance(self, w1, w2):
+        self._check_length(w1)
+        self._check_length(w2)
         F = self.ext_field
         return self.rank_of_word(tuple(F.sub(a, b) for a, b in zip(w1, w2)))
 
     def rank_decode(self, received, t):
         """The unique message whose codeword lies within rank distance t of
-        `received`; brute force over the codeword space."""
-        if t > (self.n - self.k) // 2:
-            raise InvalidParams("t exceeds the unique-decoding radius")
-        found = None
-        for msg in self.messages():
-            cw = self.encode(msg)
-            if self.rank_distance(cw, received) <= t:
-                if found is not None:
-                    raise AmbiguousDecode("two codewords within rank radius")
-                found = msg
-        if found is None:
+        `received`; raises NoCodewordInRange when there is none.
+
+        Welch-Berlekamp: find a nonzero pair of linearized polynomials V of
+        q-degree <= t and N of q-degree <= k+t-1 with V(y_j) + N(g_j) = 0
+        for every j, a null vector of an n x (2t+k+1) system.  When y is
+        within rank t of the codeword of f, every nonzero pair has
+        N = (-V) o f, since 2t < n-k+1; f is then N right-divided by -V.
+        The result is returned only if its codeword is within rank t of y."""
+        self._check_length(received)
+        if not 0 <= t <= (self.n - self.k) // 2:
+            raise InvalidParams(f"need 0 <= t <= {(self.n - self.k) // 2}, got t={t}")
+        F, q, k = self.ext_field, self.base_field.q, self.k
+        powers = [tuple(received)]          # y_j^(q^i) for i <= t
+        for _ in range(t):
+            powers.append(tuple(F.pow(y, q) for y in powers[-1]))
+        system = gf.Matrix(F, tuple(zip(*powers, *self._point_powers[:k + t])))
+        reduced, _, pivots = system._rref()
+        free = next((c for c in range(system.ncols) if c not in pivots), None)
+        if free is None:
             raise NoCodewordInRange("no codeword within rank radius")
-        return found
+        solution = [0] * system.ncols
+        solution[free] = 1
+        for row, c in zip(reduced.rows, pivots):
+            solution[c] = F.neg(row[free])
+        v = [F.neg(c) for c in solution[:t + 1]]
+        message = self._right_divide(solution[t + 1:], v)[:k]
+        if self.rank_distance(self.encode(message), received) > t:
+            raise NoCodewordInRange("no codeword within rank radius")
+        return message
+
+    def _right_divide(self, numer, v):
+        """Coefficients of f with numer = v o f + r, r of q-degree below
+        that of v, found top-down: the top term of v o (c x^(q^l)) is
+        v_d c^(q^d) x^(q^(d+l)), and c = (numer_{d+l} / v_d)^(q^(m-d))."""
+        F, q = self.ext_field, self.base_field.q
+        d = max(i for i, c in enumerate(v) if c)
+        lead_inv = F.inv(v[d])
+        unfrobenius = q ** ((self.m - d) % self.m)
+        rem = list(numer)
+        f = [0] * (len(rem) - d)
+        for l in range(len(f) - 1, -1, -1):
+            c = F.pow(F.mul(rem[d + l], lead_inv), unfrobenius)
+            if c:
+                f[l] = c
+                for i, vi in enumerate(v[:d + 1]):
+                    if vi:
+                        rem[i + l] = F.sub(rem[i + l], F.mul(vi, F.pow(c, q ** i)))
+        return tuple(f)
 
 
 def gabidulin(field_q, m, n, k):

@@ -45,10 +45,6 @@ class NoCodewordInRange(AdvnetError):
     pass
 
 
-class AmbiguousDecode(AdvnetError):
-    pass
-
-
 class UnsupportedVariant(AdvnetError):
     pass
 

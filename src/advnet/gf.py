@@ -8,6 +8,10 @@ c_0 + c_1*b + ... + c_{n-1}*b^(n-1).  The modulus is always the monic
 irreducible polynomial of the requested degree with the smallest integer
 encoding, so tables are reproducible across runs.
 
+Multiplication, inversion and powers in an extension field are lookups in
+exp/log tables of a primitive element, O(q) entries built once per field;
+addition and negation go digit by digit through the base field.
+
 Extension towers are built by composing `make_extension`; `expand` and
 `flatten` are the mutually inverse base-linear maps between an extension
 element and its length-n coefficient column, extended entrywise to matrices
@@ -17,11 +21,13 @@ element and its length-n coefficient column, extended entrywise to matrices
 runs it once per row, and every linear vertex and encoder calls it.
 """
 
+import functools
 import itertools
 
 from .errors import NotPrimePower, TooLarge
 
 MAX_FIELD_ORDER = 1 << 16
+STEP_TABLE_SIZE = 256       # largest table of the step x -> x*g per digit chunk
 
 
 def digit_tuples(q, n):
@@ -135,8 +141,7 @@ class ExtensionField(Field):
         self.q = base.q ** degree
         self.p = base.p
         self.signature = ("ext", base.signature, degree, modulus)
-        self._mul_memo = {}
-        self._inv_memo = {}
+        self._exp, self._log = self._exp_log_tables()
 
     def digits(self, a):
         """Coefficient tuple (c_0, ..., c_{n-1}) of element a."""
@@ -162,28 +167,99 @@ class ExtensionField(Field):
         return self.undigits(tuple(self.base.neg(x) for x in self.digits(a)))
 
     def mul(self, a, b):
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        hit = self._mul_memo.get(key)
-        if hit is not None:
-            return hit
-        prod = _poly_mul(self.base, self.digits(a), self.digits(b))
-        prod = _poly_mod(self.base, prod, self.modulus)
-        prod = prod + (0,) * (self.degree - len(prod))
-        result = self.undigits(prod)
-        if len(self._mul_memo) < (1 << 20):
-            self._mul_memo[key] = result
-        return result
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        hit = self._inv_memo.get(a)
-        if hit is None:
-            hit = self.pow(a, self.q - 2)
-            self._inv_memo[a] = hit
-        return hit
+        return self._exp[self.q - 1 - self._log[a]]
+
+    def pow(self, a, e):
+        if a:
+            return self._exp[self._log[a] * e % (self.q - 1)]
+        if e < 0:
+            raise ZeroDivisionError("zero has no inverse")
+        return 0 if e else 1
+
+    def _poly_mul(self, a, b):
+        """Product by polynomial arithmetic over the base, without tables."""
+        prod = _poly_mod(self.base, _poly_mul(self.base, self.digits(a), self.digits(b)),
+                         self.modulus)
+        return self.undigits(prod + (0,) * (self.degree - len(prod)))
+
+    def _poly_pow(self, a, e):
+        result = 1
+        while e:
+            if e & 1:
+                result = self._poly_mul(result, a)
+            a = self._poly_mul(a, a)
+            e >>= 1
+        return result
+
+    def _exp_log_tables(self):
+        """exp[i] = g^i for 0 <= i < 2(q-1), so that a product is
+        exp[log a + log b] without a reduction; log[0] is unused.
+
+        g is the smallest encoding with g^((q-1)/r) != 1 for every prime r
+        dividing q-1, so g is primitive.  Its powers are walked with
+        x -> x*g.  That map is linear over the prime field F_p, and the
+        base-p digits of an encoding are its coordinates over F_p at every
+        level of a tower, so x*g is the digit-wise sum of one table entry
+        per chunk of those digits."""
+        p, order = self.p, self.q - 1
+        primes = _prime_factors(order)
+        g = next(c for c in range(2, self.q)
+                 if all(self._poly_pow(c, order // r) != 1 for r in primes))
+        add = int.__xor__ if p == 2 else functools.partial(_digit_add, p)
+        chunks = []                 # (low, table): table[v] = (v * low) * g
+        place = 1
+        while place < self.q:
+            low, table = place, [0]
+            while place < self.q and (len(table) == 1 or len(table) * p <= STEP_TABLE_SIZE):
+                col = self._poly_mul(place, g)
+                multiples = [0]
+                for _ in range(p - 1):
+                    multiples.append(add(multiples[-1], col))
+                table = [add(m, t) for m in multiples for t in table]
+                place *= p
+            chunks.append((low, table))
+        exp = [0] * (2 * order)
+        log = [0] * self.q
+        x = 1
+        for i in range(order):
+            exp[i] = exp[i + order] = x
+            log[x] = i
+            y = 0
+            for low, table in chunks:
+                y = add(y, table[x // low % len(table)])
+            x = y
+        return exp, log
+
+
+def _prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _digit_add(p, a, b):
+    """Digit-wise sum mod p of two base-p encodings."""
+    out, place = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + y) % p * place
+        place *= p
+    return out
 
 
 # -- polynomial helpers over an arbitrary base field ------------------------

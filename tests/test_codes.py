@@ -1,11 +1,14 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advnet import codes, gf
 from advnet.channel import STAR
-from advnet.errors import (AmbiguousDecode, FieldTooSmall, InvalidParams,
+from advnet.errors import (FieldTooSmall, InvalidParams, NoCodewordInRange,
                            SingletonCode)
 
 F2 = gf.make_field(2)
@@ -236,9 +239,71 @@ def test_majority_extend():
 # ---------------------------------------------------------------------------
 
 
+def rank_one_words(rc):
+    """Every word of rank <= 1 over the base field: c * (r_0, ..., r_{n-1})
+    for c in the extension and r over the base (base elements keep their
+    encoding in the extension)."""
+    F = rc.ext_field
+    return {tuple(F.mul(c, r) for r in row)
+            for c in F.elements() for row in gf.digit_tuples(rc.base_field.q, rc.n)}
+
+
+class BruteForce:
+    """The brute-force decoder, as an oracle: try every message and keep
+    the one whose codeword is within rank t of the received word.  A word
+    has rank <= t when it is a sum of t words of rank <= 1
+    (`test_rank_one_words_are_the_words_of_rank_at_most_one` ties this to
+    `rank_of_word`); differences come from a table, so that a received
+    word costs one pass over the codebook."""
+
+    def __init__(self, rc):
+        F = rc.ext_field
+        self.rc = rc
+        self.sub = [[F.sub(a, b) for b in F.elements()] for a in F.elements()]
+        self.book = [(msg, rc.encode(msg)) for msg in gf.digit_tuples(F.q, rc.k)]
+        ones = rank_one_words(rc)
+        self.balls = [{(0,) * rc.n}]
+        for _ in range((rc.n - rc.k) // 2):
+            self.balls.append({tuple(F.add(a, b) for a, b in zip(w, o))
+                               for w in self.balls[-1] for o in ones})
+
+    def decode(self, received, t):
+        rc = self.rc
+        if len(received) != rc.n or not 0 <= t <= (rc.n - rc.k) // 2:
+            raise InvalidParams("word length or radius out of range")
+        ball, sub = self.balls[t], self.sub
+        found = [msg for msg, cw in self.book
+                 if tuple(sub[y][c] for y, c in zip(received, cw)) in ball]
+        if not found:
+            raise NoCodewordInRange("no codeword within rank radius")
+        assert len(found) == 1      # minimum rank distance n-k+1 > 2t
+        return found[0]
+
+
+def outcome(decode, received, t):
+    try:
+        return decode(received, t)
+    except (NoCodewordInRange, InvalidParams) as error:
+        return type(error)
+
+
+# (q, m, n, k): [3,1] over GF(2^3) and GF(4^3); [4,2] over GF(2^4) and
+# GF(3^4); and n < m, [4,2] over GF(2^5).  Each corrects t = 1.
+ORACLE_CODES = [(2, 3, 3, 1), (4, 3, 3, 1), (2, 4, 4, 2), (3, 4, 4, 2), (2, 5, 4, 2)]
+
+
+@functools.cache
+def oracle(q, m, n, k):
+    return BruteForce(codes.gabidulin(gf.make_field(q), m, n, k))
+
+
+def add_words(F, *words):
+    return tuple(functools.reduce(F.add, symbols) for symbols in zip(*words))
+
+
 def test_gabidulin_roundtrip_no_errors():
     rc = codes.gabidulin(F2, 3, 3, 1)
-    for msg in rc.messages():
+    for msg in gf.digit_tuples(rc.ext_field.q, rc.k):
         assert rc.rank_decode(rc.encode(msg), 0) == msg
 
 
@@ -266,7 +331,7 @@ def test_gabidulin_corrects_rank_one_errors():
                 word.append(rc.flatten(digits))
             errors.add(tuple(word))
     assert len(errors) == 49
-    for msg in rc.messages():
+    for msg in gf.digit_tuples(ext.q, rc.k):
         cw = rc.encode(msg)
         for err in errors:
             rec = tuple(ext.add(a, e) for a, e in zip(cw, err))
@@ -287,3 +352,116 @@ def test_gabidulin_over_f4():
     dmin = min(rc.rank_distance(a, b)
                for a, b in itertools.combinations(words, 2))
     assert dmin == 3
+
+
+def test_rank_decode_rejects_wrong_lengths_and_negative_radius():
+    rc = codes.gabidulin(F2, 3, 3, 1)
+    cw = rc.encode((1,))
+    for word in [(1, 2), (1, 2, 4, 0), ()]:
+        with pytest.raises(InvalidParams):
+            rc.rank_decode(word, 1)
+    with pytest.raises(InvalidParams):
+        rc.rank_decode(cw, -1)
+    assert rc.rank_decode(cw, 1) == (1,)
+
+
+def test_rank_distance_rejects_wrong_lengths():
+    rc = codes.gabidulin(F2, 3, 3, 1)
+    for w1, w2 in [((1, 2, 4), (1, 2)), ((1, 2), (1, 2, 4)), ((1, 2), (1, 2)),
+                   ((1, 2, 4, 0), (1, 2, 4, 0))]:
+        with pytest.raises(InvalidParams):
+            rc.rank_distance(w1, w2)
+    assert rc.rank_distance((1, 2, 4), (1, 2, 4)) == 0
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 3, 3), (3, 2, 2), (4, 2, 2)])
+def test_rank_one_words_are_the_words_of_rank_at_most_one(q, m, n):
+    rc = codes.gabidulin(gf.make_field(q), m, n, 1)
+    every = gf.digit_tuples(rc.ext_field.q, n)
+    assert rank_one_words(rc) == {w for w in every if rc.rank_of_word(w) <= 1}
+
+
+def test_rank_decode_matches_brute_force_on_every_word():
+    brute = oracle(2, 3, 3, 1)
+    rc = brute.rc
+    words = list(gf.digit_tuples(rc.ext_field.q, rc.n)) + [(1, 2), (1, 2, 4, 0)]
+    for received in words:
+        for t in (-1, 0, 1, 2):
+            want = outcome(brute.decode, received, t)
+            assert outcome(rc.rank_decode, received, t) == want, (received, t)
+
+
+@pytest.mark.parametrize("q, m, n, k", ORACLE_CODES)
+def test_rank_decode_corrects_every_rank_one_error(q, m, n, k):
+    """Every word within rank 1 of one codeword; the brute-force decoder
+    returns that codeword's message on all of them, as no two codewords
+    are within rank 2 of each other (checked over the whole codebook)."""
+    brute = oracle(q, m, n, k)
+    rc, F = brute.rc, brute.rc.ext_field
+    assert min(rc.rank_of_word(cw) for msg, cw in brute.book if any(msg)) == n - k + 1
+    msg, cw = brute.book[len(brute.book) // 3]
+    for e in rank_one_words(rc):
+        assert rc.rank_decode(add_words(F, cw, e), 1) == msg, e
+
+
+@pytest.mark.parametrize("q, m, n, k", ORACLE_CODES)
+def test_rank_decode_matches_brute_force(q, m, n, k):
+    """Inside the radius, just outside it (rank-2 errors) and uniformly
+    random words, at t = 0 and t = 1: values and errors agree."""
+    brute = oracle(q, m, n, k)
+    rc, F = brute.rc, brute.rc.ext_field
+    rng = random.Random(q * 1000 + m * 100 + n)
+    ones = sorted(rank_one_words(rc))
+    raised = 0
+    for _ in range(25):
+        _, cw = rng.choice(brute.book)
+        for received in (add_words(F, cw, rng.choice(ones)),
+                         add_words(F, cw, rng.choice(ones), rng.choice(ones)),
+                         tuple(rng.randrange(F.q) for _ in range(n))):
+            for t in (0, 1):
+                want = outcome(brute.decode, received, t)
+                assert outcome(rc.rank_decode, received, t) == want, (received, t)
+                raised += want is NoCodewordInRange
+    assert raised >= 25
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(code=st.sampled_from([(2, 3, 3, 1), (2, 4, 4, 2), (2, 5, 4, 2), (4, 3, 3, 1)]),
+       data=st.data())
+def test_rank_decode_agrees_with_brute_force_property(code, data):
+    brute = oracle(*code)
+    rc, F = brute.rc, brute.rc.ext_field
+    ones = sorted(rank_one_words(rc))
+    _, cw = data.draw(st.sampled_from(brute.book))
+    errors = data.draw(st.lists(st.sampled_from(ones), max_size=3))
+    t = data.draw(st.integers(0, (rc.n - rc.k) // 2))
+    received = add_words(F, cw, *errors)
+    assert outcome(rc.rank_decode, received, t) == outcome(brute.decode, received, t)
+
+
+def random_rank_word(rng, rc, rank):
+    """A word of exactly the given rank: a sum of `rank` words of rank one."""
+    F = rc.ext_field
+    while True:
+        word = (0,) * rc.n
+        for _ in range(rank):
+            c = rng.randrange(1, F.q)
+            word = add_words(F, word, tuple(F.mul(c, rng.randrange(rc.base_field.q))
+                                            for _ in range(rc.n)))
+        if rc.rank_of_word(word) == rank:
+            return word
+
+
+@pytest.mark.parametrize("m, k, t, cases", [(8, 4, 2, 12), (16, 8, 4, 3)])
+def test_rank_decode_beyond_brute_force(m, k, t, cases):
+    """[8,4] over GF(2^8) has 2^32 messages and [16,8] over GF(2^16) has
+    2^128: both decode random rank-t errors."""
+    rc = codes.gabidulin(F2, m, m, k)
+    F = rc.ext_field
+    rng = random.Random(m)
+    for _ in range(cases):
+        msg = tuple(rng.randrange(F.q) for _ in range(k))
+        received = add_words(F, rc.encode(msg), random_rank_word(rng, rc, t))
+        assert rc.rank_decode(received, t) == msg
+        with pytest.raises(NoCodewordInRange):
+            rc.rank_decode(add_words(F, received, random_rank_word(rng, rc, 1)), 0)

@@ -255,3 +255,75 @@ def test_lift_embeds_constants():
     assert lifted.rows == m.rows
     # embedded arithmetic agrees with the base field
     assert F8.mul(1, 1) == 1 and F8.add(1, 1) == 0
+
+
+# Extension fields the package builds up to order 512, with the towers
+# GF(64) over GF(4) and GF(512) over GF(8).
+TABLE_FIELDS = [gf.make_field(q) for q in (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125,
+                                           128, 243, 256, 512)]
+TABLE_FIELDS += [gf.make_extension(gf.make_field(4), 3)[0],
+                 gf.make_extension(gf.make_field(8), 3)[0]]
+
+
+def _reference_products(F, a):
+    """a * b for every b by polynomial arithmetic over the base: products
+    with the elements p^i, whose encodings have one base-p digit 1, summed
+    by additivity (in characteristic 2 the encoding's bits are coordinates
+    over F_2, so the sum is XOR)."""
+    add = int.__xor__ if F.p == 2 else F.add
+    by_place, place = {}, 1
+    while place < F.q:
+        by_place[place] = F._poly_mul(a, place)
+        place *= F.p
+    row = [0] * F.q
+    for b in range(1, F.q):
+        place = 1
+        while b // place % F.p == 0:
+            place *= F.p
+        row[b] = add(row[b - place], by_place[place])
+    return row
+
+
+@pytest.mark.parametrize("F", TABLE_FIELDS, ids=lambda F: f"{F!r}/{F.base!r}")
+def test_tables_match_polynomial_arithmetic(F):
+    q = F.q
+    for a in range(q):
+        row = _reference_products(F, a)
+        assert [F.mul(a, b) for b in range(q)] == row
+        assert (F.pow(a, 0), F.pow(a, 1), F.pow(a, 2), F.pow(a, 3)) == (1, a, row[a], row[row[a]])
+        assert F.pow(a, q) == a                 # x^(q^m) == x over the base of order q^(1/m)
+        assert F.pow(a, q + 1) == row[a]
+        if a:
+            assert row[F.inv(a)] == 1
+            assert F.pow(a, q - 1) == 1
+            assert F.pow(a, -1) == F.inv(a)
+            assert F._poly_mul(row[row[a]], F.pow(a, -3)) == 1
+
+
+@pytest.mark.parametrize("F", [gf.make_field(8), gf.make_field(81), TABLE_FIELDS[-1]],
+                         ids=repr)
+def test_zero_and_negative_exponents(F):
+    assert F.pow(0, 0) == 1
+    assert F.pow(0, 1) == F.pow(0, 7) == 0
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    rng = random.Random(F.q)
+    for _ in range(200):
+        a, e = rng.randrange(1, F.q), rng.randrange(1, 3 * F.q)
+        assert F.pow(a, -e) == F.inv(F.pow(a, e))
+        assert F.mul(F.pow(a, -e), F.pow(a, e + 2)) == F.mul(a, a)
+
+
+def test_extension_field_state_does_not_grow():
+    # exp/log tables of O(q) entries, built once; no per-pair memo
+    F = TABLE_FIELDS[-1]
+    sizes = {name: len(value) for name, value in vars(F).items() if hasattr(value, "__len__")}
+    assert len(F._exp) == 2 * (F.q - 1) and len(F._log) == F.q
+    rng = random.Random(3)
+    for _ in range(5000):
+        a, b = rng.randrange(F.q), rng.randrange(1, F.q)
+        F.mul(a, b), F.inv(b), F.pow(b, rng.randrange(-600, 600))
+    assert sizes == {name: len(value) for name, value in vars(F).items()
+                     if hasattr(value, "__len__")}

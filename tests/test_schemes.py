@@ -6,8 +6,8 @@ import pytest
 
 from advnet import gf, netlib, network, regions, schemes
 from advnet.channel import STAR
-from advnet.errors import (AmbiguousDecode, DrawsExhausted, InvalidParams,
-                           NoCodewordInRange, RegionViolated, UnsupportedSources)
+from advnet.errors import (DrawsExhausted, InvalidParams, NoCodewordInRange,
+                           RegionViolated, UnsupportedSources)
 from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, evaluate,
                             full_edge_adversary)
 
@@ -147,6 +147,22 @@ def test_achiev1_single_source_verifies_one_shot():
     res = regions.verify_one_shot(net, scheme.network_code,
                                   scheme.source_codes, adv, scheme.alphabet)
     assert res.ok and res.rate == (1.0,)
+
+
+def test_achiev1_three_symbols_over_gf32_corrects_one_edge():
+    # a1 = 3, t = 1: a [5, 3] Gabidulin code over GF(2^5), 2^15 messages
+    net = netlib.parallel_path(5, None)
+    scheme = schemes.build_achiev1(net, (3,), 1, 2)
+    meta = scheme.meta
+    assert meta["ext1"].q == 32 and len(meta["messages"]) == 32 ** 3
+    rng = random.Random(5)
+    edges = [e.id for e in net.edges]
+    for _ in range(12):
+        msg = rng.choice(meta["messages"])
+        wrong = tuple(rng.randrange(2) for _ in range(meta["m"]))
+        out = evaluate(net, scheme.network_code, (meta["local_codeword"](msg),),
+                       action={rng.choice(edges): wrong})
+        assert scheme.decoders["T"](out.observations["T"]) == (msg,)
 
 
 def test_achiev1_region_violation():
@@ -332,7 +348,7 @@ def two_source_compound_trial(rng, net, scheme, vary_edge):
         per_use_obs.append(res.observations["T"])
     try:
         got = scheme.decoders["T"](per_use_obs)
-    except (AmbiguousDecode, NoCodewordInRange):
+    except NoCodewordInRange:
         return True
     return got != (x1.rows, x2)
 
