@@ -7,10 +7,14 @@ different symbols and erase up to e of them.  Disjoint-variant blocks are
 pairwise disjoint; the overlapping variant composes erasure-free block
 adversaries acting in sequence (order irrelevant).
 
-The action set lives here only: `block_actions` (one block's corrupted
-and erased positions), `ball` (blocks applied in sequence to a word) and
-`ball_size` serve these fan-outs and `network.adversarial_fanouts`;
-`chosen_subsets` lists the compound model's fixed vulnerable sets.
+The adversary model lives here only: a `Block`'s coordinates may be word
+positions or network edge ids, so `network.AdversarySpec` holds the same
+blocks, checked by `check_blocks`.  The action set serves these fan-outs
+and `network.adversarial_fanouts`: `block_actions` (one block's corrupted
+and erased positions; the network's disjoint and overlapping passes),
+`ball` (blocks applied in sequence to a word; also each edge value's
+per-symbol actions) and `ball_size`; `chosen_subsets` lists the compound
+model's fixed vulnerable sets and `restrict` narrows blocks to them.
 
 Capacity values in this module are logarithms in base a, with the base
 recorded on the returned value.
@@ -32,11 +36,14 @@ OVERLAPPING = "overlapping"
 
 @dataclass(frozen=True)
 class Block:
+    """Coordinates one adversary owns (word positions or network edge ids),
+    with its error budget t and erasure budget e."""
+
     coords: frozenset
     t: int
-    e: int
+    e: int = 0
 
-    def __init__(self, coords, t, e):
+    def __init__(self, coords, t, e=0):
         object.__setattr__(self, "coords", frozenset(coords))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "e", e)
@@ -46,6 +53,28 @@ class Block:
     def __iter__(self):
         """Unpacks as (coords, t, e), the block form `ball` takes."""
         return iter((self.coords, self.t, self.e))
+
+
+def check_blocks(blocks, variant):
+    """Reject blocks their variant cannot hold: overlapping blocks in the
+    disjoint variant, erasures in the overlapping one, or any other
+    variant."""
+    if variant == DISJOINT:
+        seen = set()
+        for b in blocks:
+            if seen & b.coords:
+                raise InvalidParams("disjoint-variant blocks must not overlap")
+            seen |= b.coords
+    elif variant == OVERLAPPING:
+        if any(b.e for b in blocks):
+            raise InvalidParams("overlapping variant is erasure-free")
+    else:
+        raise UnsupportedVariant(variant)
+
+
+def restrict(blocks, chosen):
+    """Each block narrowed to its chosen coordinates (V within U)."""
+    return tuple(Block(b.coords & set(v), b.t, b.e) for b, v in zip(blocks, chosen))
 
 
 @dataclass(frozen=True)
@@ -67,17 +96,7 @@ class HammingSpec:
         for b in self.blocks:
             if any(not 0 <= i < self.length for i in b.coords):
                 raise IndexOutOfRange("block coordinate outside the word length")
-        if self.variant == DISJOINT:
-            seen = set()
-            for b in self.blocks:
-                if seen & b.coords:
-                    raise InvalidParams("disjoint-variant blocks must not overlap")
-                seen |= b.coords
-        elif self.variant == OVERLAPPING:
-            if any(b.e for b in self.blocks):
-                raise InvalidParams("overlapping variant is erasure-free")
-        else:
-            raise UnsupportedVariant(self.variant)
+        check_blocks(self.blocks, self.variant)
 
     @property
     def covered(self):
@@ -85,9 +104,8 @@ class HammingSpec:
 
     def clip(self, chosen):
         """Restrict each block to a chosen coordinate subset (V within U)."""
-        new = tuple(Block(b.coords & set(v), b.t, b.e)
-                    for b, v in zip(self.blocks, chosen))
-        return HammingSpec(self.alphabet_size, self.length, new, self.variant)
+        return HammingSpec(self.alphabet_size, self.length,
+                           restrict(self.blocks, chosen), self.variant)
 
 
 def single_block(alphabet_size, length, coords, t, e=0):

@@ -17,10 +17,13 @@ serves every evaluation: `evaluate` with the action's overrides,
 `cut_to_sink_channel` on the part of the plan that feeds the terminal.
 Cyclic networks have no plan; evaluating one raises CyclicGraph.
 
-The admissible corruptions are the Hamming-type actions of `hamming`
-ported to edges: a disjoint block's passes come from `block_actions`
-(positions only; values are chosen as each edge emits), and a per-symbol
-adversary gives every edge value its own `ball` of sub-symbol actions.
+An adversary is a set of `hamming.Block`s whose coordinates are edge ids,
+so its admissible corruptions are the Hamming-type actions of `hamming`
+ported to edges.  Disjoint and overlapping blocks both take their passes
+from `block_actions` (positions only; values are chosen as each edge
+emits, and a pass corrupts the union of its blocks' chosen edges), and the
+one block of a per-symbol adversary, over sub-symbol positions, gives
+every edge value its own `ball`.
 """
 
 import itertools
@@ -33,7 +36,8 @@ from .channel import STAR, SymbolicChannel
 from .errors import (AlphabetMismatch, BadFreeze, CyclicGraph, Infeasible,
                      InvalidParams, MissingCodeFunction, NotACut,
                      SearchLimitExceeded, UnsupportedVariant)
-from .hamming import DISJOINT, OVERLAPPING, ball, ball_size, block_actions
+from .hamming import (DISJOINT, OVERLAPPING, Block as AdvBlock, HammingSpec,
+                      RankMetricSpec, ball, ball_size, block_actions, check_blocks)
 
 RANK = "rank"
 PER_SYMBOL = "per_symbol"
@@ -586,47 +590,33 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
 # -- adversaries ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AdvBlock:
-    edges: frozenset
-    t: int
-    e: int = 0
-
-    def __init__(self, edges, t, e=0):
-        object.__setattr__(self, "edges", frozenset(edges))
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "e", e)
-        if t < 0 or e < 0:
-            raise InvalidParams("error/erasure budgets must be non-negative")
-
-    def __iter__(self):
-        """Unpacks as (edges, t, e), the block form of `hamming.ball`."""
-        return iter((self.edges, self.t, self.e))
-
-
-@dataclass(frozen=True)
 class AdversarySpec:
-    """Network adversary: disjoint blocks of vulnerable edges with error and
-    erasure budgets; the per_symbol variant corrupts/erases up to (t, e)
-    sub-symbols of every edge independently; the rank variant is used for
-    bound computation only."""
+    """Network adversary: `hamming.Block`s of edge ids with error and
+    erasure budgets, disjoint or (erasure-free) overlapping.  The rank
+    variant has one block and serves bound computation only; the
+    per_symbol variant has one block over the m sub-symbol positions of an
+    edge value, and corrupts/erases within it on every edge independently."""
 
     blocks: tuple = ()
     variant: str = DISJOINT
-    t: int = 0
-    e: int = 0
-    m: int = 1
 
     def __post_init__(self):
-        if self.t < 0 or self.e < 0:
-            raise InvalidParams("error/erasure budgets must be non-negative")
-        if self.variant in (DISJOINT, OVERLAPPING, RANK):
-            seen = set()
-            for b in self.blocks:
-                if self.variant == DISJOINT and seen & b.edges:
-                    raise InvalidParams("disjoint adversary blocks overlap")
-                seen |= b.edges
-            if self.variant == RANK and len(self.blocks) != 1:
-                raise InvalidParams("a rank adversary has exactly one block")
+        if self.variant in (RANK, PER_SYMBOL):
+            if len(self.blocks) != 1:
+                raise InvalidParams(f"a {self.variant} adversary has exactly one block")
+        else:
+            check_blocks(self.blocks, self.variant)
+
+    def clip(self, cut, alphabet_size):
+        """The adversary on the cut's edges as a `hamming` spec on
+        coordinates 0..|cut|-1 in the order of `cut`: a `RankMetricSpec`
+        with m = 1 for the rank variant, else a `HammingSpec`."""
+        blocks = tuple(AdvBlock({i for i, eid in enumerate(cut) if eid in b.coords},
+                                b.t, b.e) for b in self.blocks)
+        if self.variant == RANK:
+            (coords, t, _), = blocks
+            return RankMetricSpec(alphabet_size, 1, len(cut), coords, t)
+        return HammingSpec(alphabet_size, len(cut), blocks, self.variant)
 
 
 def adversary_free():
@@ -638,12 +628,14 @@ def full_edge_adversary(net, t, e=0):
 
 
 def _count_actions(net, adv, alphabet):
-    if adv.variant == DISJOINT:
-        return math.prod(ball_size(len(b.edges), b.t, b.e, len(alphabet))
+    if adv.variant in (DISJOINT, OVERLAPPING):
+        # overlapping blocks: the product still bounds the passes' branches
+        return math.prod(ball_size(len(b.coords), b.t, b.e, len(alphabet))
                          for b in adv.blocks)
     if adv.variant == PER_SYMBOL:
+        (coords, t, e), = adv.blocks
         base = len({v for sym in alphabet for v in sym})
-        return ball_size(adv.m, adv.t, adv.e, base) ** len(net.edges)
+        return ball_size(len(coords), t, e, base) ** len(net.edges)
     raise UnsupportedVariant(f"cannot enumerate actions for variant {adv.variant}")
 
 
@@ -657,7 +649,7 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None):
     if _count_actions(net, adv, alphabet_t) > ACTION_LIMIT:
         raise SearchLimitExceeded("adversary action space exceeds the limit")
     steps = _steps(net)
-    if adv.variant == DISJOINT:
+    if adv.variant in (DISJOINT, OVERLAPPING):
         # one pass per choice of corrupted and erased edges in every block;
         # a corrupted edge may carry any other value of its clean one
         passes = []
@@ -667,18 +659,16 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None):
             passes.append(lambda eid, v, err=err, stars=stars: (
                 (STAR,) if eid in stars else
                 [w for w in alphabet_t if w != v] if eid in err else (v,)))
-    elif adv.variant == PER_SYMBOL:
+    else:   # per-symbol: _count_actions has rejected every other variant
         base = sorted({v for sym in alphabet_t for v in sym})
         balls = {}
 
         def symbol_ball(eid, v):
             if v not in balls:
-                balls[v] = ball(v, [(range(len(v)), adv.t, adv.e)], base)
+                balls[v] = ball(v, adv.blocks, base)
             return balls[v]
 
         passes = [symbol_ball]
-    else:
-        raise UnsupportedVariant(f"cannot enumerate actions for variant {adv.variant}")
     outs = {t: set() for t in net.terminals}
     for replace in passes:
         for values in _forward(code, steps, x, replace):

@@ -4,8 +4,7 @@ A rate region bounds sum_{i in J} alpha_i by b_J, a log in the network
 alphabet size, for every non-empty source subset J, with an exactness flag
 (False: an upper bound) and the attaining (terminal, cut).  `port` builds
 one from a point-to-point bound: b_J is its least value over terminals and
-minimal cuts on the adversary clipped to the cut, a `hamming.HammingSpec`
-or, for a rank adversary, a `hamming.RankMetricSpec` with m = 1.  A ported
+minimal cuts on `AdversarySpec.clip` of the adversary to the cut.  A ported
 region bounds whichever capacity its point-to-point bound bounds.
 
 Verification implements the three achievability notions: one-shot (a
@@ -19,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 from . import hamming as hamming_mod
-from . import network as net_mod
 from .errors import InvalidParams, UnsupportedVariant
-from .network import (DISJOINT, OVERLAPPING, RANK, adversarial_fanouts,
-                      enumerate_minimal_cuts, min_cut)
+from .network import (DISJOINT, OVERLAPPING, RANK, AdversarySpec,
+                      adversarial_fanouts, enumerate_minimal_cuts, min_cut)
 
 
 # slack on every rate comparison, for bounds computed as floating logs
@@ -85,28 +83,18 @@ def _subsets(n):
 
 def port(net, adv, alphabet_size, bound):
     """Per J, the least `hamming.BaseValue` bound(spec) over terminals and
-    minimal cuts, spec being adv clipped to the cut; ties break on the cut."""
+    minimal cuts, spec being `adv.clip` to the cut; ties break on the cut."""
     ineqs = []
     for subset in _subsets(len(net.sources)):
         ported = []
         for t in net.terminals:
             for cut in enumerate_minimal_cuts(net, sorted(subset), t):
                 cut = tuple(net.edge_positions(cut))
-                value = bound(_clip(adv, cut, alphabet_size))
+                value = bound(adv.clip(cut, alphabet_size))
                 ported.append((float(value.value), cut, value.exact, t))
         value, cut, exact, t = min(ported, key=lambda p: p[:2])
         ineqs.append(Inequality(subset, value, exact, t, cut))
     return RateRegion(len(net.sources), ineqs)
-
-
-def _clip(adv, cut, alphabet_size):
-    """adv on the cut's edges as coordinates 0..|cut|-1 in edge order."""
-    blocks = tuple(hamming_mod.Block({i for i, eid in enumerate(cut) if eid in b.edges},
-                                     b.t, b.e) for b in adv.blocks)
-    if adv.variant == RANK:
-        coords, t, _ = blocks[0]
-        return hamming_mod.RankMetricSpec(alphabet_size, 1, len(cut), coords, t)
-    return hamming_mod.HammingSpec(alphabet_size, len(cut), blocks, adv.variant)
 
 
 def _min_cut_minimize(net, value_fn):
@@ -222,9 +210,8 @@ def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None):
     (within budget sizes) across all uses, then acts freely within them."""
     if adv.variant != DISJOINT:
         raise UnsupportedVariant("compound verification needs a disjoint adversary")
-    clipped = [net_mod.AdversarySpec(blocks=tuple(
-        net_mod.AdvBlock(v, b.t, b.e) for v, b in zip(choice, adv.blocks)))
-        for choice in hamming_mod.chosen_subsets(adv.blocks)]
+    clipped = [AdversarySpec(hamming_mod.restrict(adv.blocks, choice))
+               for choice in hamming_mod.chosen_subsets(adv.blocks)]
     return _verify_uses(net, codes_per_use, source_codes, clipped, alphabet)
 
 

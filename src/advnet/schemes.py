@@ -456,8 +456,8 @@ def build_product_alphabet(net, demands, t, e, q, m, seed=0):
                   local_codeword, decoders, alphabet, rate,
                   meta={"field": fld, "inner": inner, "outer": base,
                         "enc_table": enc_table,
-                        "adversary": AdversarySpec(variant=PER_SYMBOL,
-                                                   t=t, e=e, m=m)})
+                        "adversary": AdversarySpec((AdvBlock(range(m), t, e),),
+                                                   PER_SYMBOL)})
 
 
 # -- the hand-built double-relay scheme ---------------------------------------------

@@ -389,7 +389,7 @@ def test_per_symbol_adversary():
     alphabet = tuple(itertools.product((0, 1), repeat=2))
     net = netlib.single_path(alphabet)
     code = network.identity_routing_code(net)
-    adv = AdversarySpec(variant=network.PER_SYMBOL, t=1, e=0, m=2)
+    adv = AdversarySpec((AdvBlock(range(2), 1, 0),), network.PER_SYMBOL)
     x = (((0, 0),),)
     fans = adversarial_fanouts(net, code, adv, x, alphabet)
     obs = fans["T"]
@@ -524,6 +524,22 @@ def test_fanouts_match_explicit_actions_on_random_networks(t, e):
         checked += 1
 
 
+def test_overlapping_fanouts_match_the_clipped_hamming_fanout():
+    # identity routing makes T's observation the second-hop word itself;
+    # any two 3-edge blocks among the 4 second-hop edges overlap
+    net = netlib.parallel_path(4, (0, 1, 2))
+    code = network.identity_routing_code(net)
+    cut = ("e5", "e6", "e7", "e8")
+    rng = random.Random(1706)
+    for _ in range(4):
+        adv = AdversarySpec(blocks=tuple(AdvBlock(rng.sample(cut, 3), rng.randint(0, 2))
+                                         for _ in range(rng.randint(2, 3))),
+                            variant=network.OVERLAPPING)
+        spec = adv.clip(cut, 3)
+        for x in network.global_inputs(net):
+            assert adversarial_fanouts(net, code, adv, x)["T"] == hamming.fanout(spec, x[0])
+
+
 def test_per_symbol_fanouts_match_explicit_actions():
     alphabet = tuple(itertools.product((0, 1), repeat=2))
     words = tuple(itertools.product((0, 1, STAR), repeat=2))
@@ -535,7 +551,7 @@ def test_per_symbol_fanouts_match_explicit_actions():
 
     code = NetworkCode({"V": FuncVertex(relay)})
     for t, e in [(1, 0), (0, 1), (1, 1), (2, 0)]:
-        adv = AdversarySpec(variant=network.PER_SYMBOL, t=t, e=e, m=2)
+        adv = AdversarySpec((AdvBlock(range(2), t, e),), network.PER_SYMBOL)
 
         def within(y, v):
             return (sum(1 for a, b in zip(y, v) if a != STAR and a != b) <= t
@@ -577,7 +593,7 @@ def test_count_actions_matches_enumerated_actions(a):
                      * len(_edge_words((0,) * (len(edges) - cut), t, e, symbols)))
             assert network._count_actions(net, adv, symbols) == count
         # per-symbol: every edge of the path suffers its own sub-symbol action
-        adv = AdversarySpec(variant=network.PER_SYMBOL, t=t, e=e, m=2)
+        adv = AdversarySpec((AdvBlock(range(2), t, e),), network.PER_SYMBOL)
         per_edge = len(_edge_words((0, 0), t, e, symbols))
         assert network._count_actions(path, adv, alphabet) == per_edge ** len(path.edges)
 

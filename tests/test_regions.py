@@ -6,7 +6,7 @@ import pytest
 
 from advnet import codes, gf, hamming, netlib, network, regions
 from advnet.channel import STAR, one_shot_capacity
-from advnet.errors import InvalidParams
+from advnet.errors import InvalidParams, UnsupportedVariant
 from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, TableVertex,
                             adversarial_channel, adversarial_fanouts,
                             enumerate_minimal_cuts)
@@ -138,7 +138,7 @@ def theo1_formula(adv, a):
     block = adv.blocks[0]
 
     def value(cut):
-        inside = len(cut & block.edges)
+        inside = len(cut & block.coords)
         if not inside:
             return float(len(cut)), True
         bv = codes.beta(a, inside, 2 * block.t + block.e + 1)
@@ -148,13 +148,13 @@ def theo1_formula(adv, a):
 
 def theo2_formula(adv):
     return lambda cut: (float(len(cut) - sum(
-        min(2 * b.t + b.e, len(cut & b.edges)) for b in adv.blocks)), True)
+        min(2 * b.t + b.e, len(cut & b.coords)) for b in adv.blocks)), True)
 
 
 def overlap_formula(adv):
     def value(cut):
         clipped = tuple(hamming.Block(
-            {i for i, eid in enumerate(sorted(cut)) if eid in b.edges}, b.t, 0)
+            {i for i, eid in enumerate(sorted(cut)) if eid in b.coords}, b.t, 0)
             for b in adv.blocks)
         return float(len(cut) - hamming.adversarial_strength(clipped)), True
     return value
@@ -162,7 +162,7 @@ def overlap_formula(adv):
 
 def rank_formula(adv):
     block = adv.blocks[0]
-    return lambda cut: (float(len(cut) - min(2 * block.t, len(cut & block.edges))), True)
+    return lambda cut: (float(len(cut) - min(2 * block.t, len(cut & block.coords))), True)
 
 
 def assert_matches_formula(net, region, formula):
@@ -241,7 +241,7 @@ def test_port_clips_the_adversary_to_cut_coordinates_in_edge_order():
     for ineq in region.inequalities:
         assert list(ineq.cut) == net.edge_positions(ineq.cut)
         assert ineq.bound == -sum(2 ** i for i, eid in enumerate(ineq.cut)
-                                  if eid in adv.blocks[0].edges)
+                                  if eid in adv.blocks[0].coords)
     assert any(ineq.bound and sorted(ineq.cut) != list(ineq.cut)
                for ineq in region.inequalities)
 
@@ -252,7 +252,7 @@ def test_negative_budgets_are_rejected():
         with pytest.raises(InvalidParams):
             AdvBlock({"e1", "e2", "e3"}, t, e)
         with pytest.raises(InvalidParams):
-            AdversarySpec(variant=network.PER_SYMBOL, t=t, e=e, m=2)
+            AdversarySpec((AdvBlock(range(2), t, e),), network.PER_SYMBOL)
 
 
 def test_rank_adversary_has_one_block():
@@ -261,12 +261,24 @@ def test_rank_adversary_has_one_block():
                       variant=network.RANK)
 
 
+def test_adversary_blocks_are_hamming_blocks_checked_by_variant():
+    assert network.AdvBlock is hamming.Block
+    with pytest.raises(UnsupportedVariant):
+        AdversarySpec(variant="bogus")
+    with pytest.raises(InvalidParams, match="overlap"):
+        AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1), AdvBlock({"e2"}, 1)))
+    # the per-symbol adversary is one block over the sub-symbol positions
+    for blocks in ((), (AdvBlock(range(2), 1), AdvBlock(range(2), 0, 1))):
+        with pytest.raises(InvalidParams):
+            AdversarySpec(blocks, network.PER_SYMBOL)
+
+
 def test_overlap_region_rejects_erasures():
     # a region that ignored these erasure budgets would report a1 <= 1
     net = netlib.triple_path_bottleneck()
-    adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 1), AdvBlock({"e2", "e3"}, 0, 2)),
-                        variant=network.OVERLAPPING)
     with pytest.raises(InvalidParams, match="erasure-free"):
+        adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 1), AdvBlock({"e2", "e3"}, 0, 2)),
+                            variant=network.OVERLAPPING)
         regions.overlap_region(net, adv)
 
 
@@ -298,6 +310,28 @@ def test_brute_force_port_bounds_network_capacity():
         bound = regions.port(net, adv, 2, hamming.brute_force_capacity).bound_for({0})
         assert capacity.exact
         assert capacity.value_in_base(2) <= bound.bound + 1e-9, (edges, adv)
+        checked += 1
+
+
+def test_brute_force_bounds_overlapping_network_capacity():
+    # brute force on the network, brute force on every cut, then the formula
+    rng = random.Random(1706)
+    checked = 0
+    while checked < 40:
+        net = random_small_network(rng)
+        if net is None or len(net.sources) != 1 or len(net.edges) < 2:
+            continue
+        code = random_table_code(rng, net, A2)
+        edges = [e.id for e in net.edges]
+        adv = AdversarySpec(blocks=tuple(
+            AdvBlock(rng.sample(edges, rng.randint(1, len(edges))), rng.randint(0, 1))
+            for _ in range(2)), variant=network.OVERLAPPING)
+        capacity = one_shot_capacity(adversarial_channel(net, code, adv, "T", A2))
+        ported = regions.port(net, adv, 2, hamming.brute_force_capacity).bound_for({0})
+        formula = regions.overlap_region(net, adv).bound_for({0})
+        assert capacity.exact
+        assert capacity.value_in_base(2) <= ported.bound + 1e-9, adv
+        assert ported.bound <= formula.bound + 1e-9, adv
         checked += 1
 
 
