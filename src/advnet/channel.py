@@ -10,9 +10,11 @@ come in three representations:
   kept),
 * composites (product / concatenation / union trees over children).
 
-Composites keep their operation tree and answer confusability lazily,
-factor by factor, so powers of channels stay cheap even when their
-materialized fan-out sets would not.
+Each class owns `confusable` (equal inputs, or meeting fan-outs).
+Composites answer it lazily, factor by factor, so powers of channels stay
+cheap even when their materialized fan-out sets would not;
+`_fanouts_intersect` only compares two different channels, such as union
+branches.  `confusable_pair` is the one pairwise scan of a code.
 """
 
 import itertools
@@ -48,7 +50,7 @@ class Channel:
         raise NotImplementedError
 
     def confusable(self, x, xp):
-        return fanouts_intersect(self, self, x, xp)
+        return x == xp or not self.fanout(x).isdisjoint(self.fanout(xp))
 
     def is_deterministic(self):
         return all(len(self.fanout(x)) == 1 for x in self.iter_inputs())
@@ -82,20 +84,16 @@ class TableChannel(Channel):
 class SymbolicChannel(Channel):
     """Channel given by a fan-out rule.
 
-    inputs may be any finite iterable: pass (count, factory) for large
-    spaces or a concrete sequence for small ones.  confusable_fn, when
-    provided, must agree with fan-out intersection (callers validate this
-    against explicit enumeration on small instances).  Each input's fan-out
-    is computed once, on first use, and kept for the channel's lifetime, so
-    a confusability search makes one fan-out call per input.
+    inputs is (count, factory), factory() iterating the input space
+    afresh on each call.  confusable_fn, when provided, must agree with
+    fan-out intersection (callers validate this against explicit
+    enumeration on small instances).  Each input's fan-out is computed
+    once, on first use, and kept for the channel's lifetime, so a
+    confusability search makes one fan-out call per input.
     """
 
     def __init__(self, inputs, fanout_fn, confusable_fn=None):
-        if isinstance(inputs, tuple) and len(inputs) == 2 and callable(inputs[1]):
-            self._count, self._factory = inputs
-        else:
-            seq = tuple(inputs)
-            self._count, self._factory = len(seq), lambda: iter(seq)
+        self._count, self._factory = inputs
         self._fanout_fn = fanout_fn
         self._confusable_fn = confusable_fn
         self._fanouts = {}
@@ -172,8 +170,7 @@ class ConcatChannel(Channel):
     def confusable(self, x, xp):
         # search over the middle alphabet: the fan-outs of the first stage
         mid, mid_p = self.first.fanout(x), self.first.fanout(xp)
-        return any(fanouts_intersect(self.second, self.second, y, yp)
-                   for y in mid for yp in mid_p)
+        return any(self.second.confusable(y, yp) for y in mid for yp in mid_p)
 
 
 class UnionChannel(Channel):
@@ -194,30 +191,29 @@ class UnionChannel(Channel):
         return frozenset(out)
 
     def confusable(self, x, xp):
-        return any(fanouts_intersect(a, b, x, xp)
+        return any(_fanouts_intersect(a, b, x, xp)
                    for a in self.branches for b in self.branches)
 
 
-def fanouts_intersect(ch_a, ch_b, x_a, x_b):
+def _fanouts_intersect(ch_a, ch_b, x_a, x_b):
     """Whether the fan-out of x_a under ch_a meets the fan-out of x_b under
-    ch_b.  Recurses through composites so product fan-outs are never
+    ch_b; a channel compared with itself answers by its own `confusable`.
+    Recurses through composites so product fan-outs are never
     materialized."""
-    if ch_a is ch_b and x_a == x_b:
-        return True
+    if ch_a is ch_b:
+        return ch_a.confusable(x_a, x_b)
     if isinstance(ch_a, UnionChannel):
-        return any(fanouts_intersect(br, ch_b, x_a, x_b) for br in ch_a.branches)
+        return any(_fanouts_intersect(br, ch_b, x_a, x_b) for br in ch_a.branches)
     if isinstance(ch_b, UnionChannel):
-        return any(fanouts_intersect(ch_a, br, x_a, x_b) for br in ch_b.branches)
+        return any(_fanouts_intersect(ch_a, br, x_a, x_b) for br in ch_b.branches)
     if (isinstance(ch_a, ProductChannel) and isinstance(ch_b, ProductChannel)
             and len(ch_a.factors) == len(ch_b.factors)):
-        return all(fanouts_intersect(fa, fb, a, b)
+        return all(_fanouts_intersect(fa, fb, a, b)
                    for fa, fb, a, b in zip(ch_a.factors, ch_b.factors, x_a, x_b))
     if isinstance(ch_a, ConcatChannel) and isinstance(ch_b, ConcatChannel):
-        return any(fanouts_intersect(ch_a.second, ch_b.second, y, yp)
+        return any(_fanouts_intersect(ch_a.second, ch_b.second, y, yp)
                    for y in ch_a.first.fanout(x_a) for yp in ch_b.first.fanout(x_b))
-    if ch_a is ch_b and isinstance(ch_a, SymbolicChannel) and ch_a._confusable_fn:
-        return ch_a._confusable_fn(x_a, x_b)
-    return bool(ch_a.fanout(x_a) & ch_b.fanout(x_b))
+    return not ch_a.fanout(x_a).isdisjoint(ch_b.fanout(x_b))
 
 
 # -- constructors ------------------------------------------------------------
@@ -272,16 +268,18 @@ def union(channels):
 
 # -- codes and capacity ------------------------------------------------------
 
-def is_good_code(ch, code):
-    """True iff the fan-out sets of the code's elements are pairwise disjoint."""
+def confusable_pair(ch, code):
+    """The first pair of confusable code elements in index order, or None."""
     code = tuple(code)
     if not code:
         raise EmptyCode("a code must be non-empty")
-    for i in range(len(code)):
-        for j in range(i + 1, len(code)):
-            if ch.confusable(code[i], code[j]):
-                return False
-    return True
+    return next(((x, xp) for x, xp in itertools.combinations(code, 2)
+                 if ch.confusable(x, xp)), None)
+
+
+def is_good_code(ch, code):
+    """True iff the fan-out sets of the code's elements are pairwise disjoint."""
+    return confusable_pair(ch, code) is None
 
 
 class CapacityResult:
@@ -322,11 +320,10 @@ def confusability_adjacency(ch, max_vertices=MAX_VERTICES):
     inputs = ch.inputs_tuple()
     n = len(inputs)
     adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ch.confusable(inputs[i], inputs[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    for i, j in itertools.combinations(range(n), 2):
+        if ch.confusable(inputs[i], inputs[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return inputs, adj
 
 

@@ -304,7 +304,7 @@ class RankCode:
         for _ in range(t):
             powers.append(tuple(F.pow(y, q) for y in powers[-1]))
         system = gf.Matrix(F, tuple(zip(*powers, *self._point_powers[:k + t])))
-        reduced, _, pivots = system._rref()
+        reduced, pivots = system._rref()
         free = next((c for c in range(system.ncols) if c not in pivots), None)
         if free is None:
             raise NoCodewordInRange("no codeword within rank radius")

@@ -479,10 +479,9 @@ class Matrix:
         return Matrix(bigger_field, self.rows)
 
     def _rref(self):
-        """Row-reduce; returns (R, ops, pivots) with ops @ self == R."""
+        """Row-reduce; returns (R, pivots), R in reduced row echelon form."""
         F = self.field
         a = [list(r) for r in self.rows]
-        ops = [[1 if i == j else 0 for j in range(self.nrows)] for i in range(self.nrows)]
         pivots = []
         r = 0
         for c in range(self.ncols):
@@ -490,34 +489,32 @@ class Matrix:
             if pivot is None:
                 continue
             a[r], a[pivot] = a[pivot], a[r]
-            ops[r], ops[pivot] = ops[pivot], ops[r]
             inv = F.inv(a[r][c])
             a[r] = [F.mul(inv, x) for x in a[r]]
-            ops[r] = [F.mul(inv, x) for x in ops[r]]
             for i in range(self.nrows):
                 if i != r and a[i][c]:
                     f = a[i][c]
                     a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], a[r])]
-                    ops[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(ops[i], ops[r])]
             pivots.append(c)
             r += 1
             if r == self.nrows:
                 break
-        return (Matrix(F, tuple(tuple(x) for x in a)),
-                Matrix(F, tuple(tuple(x) for x in ops)), pivots)
+        return Matrix(F, tuple(tuple(x) for x in a)), pivots
 
     def rank(self):
-        return len(self._rref()[2])
+        return len(self._rref()[1])
 
     def right_inverse(self):
-        """Matrix R with self @ R == identity, or None if rank < nrows."""
-        _, ops, pivots = self._rref()
-        if len(pivots) < self.nrows:
+        """Matrix R with self @ R == identity, or None if rank < nrows.
+        Row-reduces [self | I]; the right block B has B @ self == rref."""
+        n, k = self.nrows, self.ncols
+        eye = Matrix.identity(self.field, n).rows
+        augmented = Matrix(self.field, tuple(r + e for r, e in zip(self.rows, eye)))
+        reduced, pivots = augmented._rref()
+        if sum(c < k for c in pivots) < n:
             return None
-        out = [[0] * self.nrows for _ in range(self.ncols)]
-        for j, pcol in enumerate(pivots):
-            out[pcol] = list(ops.rows[j])
-        return Matrix(self.field, tuple(tuple(r) for r in out))
+        block = {c: row[k:] for c, row in zip(pivots, reduced.rows)}
+        return Matrix(self.field, tuple(block.get(c, (0,) * n) for c in range(k)))
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"

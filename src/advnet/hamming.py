@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import codes, gf
 from .channel import (STAR, ProductChannel, SymbolicChannel, TableChannel,
-                      UnionChannel, is_good_code, one_shot_capacity)
+                      UnionChannel, is_good_code, one_shot_capacity, power)
 from .errors import (AlphabetMismatch, FieldTooSmall, IndexOutOfRange,
                      InvalidParams, SearchLimitExceeded, UnsupportedVariant)
 
@@ -348,11 +348,7 @@ def compound_channel(spec, n):
     choices = chosen_subsets(spec.blocks)
     if len(choices) * spec.alphabet_size ** (spec.length * n) > TABLE_LIMIT ** 2:
         raise SearchLimitExceeded("compound channel too large")
-    branches = []
-    for chosen in choices:
-        clipped = explicit_channel(spec.clip(chosen))
-        branches.append(ProductChannel([clipped] * n) if n > 1 else clipped)
-    return UnionChannel(branches)
+    return UnionChannel([power(explicit_channel(spec.clip(chosen)), n) for chosen in choices])
 
 
 # -- achievability -------------------------------------------------------------

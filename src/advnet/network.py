@@ -21,11 +21,13 @@ An adversary is a set of `hamming.Block`s whose coordinates are edge ids,
 so its admissible corruptions are the Hamming-type actions of `hamming`
 ported to edges.  Disjoint and overlapping blocks both take their passes
 from `block_actions` (positions only; values are chosen as each edge
-emits, and a pass corrupts the union of its blocks' chosen edges), and the
-one block of a per-symbol adversary, over sub-symbol positions, gives
-every edge value its own `ball`.
+emits, and each distinct union of its blocks' chosen edges is one pass),
+and the one block of a per-symbol adversary, over sub-symbol positions,
+gives every edge value its own `ball`.  `adversarial_channels` makes the
+terminals' channels, on which `regions` verifies codes.
 """
 
+import functools
 import itertools
 import math
 import re
@@ -477,14 +479,12 @@ def _input_space(net, alphabet, keep=None):
     (all sources when None)."""
     alphabet = net._alphabet(alphabet)
     idxs = range(len(net.sources)) if keep is None else keep
-    spaces = [list(itertools.product(alphabet, repeat=len(net.out_edges(net.sources[i]))))
-              for i in idxs]
-    count = math.prod(len(space) for space in spaces)
+    widths = [len(net.out_edges(net.sources[i])) for i in idxs]
 
     def factory():
-        return itertools.product(*spaces)
+        return itertools.product(*[itertools.product(alphabet, repeat=w) for w in widths])
 
-    return count, factory
+    return len(alphabet) ** sum(widths), factory
 
 
 def _kept_sources(net, keep, frozen):
@@ -518,14 +518,13 @@ def transfer_channel(net, code, edge_ids, alphabet=None, keep=None, frozen=None)
     vary and `frozen` maps every other source index to its fixed input."""
     keep = _kept_sources(net, keep, frozen)
     ordered = net.edge_positions(edge_ids)
-    count, factory = _input_space(net, alphabet, keep)
 
     def fanout_fn(xs):
         x = _assemble_global(net, keep, xs, frozen)
         res = evaluate(net, code, x)
         return (tuple(res.edge_values[eid] for eid in ordered),)
 
-    return SymbolicChannel((count, factory), fanout_fn)
+    return SymbolicChannel(_input_space(net, alphabet, keep), fanout_fn)
 
 
 def _cone(net, terminal, resolved):
@@ -652,13 +651,14 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None):
     if adv.variant in (DISJOINT, OVERLAPPING):
         # one pass per choice of corrupted and erased edges in every block;
         # a corrupted edge may carry any other value of its clean one
-        passes = []
-        for combo in itertools.product(*[block_actions(*b) for b in adv.blocks]):
-            err = {eid for errs, _ in combo for eid in errs}
-            stars = {eid for _, st in combo for eid in st}
-            passes.append(lambda eid, v, err=err, stars=stars: (
-                (STAR,) if eid in stars else
-                [w for w in alphabet_t if w != v] if eid in err else (v,)))
+        actions = dict.fromkeys(
+            (frozenset(eid for errs, _ in combo for eid in errs),
+             frozenset(eid for _, st in combo for eid in st))
+            for combo in itertools.product(*[block_actions(*b) for b in adv.blocks]))
+        passes = [lambda eid, v, err=err, stars=stars: (
+            (STAR,) if eid in stars else
+            [w for w in alphabet_t if w != v] if eid in err else (v,))
+            for err, stars in actions]
     else:   # per-symbol: _count_actions has rejected every other variant
         base = sorted({v for sym in alphabet_t for v in sym})
         balls = {}
@@ -677,17 +677,23 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None):
     return {t: frozenset(v) for t, v in outs.items()}
 
 
-def adversarial_channel(net, code, adv, terminal, alphabet=None, keep=None,
-                        frozen=None):
-    """Channel from (selected) source inputs to the terminal's observations
-    under all admissible adversary actions.  keep/frozen as for
-    `transfer_channel`."""
+def adversarial_channels(net, code, adv, alphabet=None, keep=None, frozen=None):
+    """Per terminal, the channel from (selected) source inputs to the
+    terminal's observations under all admissible adversary actions.  The
+    channels share one `adversarial_fanouts` call per input.  keep/frozen
+    as for `transfer_channel`."""
     keep = _kept_sources(net, keep, frozen)
-    count, factory = _input_space(net, alphabet, keep)
+    inputs = _input_space(net, alphabet, keep)
 
-    def fanout_fn(xs):
+    @functools.cache
+    def fanouts(xs):
         x = _assemble_global(net, keep, xs, frozen)
-        fans = adversarial_fanouts(net, code, adv, x, alphabet)
-        return fans[terminal]
+        return adversarial_fanouts(net, code, adv, x, alphabet)
 
-    return SymbolicChannel((count, factory), fanout_fn)
+    return {t: SymbolicChannel(inputs, lambda xs, t=t: fanouts(xs)[t])
+            for t in net.terminals}
+
+
+def adversarial_channel(net, code, adv, terminal, alphabet=None, keep=None, frozen=None):
+    """The `adversarial_channels` entry of one terminal."""
+    return adversarial_channels(net, code, adv, alphabet, keep, frozen)[terminal]

@@ -7,10 +7,12 @@ one from a point-to-point bound: b_J is its least value over terminals and
 minimal cuts on `AdversarySpec.clip` of the adversary to the cut.  A ported
 region bounds whichever capacity its point-to-point bound bounds.
 
-Verification implements the three achievability notions: one-shot (a
-product code good for every terminal's adversarial channel), n-shot
-(a fresh network code and adversary action per use), and compound (the
-adversary fixes its vulnerable edge set across all uses).
+Verification implements the three achievability notions, each as one
+`channel.confusable_pair` scan of the product code on a channel per
+terminal: one-shot on the terminal's adversarial channel, n-shot on the
+product over uses of those channels (a fresh network code and adversary
+action per use), and compound on the union, over the vulnerable edge sets
+the adversary may fix across all uses, of such products.
 """
 
 import itertools
@@ -18,9 +20,12 @@ import math
 from dataclasses import dataclass
 
 from . import hamming as hamming_mod
+from .channel import ProductChannel, UnionChannel, confusable_pair
 from .errors import InvalidParams, UnsupportedVariant
 from .network import (DISJOINT, OVERLAPPING, RANK, AdversarySpec,
-                      adversarial_fanouts, enumerate_minimal_cuts, min_cut)
+                      adversarial_channels, enumerate_minimal_cuts, min_cut)
+# bound here too: perfbench/spans.py traces it under this module's name
+from .network import adversarial_fanouts  # noqa: F401
 
 
 # slack on every rate comparison, for bounds computed as floating logs
@@ -173,7 +178,6 @@ class VerifyResult:
     rate: tuple
     terminal: str = None
     pair: tuple = None
-    observation: object = None
 
     def __bool__(self):
         return self.ok
@@ -183,19 +187,23 @@ def _rates(source_codes, alphabet_size, n=1):
     return tuple(math.log(len(c), alphabet_size) / n for c in source_codes)
 
 
+def _verdict(channels, inputs, rate, message=lambda x: x):
+    """One `confusable_pair` scan of the inputs per terminal channel; the
+    certificate of failure is (terminal, pair of messages)."""
+    for t, ch in channels.items():
+        pair = confusable_pair(ch, inputs)
+        if pair is not None:
+            return VerifyResult(False, rate, t, tuple(map(message, pair)))
+    return VerifyResult(True, rate)
+
+
 def verify_one_shot(net, code, source_codes, adv, alphabet=None):
     """Whether the product of the source codes is good for every terminal's
-    adversarial channel; the certificate of failure is (terminal, pair)."""
+    adversarial channel."""
     alphabet_t = net._alphabet(alphabet)
-    rate = _rates(source_codes, len(alphabet_t))
-    messages = [tuple(x) for x in itertools.product(*source_codes)]
-    fans = {x: adversarial_fanouts(net, code, adv, x, alphabet_t) for x in messages}
-    for t in net.terminals:
-        for x, xp in itertools.combinations(messages, 2):
-            common = fans[x][t] & fans[xp][t]
-            if common:
-                return VerifyResult(False, rate, t, (x, xp), next(iter(common)))
-    return VerifyResult(True, rate)
+    return _verdict(adversarial_channels(net, code, adv, alphabet_t),
+                    list(itertools.product(*source_codes)),
+                    _rates(source_codes, len(alphabet_t)))
 
 
 def verify_n_shot(net, codes_per_use, source_codes, adv, alphabet=None):
@@ -216,25 +224,17 @@ def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None):
 
 
 def _verify_uses(net, codes_per_use, source_codes, advs, alphabet):
-    """Goodness over n = len(codes_per_use) uses when the adversary of each
-    message keeps one of `advs` for every use and picks a fresh admissible
-    action of it per use; the certificate of failure is (terminal, pair)."""
+    """Goodness over n = len(codes_per_use) uses when the adversary keeps
+    one of `advs` for every use and picks a fresh admissible action of it
+    per use: per terminal, the union over `advs` of the product over uses
+    of the adversarial channels, fed each message's per-use inputs."""
     alphabet_t = net._alphabet(alphabet)
-    n = len(codes_per_use)
-    rate = _rates(source_codes, len(alphabet_t), n)
-    messages = [tuple(x) for x in itertools.product(*source_codes)]
-    fans = {}
-    for ci, adv in enumerate(advs):
-        for msg in messages:
-            for k in range(n):
-                x = tuple(msg[i][k] for i in range(len(net.sources)))
-                fans[(ci, msg, k)] = adversarial_fanouts(net, codes_per_use[k], adv,
-                                                         x, alphabet_t)
-    for t in net.terminals:
-        for m1, m2 in itertools.combinations(messages, 2):
-            for ci in range(len(advs)):
-                for cj in range(len(advs)):
-                    if all(fans[(ci, m1, k)][t] & fans[(cj, m2, k)][t]
-                           for k in range(n)):
-                        return VerifyResult(False, rate, t, (m1, m2))
-    return VerifyResult(True, rate)
+    per_adv = [[adversarial_channels(net, code, adv, alphabet_t) for code in codes_per_use]
+               for adv in advs]
+    channels = {t: UnionChannel([ProductChannel([chs[t] for chs in uses])
+                                 for uses in per_adv])
+                for t in net.terminals}
+    inputs = [tuple(zip(*m)) for m in itertools.product(*source_codes)]
+    return _verdict(channels, inputs,
+                    _rates(source_codes, len(alphabet_t), len(codes_per_use)),
+                    lambda x: tuple(zip(*x)))

@@ -134,6 +134,15 @@ def test_good_code_checks():
         ch.is_good_code(hh, [])
 
 
+def test_confusable_pair_is_the_first_in_index_order():
+    hh = hh_channel()
+    code = [word("0000"), word("1111"), word("1100"), word("0011")]
+    assert ch.confusable_pair(hh, code) == (word("0000"), word("1100"))
+    assert ch.confusable_pair(hh, code[:2]) is None
+    with pytest.raises(EmptyCode):
+        ch.confusable_pair(hh, [])
+
+
 def test_hh_capacity_is_one_bit():
     res = ch.one_shot_capacity(hh_channel())
     assert res.exact and res.size == 2 and res.bits == 1.0
@@ -315,6 +324,44 @@ def test_product_of_concats_is_concat_of_products():
         for i in range(1, m):
             rhs = ch.concat(rhs, ch.ProductChannel([grid[k][i] for k in range(n)]))
         assert ch.same_fanout_map(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# confusability against fan-out intersection
+# ---------------------------------------------------------------------------
+
+
+def random_composites(rng):
+    """Random 3-symbol table channels and composites of every kind over them."""
+    a, b, c, d = (ch.random_table_channel(rng, range(3), range(3)) for _ in range(4))
+    pairs = tuple(itertools.product(range(3), repeat=2))
+    return [a, ch.product(a, b), ch.power(a, 3), ch.concat(a, b),
+            ch.union([a, b, c]), ch.product(ch.union([a, b]), ch.concat(c, d)),
+            ch.concat(ch.union([a, b]), c),
+            ch.union([ch.product(a, b), ch.product(c, d), ch.power(b, 2)]),
+            ch.union([ch.concat(a, b), ch.concat(c, d)]),
+            ch.union([ch.product(a, b), ch.random_table_channel(rng, pairs, pairs)])]
+
+
+def test_confusable_is_fanout_intersection_on_composites():
+    rng = random.Random(170605)
+    for _ in range(5):
+        for c in random_composites(rng):
+            xs = c.inputs_tuple()
+            for x, xp in itertools.product(xs, repeat=2):
+                assert c.confusable(x, xp) == bool(c.fanout(x) & c.fanout(xp)), (c, x, xp)
+
+
+def test_benchmark_channel_graphs_are_pairwise_fanout_intersection():
+    from test_benchmark_boundaries import _workloads
+    workloads = _workloads()
+    instances = ([workloads.random_table(*args) for args in workloads.RANDOM_TABLES]
+                 + [workloads.circulant_channel(*args) for args in workloads.CIRCULANTS])
+    for c in instances:
+        inputs, adj = ch.confusability_adjacency(c)
+        fans = [c.fanout(x) for x in inputs]
+        assert adj == [sum(1 << j for j, fan in enumerate(fans) if j != i and fan & fans[i])
+                       for i in range(len(inputs))]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from advnet import channel as ch
 from advnet import codes, gf, hamming
 from advnet.channel import STAR
-from advnet.errors import InvalidParams, UnsupportedVariant
+from advnet.errors import IndexOutOfRange, InvalidParams, UnsupportedVariant
 
 
 def random_disjoint_spec(rng, max_len=4, max_alpha=3):
@@ -43,6 +43,17 @@ def test_discrepancy_and_erasure_weight():
     assert hamming.erasure_weight(y, range(4)) == 1
     assert hamming.discrepancy(y, x, {2, 3}) == 0
     assert hamming.erasure_weight(y, {2, 3}) == 0
+
+
+def test_coordinates_outside_the_word_raise():
+    with pytest.raises(IndexOutOfRange):
+        hamming.single_block(2, 4, {1, 4}, t=1)
+    with pytest.raises(IndexOutOfRange):
+        hamming.RankMetricSpec(2, 2, 3, {0, 3}, 1)
+    with pytest.raises(IndexOutOfRange):
+        hamming.discrepancy((0, 0), (0, 1), {2})
+    with pytest.raises(IndexOutOfRange):
+        hamming.erasure_weight((0, STAR), {-1})
 
 
 def test_in_fanout_single_block():

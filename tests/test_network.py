@@ -7,7 +7,7 @@ from advnet import channel as ch
 from advnet import codes, gf, hamming, netlib, network, schemes
 from advnet.channel import STAR, concat, same_fanout_map
 from advnet.errors import (BadFreeze, CyclicGraph, Infeasible, InvalidParams,
-                           NotACut, SearchLimitExceeded, TooLarge)
+                           MissingCodeFunction, NotACut, SearchLimitExceeded, TooLarge)
 from advnet.network import (AdvBlock, AdversarySpec, Edge, FuncVertex,
                             LinearVertex, Network, NetworkCode, TableVertex,
                             adversarial_channel, adversarial_fanouts,
@@ -218,6 +218,14 @@ def chain_code():
                      | {(a, b): (0, 0) for a in (0, 1, STAR) for b in (0, 1, STAR)
                         if a == STAR or b == STAR})
     return NetworkCode({"V1": v1, "V2": v2, "V3": v3})
+
+
+def test_evaluate_without_a_vertex_function_raises():
+    net = netlib.chain_with_bypass(A2)
+    functions = chain_code().functions
+    del functions["V2"]
+    with pytest.raises(MissingCodeFunction):
+        evaluate(net, NetworkCode(functions), ((0, 1),))
 
 
 def test_transfer_channel_formula_on_bypass_chain():
@@ -469,6 +477,38 @@ def test_adversarial_channel_computes_each_fanout_once(monkeypatch):
     got = ch.one_shot_capacity(adversarial_channel(net, code, adv, "T"))
     assert sorted(calls) == sorted(inputs)
     assert (got.size, got.witness, got.exact) == (want.size, want.witness, want.exact)
+
+
+def test_channels_of_huge_input_spaces_build_without_listing_them():
+    # 512 symbols and three out-edges per source: 512**6 global inputs
+    net = netlib.two_source_shared_relay((3, 3), 4)
+    scheme = schemes.build_achiev1(net, (1, 1), 1, 2, max_draws=400, seed=9)
+    adv = AdversarySpec(blocks=(AdvBlock({net.out_edges("S1")[0].id}, 1),))
+    chan = adversarial_channel(net, scheme.network_code, adv, "T", scheme.alphabet)
+    assert chan.input_count == len(scheme.alphabet) ** 6 == 512 ** 6
+    assert transfer_channel(net, scheme.network_code, ["e1"], scheme.alphabet,
+                            keep=(0,), frozen={1: scheme.source_codes[1][0]}
+                            ).input_count == 512 ** 3
+    x = tuple(c[1] for c in scheme.source_codes)
+    fans = adversarial_fanouts(net, scheme.network_code, adv, x, scheme.alphabet)
+    assert chan.fanout(x) == fans["T"]
+
+
+def test_overlapping_blocks_run_each_distinct_action_once(monkeypatch):
+    # two t = 1 blocks on the same three edges: 16 combinations of block
+    # actions, 7 distinct corrupted sets
+    net = netlib.parallel_path(3, A2)
+    code = network.identity_routing_code(net)
+    cut = ("e4", "e5", "e6")
+    adv = AdversarySpec((AdvBlock(cut, 1), AdvBlock(cut, 1)), network.OVERLAPPING)
+    spec = adv.clip(cut, 2)
+    forward, calls = network._forward, []
+    monkeypatch.setattr(network, "_forward",
+                        lambda *args: calls.append(args) or forward(*args))
+    for x in network.global_inputs(net):
+        calls.clear()
+        assert adversarial_fanouts(net, code, adv, x)["T"] == hamming.fanout(spec, x[0])
+        assert len(calls) == 7
 
 
 def test_cyclic_network_raises_typed_error():

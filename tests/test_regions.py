@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from advnet import codes, gf, hamming, netlib, network, regions
+from advnet import codes, gf, hamming, netlib, network, regions, schemes
 from advnet.channel import STAR, one_shot_capacity
 from advnet.errors import InvalidParams, UnsupportedVariant
 from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, TableVertex,
@@ -419,6 +419,109 @@ def test_compound_strictly_weaker_adversary_example():
     cres = regions.verify_compound(net, [code, code], [words], adv, A2)
     assert not nres.ok
     assert not cres.ok or nres.ok  # containment direction only
+
+
+# ---------------------------------------------------------------------------
+# verification against a per-message fan-out table
+# ---------------------------------------------------------------------------
+
+
+def refutations(net, codes_per_use, source_codes, advs, alphabet):
+    """Oracle: every (terminal, pair of messages) that refutes goodness over
+    len(codes_per_use) uses, from a table of each message's fan-outs per
+    adversary and use.  The pair refutes when the fan-outs of some two of
+    `advs` meet at every use."""
+    n = len(codes_per_use)
+    messages = list(itertools.product(*source_codes))
+    fans = {(ci, m, k): adversarial_fanouts(net, codes_per_use[k], adv,
+                                            tuple(c[k] for c in m), alphabet)
+            for ci, adv in enumerate(advs) for m in messages for k in range(n)}
+    return {(t, (m1, m2)) for t in net.terminals
+            for m1, m2 in itertools.combinations(messages, 2)
+            if any(all(fans[(ci, m1, k)][t] & fans[(cj, m2, k)][t] for k in range(n))
+                   for ci in range(len(advs)) for cj in range(len(advs)))}
+
+
+def one_shot_refutations(net, code, source_codes, adv, alphabet):
+    uses = [[(c,) for c in source_code] for source_code in source_codes]
+    return {(t, tuple(tuple(c for c, in m) for m in pair))
+            for t, pair in refutations(net, [code], uses, [adv], alphabet)}
+
+
+def assert_agrees(res, bad):
+    assert res.ok == (not bad)
+    if not res.ok:
+        assert (res.terminal, res.pair) in bad
+
+
+def random_source_codes(rng, net):
+    return [rng.sample(list(itertools.product(A2, repeat=len(net.out_edges(s)))),
+                       rng.randint(1, 2 ** len(net.out_edges(s))))
+            for s in net.sources]
+
+
+def test_verify_one_shot_agrees_with_the_fanout_table():
+    rng = random.Random(17060)
+    nets = [netlib.butterfly(A2), netlib.two_source_hub(A2)]
+    verdicts = []
+    while len(verdicts) < 30:
+        net = nets.pop() if nets else random_small_network(rng)
+        if net is None:
+            continue
+        code = random_table_code(rng, net, A2, erasures=True)
+        edges = rng.sample([e.id for e in net.edges], rng.randint(1, len(net.edges)))
+        adv = AdversarySpec(blocks=(AdvBlock(edges, rng.randint(0, 1), rng.randint(0, 1)),))
+        source_codes = random_source_codes(rng, net)
+        res = regions.verify_one_shot(net, code, source_codes, adv, A2)
+        assert_agrees(res, one_shot_refutations(net, code, source_codes, adv, A2))
+        verdicts.append(res.ok)
+    assert 5 < sum(verdicts) < 25
+
+
+def compound_advs(adv):
+    return [AdversarySpec(hamming.restrict(adv.blocks, choice))
+            for choice in hamming.chosen_subsets(adv.blocks)]
+
+
+@pytest.mark.parametrize("case", ["parallel_path", "bottleneck"])
+def test_n_shot_and_compound_agree_with_the_fanout_table(case):
+    # the networks of the compound and n-shot cases above, on random
+    # two-use codes
+    if case == "parallel_path":
+        net = netlib.parallel_path(2, A2)
+        code = network.identity_routing_code(net)
+    else:
+        net = netlib.triple_path_bottleneck(A2)
+        code = majority_bottleneck_code()
+    edges = [e.id for e in net.out_edges("S")]
+    adv = AdversarySpec(blocks=(AdvBlock(edges, 1, 0),))
+    space = list(itertools.product(A2, repeat=len(edges)))
+    rng = random.Random(len(edges))
+    verdicts = []
+    for _ in range(10):
+        words = rng.sample([(w1, w2) for w1 in space for w2 in space], rng.randint(1, 4))
+        for verify, advs in ((regions.verify_n_shot, [adv]),
+                             (regions.verify_compound, compound_advs(adv))):
+            res = verify(net, [code, code], [words], adv, A2)
+            assert_agrees(res, refutations(net, [code, code], [words], advs, A2))
+            verdicts.append(res.ok)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_verify_computes_each_message_fanout_once_for_all_terminals(monkeypatch):
+    net = netlib.butterfly(A2)
+    scheme = schemes.build_adversary_free(net, (2,), 2, seed=0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return adversarial_fanouts(*args)
+
+    monkeypatch.setattr(network, "adversarial_fanouts", counted)
+    res = regions.verify_one_shot(net, scheme.network_code, scheme.source_codes,
+                                  network.adversary_free(), A2)
+    assert res.ok
+    assert sorted(calls) == sorted(itertools.product(*scheme.source_codes))
 
 
 # ---------------------------------------------------------------------------
