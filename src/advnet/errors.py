@@ -70,20 +70,13 @@ class MissingCodeFunction(AdvnetError):
 
 
 class Infeasible(AdvnetError):
-    """A path/flow demand cannot be met; carries the violated cut."""
+    """Demands past the cut-set bound: those of the source indices `sources`
+    sum past their min cut to `terminal`, less the slack checked."""
 
     def __init__(self, sources, terminal):
         self.sources = sources
         self.terminal = terminal
         super().__init__(f"demand violated for sources {sorted(sources)} at {terminal}")
-
-
-class RegionViolated(AdvnetError):
-    """A requested rate vector lies outside the applicable rate region."""
-
-    def __init__(self, subset):
-        self.subset = subset
-        super().__init__(f"rate bound violated for source subset {sorted(subset)}")
 
 
 class DrawsExhausted(AdvnetError):

@@ -16,8 +16,9 @@ and erased positions; the network's disjoint and overlapping passes),
 per-symbol actions) and `ball_size`; `chosen_subsets` lists the compound
 model's fixed vulnerable sets and `restrict` narrows blocks to them.
 
-Capacity values in this module are logarithms in base a, with the base
-recorded on the returned value.
+A product alphabet B^m is a spec over B with one block per symbol, over
+its m sub-symbols.  Capacity values in this module are logarithms in base
+a, with the base recorded on the returned value; each bound takes one spec.
 """
 
 import itertools
@@ -25,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 from . import codes, gf
-from .channel import (STAR, ProductChannel, SymbolicChannel, TableChannel,
-                      UnionChannel, is_good_code, one_shot_capacity, power)
+from .channel import (STAR, SymbolicChannel, TableChannel, UnionChannel,
+                      is_good_code, one_shot_capacity, power)
 from .errors import (AlphabetMismatch, FieldTooSmall, IndexOutOfRange,
                      InvalidParams, SearchLimitExceeded, UnsupportedVariant)
 
@@ -330,6 +331,18 @@ def sigma(spec):
     return sum(sigmas(spec))
 
 
+def singleton_hamming_bound(spec):
+    """Single-block disjoint spec, base-a units: the tighter of the
+    Singleton-type multi_block_bound and the Hamming-type
+    max(0, s - log_a |ball of radius t + floor(e/2) in U|)."""
+    if spec.variant != DISJOINT or len(spec.blocks) != 1:
+        raise InvalidParams("single-block disjoint spec required")
+    (coords, t, e), = spec.blocks
+    a = spec.alphabet_size
+    packing = max(0.0, spec.length - math.log(ball_size(len(coords), t + e // 2, 0, a), a))
+    return BaseValue(min(multi_block_bound(spec).value, packing), a)
+
+
 def multi_block_bound(spec, n=1):
     """Upper bound n(s - sum_l min(2t_l+e_l, |U_l|)) on the capacity of n
     uses (also valid for the compound model), base-a units."""
@@ -379,21 +392,19 @@ def achievability_code(spec, field):
 
 # -- product alphabets ---------------------------------------------------------
 
-def product_alphabet_bound(t, e, b, m, s):
-    """s/m * max(0, m - 2t - e) in base-(b^m) units."""
-    if m < 1:
-        raise InvalidParams("m must be >= 1")
-    return BaseValue(s / m * max(0, m - 2 * t - e), b ** m)
+def product_alphabet_bound(spec):
+    """s max(0, m - 2t - e) / m in base-(b^m) units: multi_block_bound / m
+    for s symbols over B^m, a spec over B with one block per symbol."""
+    m = spec.length // len(spec.blocks) if spec.blocks else 1
+    return BaseValue(multi_block_bound(spec).value / m, spec.alphabet_size ** m)
 
 
 def product_alphabet_channel(b, m, s, t, e):
     """Channel on (B^m)^s where every symbol independently suffers up to t
     sub-symbol errors and e erasures."""
-    symbol_spec = single_block(b, m, range(m), t, e)
     if (b ** m) ** s > TABLE_LIMIT:
         raise SearchLimitExceeded("product-alphabet channel too large")
-    inner = explicit_channel(symbol_spec)
-    return ProductChannel([inner] * s) if s > 1 else inner
+    return power(explicit_channel(single_block(b, m, range(m), t, e)), s)
 
 
 # -- overlapping adversaries ----------------------------------------------------

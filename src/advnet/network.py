@@ -24,7 +24,9 @@ from `block_actions` (positions only; values are chosen as each edge
 emits, and each distinct union of its blocks' chosen edges is one pass),
 and the one block of a per-symbol adversary, over sub-symbol positions,
 gives every edge value its own `ball`.  `adversarial_channels` makes the
-terminals' channels, on which `regions` verifies codes.
+terminals' channels, on which `regions` verifies codes.  `AdversarySpec.clip`
+makes any adversary a `hamming` spec on a cut (per-symbol: one block of m
+sub-symbols per edge).  `check_demands` is the one cut-set demand check.
 """
 
 import functools
@@ -242,29 +244,27 @@ def _max_flow_unit_edges(net, source_caps, terminal):
                 flow[idx] += 1
                 v = arcs[idx][0]
         value += 1
-    flow_map = {arcs[i][3]: flow[i] for i in range(len(arcs))}
-    return value, flow_map
+    return value, {arc[3]: f for arc, f in zip(arcs, flow)}
 
 
 BIG = 1 << 20
 
 
+def source_subsets(n):
+    """The non-empty subsets of range(n) as frozensets, smallest first."""
+    return [frozenset(js) for r in range(1, n + 1)
+            for js in itertools.combinations(range(n), r)]
+
+
 def min_cut(net, source_subset, terminal):
     """Minimum number of edges separating the given sources from the
     terminal (max-flow with unit edge capacities)."""
-    subset = _as_sources(net, source_subset)
-    caps = {s: BIG for s in subset}
-    value, _ = _max_flow_unit_edges(net, caps, terminal)
-    return value
+    caps = dict.fromkeys(_as_sources(net, source_subset), BIG)
+    return _max_flow_unit_edges(net, caps, terminal)[0]
 
 
 def _as_sources(net, source_subset):
-    subset = []
-    for s in source_subset:
-        if isinstance(s, int):
-            subset.append(net.sources[s])
-        else:
-            subset.append(s)
+    subset = [net.sources[s] if isinstance(s, int) else s for s in source_subset]
     if not subset:
         raise InvalidParams("source subset must be non-empty")
     return subset
@@ -302,29 +302,28 @@ def enumerate_minimal_cuts(net, source_subset, terminal):
     return [set(c) for c in minimal]
 
 
+def check_demands(net, demands, slack=0):
+    """The cut-set bound (Ahlswede, Cai, Li & Yeung, IEEE T-IT 2000) less
+    `slack`: Infeasible(J, t) for the first source subset J, smallest first,
+    and terminal t with sum_J demands > min_cut(J, t) - slack."""
+    for js in source_subsets(len(net.sources)):
+        need = sum(demands[j] for j in js)
+        for t in net.terminals:
+            if need > min_cut(net, js, t) - slack:
+                raise Infeasible(set(js), t)
+
+
 def edge_disjoint_paths(net, demands):
     """Per-terminal systems of edge-disjoint source-to-terminal paths with
-    exactly demands[i] paths starting at source i.  Raises Infeasible with
-    the violated cut when impossible."""
+    exactly demands[i] paths starting at source i.  Raises Infeasible from
+    `check_demands` when impossible."""
     if len(demands) != len(net.sources):
         raise InvalidParams("one demand per source required")
-    total = sum(demands)
-    result = {}
-    for t in net.terminals:
-        caps = {s: demands[i] for i, s in enumerate(net.sources) if demands[i]}
-        if not caps:
-            result[t] = []
-            continue
-        value, flow = _max_flow_unit_edges(net, caps, t)
-        if value < total:
-            for r in range(1, len(net.sources) + 1):
-                for js in itertools.combinations(range(len(net.sources)), r):
-                    if sum(demands[j] for j in js) > min_cut(net, js, t):
-                        raise Infeasible(set(js), t)
-            raise Infeasible(set(range(len(net.sources))), t)
-        paths = _decompose_paths(net, flow, caps, t)
-        result[t] = paths
-    return result
+    caps = {s: a for s, a in zip(net.sources, demands) if a}
+    flows = {t: _max_flow_unit_edges(net, caps, t) for t in net.terminals}
+    if any(value < sum(demands) for value, _ in flows.values()):
+        check_demands(net, demands)   # by max-flow/min-cut some J's demands exceed its min cut
+    return {t: _decompose_paths(net, flow, caps, t) for t, (_, flow) in flows.items()}
 
 
 def _decompose_paths(net, flow, caps, terminal):
@@ -603,13 +602,22 @@ class AdversarySpec:
         if self.variant in (RANK, PER_SYMBOL):
             if len(self.blocks) != 1:
                 raise InvalidParams(f"a {self.variant} adversary has exactly one block")
+            coords = self.blocks[0].coords
+            if self.variant == PER_SYMBOL and coords != frozenset(range(len(coords))):
+                raise InvalidParams("a per_symbol block covers sub-symbols range(m)")
         else:
             check_blocks(self.blocks, self.variant)
 
     def clip(self, cut, alphabet_size):
         """The adversary on the cut's edges as a `hamming` spec on
-        coordinates 0..|cut|-1 in the order of `cut`: a `RankMetricSpec`
-        with m = 1 for the rank variant, else a `HammingSpec`."""
+        coordinates 0..|cut|-1 in the order of `cut` (per_symbol: on the
+        m |cut| sub-symbols, one block per edge): a `RankMetricSpec` with
+        m = 1 for the rank variant, else a `HammingSpec`."""
+        if self.variant == PER_SYMBOL:
+            (coords, t, e), = self.blocks
+            m = len(coords)
+            return HammingSpec(alphabet_size, m * len(cut), tuple(
+                AdvBlock(range(i * m, (i + 1) * m), t, e) for i in range(len(cut))))
         blocks = tuple(AdvBlock({i for i, eid in enumerate(cut) if eid in b.coords},
                                 b.t, b.e) for b in self.blocks)
         if self.variant == RANK:
@@ -628,9 +636,13 @@ def full_edge_adversary(net, t, e=0):
 
 def _count_actions(net, adv, alphabet):
     if adv.variant in (DISJOINT, OVERLAPPING):
-        # overlapping blocks: the product still bounds the passes' branches
-        return math.prod(ball_size(len(b.coords), b.t, b.e, len(alphabet))
-                         for b in adv.blocks)
+        count = math.prod(ball_size(len(b.coords), b.t, b.e, len(alphabet))
+                          for b in adv.blocks)
+        if adv.variant == OVERLAPPING:   # the union's ball bounds the branches too
+            union = frozenset().union(*(b.coords for b in adv.blocks))
+            count = min(count, ball_size(len(union), sum(b.t for b in adv.blocks),
+                                         0, len(alphabet)))
+        return count
     if adv.variant == PER_SYMBOL:
         (coords, t, e), = adv.blocks
         base = len({v for sym in alphabet for v in sym})

@@ -2,10 +2,11 @@
 
 A rate region bounds sum_{i in J} alpha_i by b_J, a log in the network
 alphabet size, for every non-empty source subset J, with an exactness flag
-(False: an upper bound) and the attaining (terminal, cut).  `port` builds
-one from a point-to-point bound: b_J is its least value over terminals and
-minimal cuts on `AdversarySpec.clip` of the adversary to the cut.  A ported
-region bounds whichever capacity its point-to-point bound bounds.
+(False: an upper bound) and the attaining (terminal, cut).  Every region is
+one `port` of a `hamming` point-to-point bound: b_J is its least value over
+terminals and minimal cuts on `AdversarySpec.clip` of the adversary to the
+cut.  A ported region bounds whichever capacity its point-to-point bound
+bounds.
 
 Verification implements the three achievability notions, each as one
 `channel.confusable_pair` scan of the product code on a channel per
@@ -21,11 +22,12 @@ from dataclasses import dataclass
 
 from . import hamming as hamming_mod
 from .channel import ProductChannel, UnionChannel, confusable_pair
-from .errors import InvalidParams, UnsupportedVariant
-from .network import (DISJOINT, OVERLAPPING, RANK, AdversarySpec,
-                      adversarial_channels, enumerate_minimal_cuts, min_cut)
-# bound here too: perfbench/spans.py traces it under this module's name
-from .network import adversarial_fanouts  # noqa: F401
+from .errors import EmptyCode, InvalidParams, UnsupportedVariant
+from .network import (DISJOINT, OVERLAPPING, PER_SYMBOL, RANK, AdversarySpec,
+                      adversarial_channels, enumerate_minimal_cuts,
+                      full_edge_adversary, source_subsets)
+# bound here too: perfbench/spans.py traces them under this module's name
+from .network import adversarial_fanouts, min_cut  # noqa: F401
 
 
 # slack on every rate comparison, for bounds computed as floating logs
@@ -80,17 +82,11 @@ class RateRegion:
         return "RateRegion(" + ", ".join(parts) + ")"
 
 
-def _subsets(n):
-    for r in range(1, n + 1):
-        for js in itertools.combinations(range(n), r):
-            yield frozenset(js)
-
-
 def port(net, adv, alphabet_size, bound):
     """Per J, the least `hamming.BaseValue` bound(spec) over terminals and
     minimal cuts, spec being `adv.clip` to the cut; ties break on the cut."""
     ineqs = []
-    for subset in _subsets(len(net.sources)):
+    for subset in source_subsets(len(net.sources)):
         ported = []
         for t in net.terminals:
             for cut in enumerate_minimal_cuts(net, sorted(subset), t):
@@ -99,17 +95,6 @@ def port(net, adv, alphabet_size, bound):
                 ported.append((float(value.value), cut, value.exact, t))
         value, cut, exact, t = min(ported, key=lambda p: p[:2])
         ineqs.append(Inequality(subset, value, exact, t, cut))
-    return RateRegion(len(net.sources), ineqs)
-
-
-def _min_cut_minimize(net, value_fn):
-    """The region whose bound for every J is the minimum over terminals of
-    value_fn(min cut between J and the terminal), recording the terminal."""
-    ineqs = []
-    for subset in _subsets(len(net.sources)):
-        values = [(value_fn(min_cut(net, sorted(subset), t)), t) for t in net.terminals]
-        value, t = min(values, key=lambda pair: pair[0])
-        ineqs.append(Inequality(subset, value, True, t, None))
     return RateRegion(len(net.sources), ineqs)
 
 
@@ -123,20 +108,14 @@ def theo1_region(net, adv, alphabet_size):
 
 
 def singleton_hamming_region(net, t, e, alphabet_size):
-    """All-edge adversary: per J the tighter of the Singleton-type bound
-    max(0, mu - 2t - e) and the Hamming-type bound with radius floor(t+e/2),
-    minimized over terminals."""
-    tprime = t + e // 2
-
-    def value(mu):
-        singleton = max(0.0, mu - 2 * t - e)
-        ball = hamming_mod.ball_size(mu, tprime, 0, alphabet_size)
-        return min(singleton, max(0.0, mu - math.log(ball, alphabet_size)))
-
-    return _min_cut_minimize(net, value)
+    """All-edge adversary: per J the minimum over cuts of the tighter of
+    max(0, |cut| - 2t - e) and the Hamming bound with radius t + floor(e/2),
+    both attained at a min cut."""
+    return port(net, full_edge_adversary(net, t, e), alphabet_size,
+                hamming_mod.singleton_hamming_bound)
 
 
-# theo2, overlap and rank bounds do not read the alphabet size: clip at 2.
+# theo2, product, overlap and rank values do not read the alphabet size: clip at 2.
 def theo2_region(net, adv):
     """Disjoint multi-block adversary: per J the minimum over cuts of
     |cut| - sum_l min(2 t_l + e_l, |cut and U_l|); valid simultaneously for
@@ -147,11 +126,12 @@ def theo2_region(net, adv):
 
 
 def product_alphabet_region(net, t, e, m):
-    """Sub-symbol adversary on every edge: per J, mu * max(0, m-2t-e) / m."""
+    """Sub-symbol adversary on every edge: per J the minimum over cuts of
+    |cut| max(0, m - 2t - e) / m in base b^m, attained at a min cut."""
     if m < 1:
         raise InvalidParams("m must be >= 1")
-    factor = max(0, m - 2 * t - e) / m
-    return _min_cut_minimize(net, lambda mu: mu * factor)
+    adv = AdversarySpec((hamming_mod.Block(range(m), t, e),), PER_SYMBOL)
+    return port(net, adv, 2, hamming_mod.product_alphabet_bound)
 
 
 def overlap_region(net, adv):
@@ -184,6 +164,8 @@ class VerifyResult:
 
 
 def _rates(source_codes, alphabet_size, n=1):
+    if not all(source_codes):
+        raise EmptyCode("every source code must be non-empty")
     return tuple(math.log(len(c), alphabet_size) / n for c in source_codes)
 
 

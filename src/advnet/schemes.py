@@ -33,12 +33,13 @@ from . import channel, network
 from . import codes as codes_mod
 from . import gf
 from .channel import STAR
-from .errors import (DrawsExhausted, InvalidParams, RegionViolated,
-                     UnsupportedSources)
+from .errors import DrawsExhausted, InvalidParams, UnsupportedSources
 from .network import (AdvBlock, AdversarySpec, FuncVertex, LinearVertex,
-                      NetworkCode, PER_SYMBOL, TableVertex,
-                      edge_disjoint_paths, evaluate, min_cut)
-from .regions import TOL, _subsets
+                      NetworkCode, PER_SYMBOL, TableVertex, check_demands,
+                      edge_disjoint_paths, evaluate)
+# bound here too: perfbench/spans.py traces it under this module's name
+from .network import min_cut  # noqa: F401
+from .regions import TOL
 
 
 @dataclass
@@ -75,16 +76,11 @@ class Scheme:
                 for i, msgs in enumerate(self.messages)]
 
 
-def _check_min_cut_region(net, demands, slack=0):
+def _check_positive(net, demands):
     if len(demands) != len(net.sources):
         raise InvalidParams(f"{len(demands)} demands for {len(net.sources)} sources")
     if any(a < 1 for a in demands):
         raise InvalidParams("demands must be positive integers")
-    for subset in _subsets(len(net.sources)):
-        need = sum(demands[i] for i in subset)
-        for t in net.terminals:
-            if need > min_cut(net, sorted(subset), t) - slack:
-                raise RegionViolated(subset)
 
 
 def linear_transfer_matrices(net, code, fld):
@@ -155,7 +151,8 @@ def build_adversary_free(net, demands, q, max_draws=MAX_DRAWS, seed=0):
     paths) stays a basis of F_q^(sum a_i).  Each terminal rules out a
     proper subspace of the candidate coefficients, and F_q^k is not a
     union of q proper subspaces, so inside the min-cut region a valid
-    choice exists at every edge whenever q >= |terminals|.
+    choice exists at every edge whenever q >= |terminals|; demands outside
+    it raise `Infeasible` from `network.check_demands`.
 
     `seed` seeds the generator that draws each edge's candidates, so it
     selects among codes.  `max_draws` is the per-edge draw budget; when it
@@ -163,7 +160,7 @@ def build_adversary_free(net, demands, q, max_draws=MAX_DRAWS, seed=0):
     DrawsExhausted (naming a terminal that rejected the last candidate)
     is raised only when no candidate exists, which needs q < |terminals|.
     """
-    _check_min_cut_region(net, demands)
+    _check_positive(net, demands)
     fld = gf.make_field(q)
     rng = random.Random(seed)
     h = sum(demands)
@@ -289,7 +286,8 @@ def _rank_scheme(net, demands, t, q, max_draws, seed, compound):
     n_sources = len(net.sources)
     if n_sources not in (1, 2):
         raise UnsupportedSources("the construction covers one or two sources")
-    _check_min_cut_region(net, demands, slack=2 * t)
+    _check_positive(net, demands)
+    check_demands(net, demands, slack=2 * t)
     two = n_sources == 2
     if compound and two and demands[0] > demands[1]:
         raise InvalidParams("two-source compound packaging assumes a1 <= a2")

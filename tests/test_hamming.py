@@ -5,7 +5,7 @@ import random
 import pytest
 
 from advnet import channel as ch
-from advnet import codes, gf, hamming
+from advnet import codes, gf, hamming, network
 from advnet.channel import STAR
 from advnet.errors import IndexOutOfRange, InvalidParams, UnsupportedVariant
 
@@ -285,10 +285,37 @@ def test_achievability_repetition():
 # ---------------------------------------------------------------------------
 
 
+def test_singleton_hamming_bound_is_at_least_brute_force():
+    rng = random.Random(1705)
+    for _ in range(60):
+        a, s = rng.randint(2, 3), rng.randint(1, 4)
+        spec = hamming.single_block(a, s, rng.sample(range(s), rng.randint(0, s)),
+                                    rng.randint(0, 2), rng.randint(0, 2))
+        bound = hamming.singleton_hamming_bound(spec)
+        assert hamming.brute_force_capacity(spec).value <= bound.value + 1e-9, spec
+    # a = 2, s = 7, t = 1: the Hamming code meets the packing bound 7 - log2(8)
+    assert hamming.singleton_hamming_bound(hamming.single_block(2, 7, range(7), 1)).value == 4
+    with pytest.raises(InvalidParams):
+        hamming.singleton_hamming_bound(hamming.HammingSpec(
+            2, 2, (hamming.Block({0}, 1), hamming.Block({1}, 1))))
+
+
+def per_symbol_spec(b, m, s, t, e):
+    """s symbols over B^m, each with t errors and e erasures among its m
+    sub-symbols: a per-symbol network adversary clipped to a cut of s
+    edges."""
+    adv = network.AdversarySpec((hamming.Block(range(m), t, e),), network.PER_SYMBOL)
+    return adv.clip([f"e{i}" for i in range(s)], b)
+
+
 def test_product_alphabet_bound_values():
-    assert hamming.product_alphabet_bound(0, 0, 2, 3, 4).value == pytest.approx(4)
-    assert hamming.product_alphabet_bound(1, 0, 2, 3, 2).value == pytest.approx(2 / 3)
-    assert hamming.product_alphabet_bound(2, 1, 2, 4, 3).value == pytest.approx(0.0)
+    def bound(b, m, s, t, e):
+        return hamming.product_alphabet_bound(per_symbol_spec(b, m, s, t, e))
+
+    assert bound(2, 3, 4, 0, 0).value == pytest.approx(4)
+    assert bound(2, 3, 2, 1, 0).value == pytest.approx(2 / 3)
+    assert bound(2, 4, 3, 2, 1).value == pytest.approx(0.0)
+    assert bound(3, 4, 3, 1, 0).base == 81
 
 
 def test_product_alphabet_channel_is_power_of_symbol_channel():
@@ -299,8 +326,27 @@ def test_product_alphabet_channel_is_power_of_symbol_channel():
         assert all(sum(1 for u, v in zip(xi, yi) if u != v) <= 1
                    for xi, yi in zip(x, y))
     res = ch.one_shot_capacity(chan)
-    bound = hamming.product_alphabet_bound(1, 0, 2, 2, 2)
+    bound = hamming.product_alphabet_bound(per_symbol_spec(2, 2, 2, 1, 0))
     assert res.value_in_base(4) <= bound.value + 1e-9
+
+
+@pytest.mark.parametrize("b, m, s, t, e", [
+    (2, 2, 2, 1, 0), (2, 3, 2, 1, 1), (3, 2, 2, 0, 1), (2, 2, 3, 1, 1), (2, 2, 2, 2, 0)])
+def test_per_symbol_clip_is_the_flattened_product_alphabet_channel(b, m, s, t, e):
+    spec = per_symbol_spec(b, m, s, t, e)
+    chan = hamming.product_alphabet_channel(b, m, s, t, e)
+
+    def flat(word):
+        return tuple(v for symbol in word for v in symbol)
+
+    for x in chan.iter_inputs():
+        assert hamming.fanout(spec, flat(x)) == {flat(y) for y in chan.fanout(x)}
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_product_alphabet_channel_needs_a_symbol(s):
+    with pytest.raises(ValueError):
+        hamming.product_alphabet_channel(2, 2, s, 1, 0)
 
 
 # ---------------------------------------------------------------------------

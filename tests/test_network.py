@@ -180,8 +180,14 @@ def test_edge_disjoint_paths_hub():
     net = netlib.two_source_hub(A2)
     systems = edge_disjoint_paths(net, (2, 1))
     assert len(systems["T"]) == 3
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible) as info:
         edge_disjoint_paths(net, (2, 2))
+    # min cuts to T are 2, 1 and 3 for {0}, {1} and {0, 1}: {1} fails first
+    assert (info.value.sources, info.value.terminal) == ({1}, "T")
+    with pytest.raises(Infeasible) as info:
+        network.check_demands(net, (1, 1), slack=1)
+    assert (info.value.sources, info.value.terminal) == ({1}, "T")
+    network.check_demands(net, (2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +622,21 @@ def _edge_words(values, t, e, symbols):
     return [y for y in itertools.product(tuple(symbols) + (STAR,), repeat=len(values))
             if sum(1 for u, v in zip(y, values) if u not in (STAR, v)) <= t
             and y.count(STAR) <= e]
+
+
+def test_overlapping_blocks_are_counted_by_their_union():
+    # the product of three balls is 323**3 = 33,698,267 > ACTION_LIMIT, but
+    # the blocks together reach only the 8**4 words of one t = 4 block
+    net = netlib.parallel_path(4, range(8))
+    code = network.identity_routing_code(net)
+    edges = [e.id for e in net.edges[:4]]
+    overlapping = AdversarySpec(tuple(AdvBlock(edges, 2) for _ in range(3)),
+                                network.OVERLAPPING)
+    single = AdversarySpec((AdvBlock(edges, 4),))
+    x = ((0, 1, 2, 3),)
+    fanouts = adversarial_fanouts(net, code, overlapping, x)
+    assert fanouts == adversarial_fanouts(net, code, single, x)
+    assert len(fanouts["T"]) == 8 ** 4
 
 
 @pytest.mark.parametrize("a", [2, 3])

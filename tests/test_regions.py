@@ -6,7 +6,7 @@ import pytest
 
 from advnet import codes, gf, hamming, netlib, network, regions, schemes
 from advnet.channel import STAR, one_shot_capacity
-from advnet.errors import InvalidParams, UnsupportedVariant
+from advnet.errors import EmptyCode, InvalidParams, UnsupportedVariant
 from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, TableVertex,
                             adversarial_channel, adversarial_fanouts,
                             enumerate_minimal_cuts)
@@ -215,6 +215,70 @@ def test_ported_regions_match_their_formulas(name):
         assert_matches_formula(net, regions.rank_region(net, adv), rank_formula(adv))
 
 
+# The two min-cut regions as they were written before they became ports:
+# per J the least value over terminals of a formula on the min cut.
+
+def singleton_hamming_formula(t, e, a):
+    def value(mu):
+        singleton = max(0.0, mu - 2 * t - e)
+        ball = hamming.ball_size(mu, t + e // 2, 0, a)
+        return min(singleton, max(0.0, mu - math.log(ball, a)))
+    return value
+
+
+def min_cut_formula(net, subset, value):
+    return min(value(network.min_cut(net, sorted(subset), t)) for t in net.terminals)
+
+
+def netlib_and_random_networks():
+    rng = random.Random(1705)
+    nets = list(NETLIB.values())
+    while len(nets) < len(NETLIB) + 60:
+        net = random_small_network(rng)
+        if net is not None:
+            nets.append(net)
+    return nets
+
+
+def test_singleton_hamming_region_is_its_min_cut_formula():
+    for net in netlib_and_random_networks():
+        for t, e, a in itertools.product(range(3), range(3), (2, 3, 5)):
+            value = singleton_hamming_formula(t, e, a)
+            for ineq in regions.singleton_hamming_region(net, t, e, a).inequalities:
+                assert ineq.bound == min_cut_formula(net, ineq.subset, value)
+                assert ineq.exact
+
+
+def test_product_alphabet_region_is_its_min_cut_formula_rounded_once():
+    for net in netlib_and_random_networks():
+        for t, e, m in itertools.product(range(3), range(3), (1, 2, 3, 5)):
+            k = max(0, m - 2 * t - e)
+            for ineq in regions.product_alphabet_region(net, t, e, m).inequalities:
+                mu = min_cut_formula(net, ineq.subset, lambda mu: mu)
+                assert ineq.bound == mu * k / m
+                assert abs(ineq.bound - min_cut_formula(net, ineq.subset,
+                                                        lambda mu: mu * (k / m))) <= 1e-12
+                assert ineq.exact
+
+
+@pytest.mark.parametrize("name", NETLIB)
+def test_every_inequality_carries_its_terminal_and_cut(name):
+    net = NETLIB[name]
+    edges = [e.id for e in net.edges]
+    half = AdvBlock(edges[::2], 1, 1)
+    built = [regions.theo1_region(net, AdversarySpec((half,)), 2),
+             regions.singleton_hamming_region(net, 1, 0, 2),
+             regions.theo2_region(net, AdversarySpec((half, AdvBlock(edges[1::2], 1)))),
+             regions.product_alphabet_region(net, 1, 0, 3),
+             regions.overlap_region(net, AdversarySpec(
+                 (AdvBlock(edges[:4], 1), AdvBlock(edges[2:6], 1)), network.OVERLAPPING)),
+             regions.rank_region(net, AdversarySpec((half,), network.RANK))]
+    for region in built:
+        for ineq in region.inequalities:
+            assert ineq.cut is not None
+            assert network.is_cut(net, ineq.cut, sorted(ineq.subset), ineq.terminal)
+
+
 def test_theo1_ports_the_upper_value_of_an_inexact_beta():
     net = netlib.two_source_double_relay()
     adv = network.full_edge_adversary(net, 1)
@@ -268,7 +332,8 @@ def test_adversary_blocks_are_hamming_blocks_checked_by_variant():
     with pytest.raises(InvalidParams, match="overlap"):
         AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1), AdvBlock({"e2"}, 1)))
     # the per-symbol adversary is one block over the sub-symbol positions
-    for blocks in ((), (AdvBlock(range(2), 1), AdvBlock(range(2), 0, 1))):
+    for blocks in ((), (AdvBlock(range(2), 1), AdvBlock(range(2), 0, 1)),
+                   (AdvBlock({0, 2}, 1),)):
         with pytest.raises(InvalidParams):
             AdversarySpec(blocks, network.PER_SYMBOL)
 
@@ -292,6 +357,18 @@ def test_brute_force_port_is_tighter_than_theo2():
     assert theo2.bound_for({0, 1}).bound == pytest.approx(2.0)
     for ineq in ported.inequalities:
         assert ineq.exact and ineq.bound <= theo2.bound_for(ineq.subset).bound + 1e-9
+
+
+@pytest.mark.parametrize("net", [netlib.single_path(), netlib.parallel_path(2)],
+                         ids=["single_path", "parallel_path2"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_brute_force_per_symbol_port_is_within_the_product_alphabet_region(net, m):
+    for t, e in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        adv = AdversarySpec((AdvBlock(range(m), t, e),), network.PER_SYMBOL)
+        ported = regions.port(net, adv, 2, hamming.brute_force_capacity)
+        region = regions.product_alphabet_region(net, t, e, m)
+        for ineq in ported.inequalities:
+            assert ineq.bound / m <= region.bound_for(ineq.subset).bound + 1e-9
 
 
 def test_brute_force_port_bounds_network_capacity():
@@ -381,6 +458,16 @@ def test_verify_detects_overloaded_adversary():
     res = regions.verify_one_shot(net, code, source_code, adv, A2)
     assert not res.ok
     assert res.pair is not None and res.terminal == "T"
+
+
+@pytest.mark.parametrize("verify", [regions.verify_one_shot, regions.verify_n_shot,
+                                    regions.verify_compound])
+def test_verify_rejects_an_empty_source_code(verify):
+    net = netlib.parallel_path(2)
+    code = network.identity_routing_code(net)
+    codes_arg = code if verify is regions.verify_one_shot else [code]
+    with pytest.raises(EmptyCode):
+        verify(net, codes_arg, [[]], network.adversary_free(), A2)
 
 
 def test_verify_n_shot_coincides_with_one_shot_for_n1():

@@ -6,8 +6,8 @@ import pytest
 
 from advnet import gf, netlib, network, regions, schemes
 from advnet.channel import STAR
-from advnet.errors import (DrawsExhausted, InvalidParams, NoCodewordInRange,
-                           RegionViolated, UnsupportedSources)
+from advnet.errors import (DrawsExhausted, Infeasible, InvalidParams,
+                           NoCodewordInRange, UnsupportedSources)
 from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, evaluate,
                             full_edge_adversary)
 
@@ -54,10 +54,22 @@ def test_adversary_free_two_sources():
     assert res.ok and res.rate == (1.0, 1.0)
 
 
+def _assert_cut_exceeded(info, net, demands, slack):
+    """The Infeasible certificate names a (J, t) past the cut-set bound."""
+    subset, t = info.value.sources, info.value.terminal
+    assert t in net.terminals
+    assert sum(demands[j] for j in subset) > network.min_cut(net, sorted(subset), t) - slack
+
+
 def test_adversary_free_region_violation():
     net = netlib.butterfly(A2)
-    with pytest.raises(RegionViolated):
+    with pytest.raises(Infeasible) as info:
         schemes.build_adversary_free(net, (3,), 2)
+    _assert_cut_exceeded(info, net, (3,), 0)
+    net = netlib.two_source_hub(A2)
+    with pytest.raises(Infeasible) as info:
+        schemes.build_adversary_free(net, (2, 2), 2)
+    _assert_cut_exceeded(info, net, (2, 2), 0)
 
 
 def test_adversary_free_deterministic_with_seed():
@@ -167,8 +179,13 @@ def test_achiev1_three_symbols_over_gf32_corrects_one_edge():
 
 def test_achiev1_region_violation():
     net = netlib.parallel_path(2, None)
-    with pytest.raises(RegionViolated):
+    with pytest.raises(Infeasible) as info:
         schemes.build_achiev1(net, (1,), 1, 2)
+    _assert_cut_exceeded(info, net, (1,), 2)
+    net = netlib.two_source_double_relay(None)
+    with pytest.raises(Infeasible) as info:
+        schemes.build_achiev1(net, (1, 1), 1, 2)
+    _assert_cut_exceeded(info, net, (1, 1), 2)
 
 
 def test_achiev1_rejects_many_sources():
