@@ -346,18 +346,18 @@ def zero_error_bounds(ch, n_max):
     """(lower, upper) bounds on the zero-error capacity in bits.
 
     lower = max over n <= n_max of C(ch^n)/n.  upper is the universal
-    log2|X| bound, and collapses to 0 when the one-shot capacity is 0.
+    log2|X| bound, and collapses to 0 when lower is 0: then the one-shot
+    capacity is 0, so every two inputs are confusable, in every power too.
     """
+    if n_max < 1:
+        raise ValueError("zero_error_bounds requires n_max >= 1")
     best = 0.0
-    one_shot = None
     for n in range(1, n_max + 1):
         res = one_shot_capacity(power(ch, n))
         if not res.exact:
             raise SearchLimitExceeded(f"capacity search for power {n} not exact")
-        if n == 1:
-            one_shot = res
         best = max(best, res.bits / n)
-    upper = 0.0 if one_shot.bits == 0 else math.log2(ch.input_count)
+    upper = 0.0 if best == 0 else math.log2(ch.input_count)
     return best, upper
 
 

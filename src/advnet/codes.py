@@ -144,10 +144,6 @@ def beta(a, u, d, node_budget=300_000):
     return result
 
 
-def _is_prime_power(a):
-    return gf._factor_prime_power(a) is not None
-
-
 def _beta_compute(a, u, d, node_budget):
     if u == 0 or d > u:
         return BetaValue(a, u, d, 0, 0, True)
@@ -160,7 +156,7 @@ def _beta_compute(a, u, d, node_budget):
     if d == 2:
         # zero-sum code over Z_a meets the Singleton bound
         return BetaValue(a, u, d, a ** (u - 1), singleton, True)
-    if _is_prime_power(a) and u <= a + 1:
+    if gf._factor_prime_power(a) is not None and u <= a + 1:
         # (extended) Reed-Solomon evaluation code is MDS
         return BetaValue(a, u, d, singleton, singleton, True)
     if a ** u <= EXHAUSTIVE_BETA_LIMIT:

@@ -79,11 +79,6 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.pow(a, self.q - 2)
-
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -431,10 +426,6 @@ class Matrix:
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
-
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        return cls(field, tuple((0,) * ncols for _ in range(nrows)))
 
     @classmethod
     def identity(cls, field, n):

@@ -4,16 +4,15 @@ Words live in A^s for an alphabet of size a (encoded 0..a-1); received
 words may carry the erasure symbol STAR.  A spec lists blocks (U, t, e):
 the adversary owning block U may corrupt up to t coordinates of U into
 different symbols and erase up to e of them.  Disjoint-variant blocks are
-pairwise disjoint; the overlapping variant composes erasure-free block
-adversaries acting in sequence (order irrelevant).
+pairwise disjoint; erasure-free overlapping-variant blocks may share
+coordinates, and a coordinate any of them corrupts takes any other symbol.
 
 The adversary model lives here only: a `Block`'s coordinates may be word
 positions or network edge ids, so `network.AdversarySpec` holds the same
-blocks, checked by `check_blocks`.  The action set serves these fan-outs
-and `network.adversarial_fanouts`: `block_actions` (one block's corrupted
-and erased positions; the network's disjoint and overlapping passes),
-`ball` (blocks applied in sequence to a word; also each edge value's
-per-symbol actions) and `ball_size`; `chosen_subsets` lists the compound
+blocks, checked by `check_blocks`.  `actions` is the one enumerator of the
+(corrupted, erased) choices of the blocks together; `ball` applies them to
+a word, and they serve `adversarial_strength` and, on edges,
+`network.adversarial_fanouts`.  `chosen_subsets` lists the compound
 model's fixed vulnerable sets and `restrict` narrows blocks to them.
 
 A product alphabet B^m is a spec over B with one block per symbol, over
@@ -21,6 +20,7 @@ its m sub-symbols.  Capacity values in this module are logarithms in base
 a, with the base recorded on the returned value; each bound takes one spec.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,7 +52,7 @@ class Block:
             raise InvalidParams("error/erasure powers must be non-negative")
 
     def __iter__(self):
-        """Unpacks as (coords, t, e), the block form `ball` takes."""
+        """Unpacks as (coords, t, e), the block form `actions` takes."""
         return iter((self.coords, self.t, self.e))
 
 
@@ -103,6 +103,11 @@ class HammingSpec:
     def covered(self):
         return frozenset().union(*(b.coords for b in self.blocks))
 
+    @functools.cached_property
+    def action_set(self):
+        """`actions` of the blocks, listed once per spec."""
+        return actions(self.blocks)
+
     def clip(self, chosen):
         """Restrict each block to a chosen coordinate subset (V within U)."""
         return HammingSpec(self.alphabet_size, self.length,
@@ -134,30 +139,35 @@ def block_actions(coords, t, e):
             for stars in subsets_upto(set(coords).difference(err), e)]
 
 
-def ball(word, blocks, alphabet):
-    """Every word that blocks (coords, t, e), acting in sequence, can make
-    of word: each block sets up to t of its positions to other symbols of
-    the alphabet and erases up to e others."""
-    made = {tuple(word)}
-    for coords, t, e in blocks:
-        actions = block_actions(coords, t, e)
-        before, made = made, set()
-        for w in before:
-            for err, stars in actions:
-                y = list(w)
-                for i in stars:
-                    y[i] = STAR
-                for vals in itertools.product(
-                        *[[v for v in alphabet if v != w[i]] for i in err]):
-                    for i, v in zip(err, vals):
-                        y[i] = v
-                    made.add(tuple(y))
+def actions(blocks):
+    """Each distinct (corrupted, erased) pair of position sets that one
+    `block_actions` choice per block (coords, t, e) makes, the unions taken
+    across blocks."""
+    return list(dict.fromkeys(
+        (frozenset(i for err, _ in combo for i in err),
+         frozenset(i for _, stars in combo for i in stars))
+        for combo in itertools.product(*[block_actions(*b) for b in blocks])))
+
+
+def ball(word, acts, alphabet):
+    """Every word that the actions `acts` can make of word: corrupted
+    positions take every other symbol of the alphabet, erased ones STAR."""
+    made = set()
+    for err, stars in acts:
+        y = list(word)
+        for i in stars:
+            y[i] = STAR
+        for vals in itertools.product(
+                *[[v for v in alphabet if v != word[i]] for i in err]):
+            for i, v in zip(err, vals):
+                y[i] = v
+            made.add(tuple(y))
     return made
 
 
 def ball_size(n, t, e, a):
-    """len(ball(w, [(range(n), t, e)], range(a))) for any word w over
-    range(a): distinct actions of one block make distinct words."""
+    """len(ball(w, actions([(range(n), t, e)]), range(a))) for any word w
+    over range(a): distinct actions of one block make distinct words."""
     return sum(math.comb(n, i) * (a - 1) ** i * math.comb(n - i, j)
                for i in range(min(t, n) + 1) for j in range(min(e, n - i) + 1))
 
@@ -241,7 +251,7 @@ def _assignable(positions, blocks):
 
 def fanout(spec, x):
     """Explicit fan-out set of x (tiny instances only)."""
-    return frozenset(ball(x, spec.blocks, range(spec.alphabet_size)))
+    return frozenset(ball(x, spec.action_set, range(spec.alphabet_size)))
 
 
 # -- confusability -----------------------------------------------------------
@@ -271,8 +281,8 @@ def explicit_channel(spec, limit=TABLE_LIMIT):
     if a ** s > limit:
         raise SearchLimitExceeded("alphabet too large for an explicit table")
     inputs = list(words(a, s))
-    outputs = list(itertools.product(tuple(range(a)) + (STAR,), repeat=s))
-    return TableChannel(inputs, outputs, {x: fanout(spec, x) for x in inputs})
+    table = {x: fanout(spec, x) for x in inputs}
+    return TableChannel(inputs, frozenset().union(*table.values()), table)
 
 
 def symbolic_channel(spec):
@@ -410,10 +420,9 @@ def product_alphabet_channel(b, m, s, t, e):
 # -- overlapping adversaries ----------------------------------------------------
 
 def adversarial_strength(blocks):
-    """Exhaustive max size of a union of two per-block <=t subsets."""
-    choices = chosen_subsets((b.coords, b.t, 0) for b in blocks)
-    return max(len(set().union(*first, *second))
-               for first in choices for second in choices)
+    """Exhaustive max size of a union of two per-block <=t subsets: the
+    union of two <=t subsets of a block is one <=2t subset of it."""
+    return max(len(err) for err, _ in actions(Block(b.coords, 2 * b.t) for b in blocks))
 
 
 def overlap_bound(spec):

@@ -17,16 +17,14 @@ serves every evaluation: `evaluate` with the action's overrides,
 `cut_to_sink_channel` on the part of the plan that feeds the terminal.
 Cyclic networks have no plan; evaluating one raises CyclicGraph.
 
-An adversary is a set of `hamming.Block`s whose coordinates are edge ids,
-so its admissible corruptions are the Hamming-type actions of `hamming`
-ported to edges.  Disjoint and overlapping blocks both take their passes
-from `block_actions` (positions only; values are chosen as each edge
-emits, and each distinct union of its blocks' chosen edges is one pass),
-and the one block of a per-symbol adversary, over sub-symbol positions,
-gives every edge value its own `ball`.  `adversarial_channels` makes the
-terminals' channels, on which `regions` verifies codes.  `AdversarySpec.clip`
-makes any adversary a `hamming` spec on a cut (per-symbol: one block of m
-sub-symbols per edge).  `check_demands` is the one cut-set demand check.
+An adversary is a set of `hamming.Block`s whose coordinates are edge ids.
+`adversarial_fanouts` lists `hamming.actions` of the blocks once per call:
+disjoint and overlapping blocks run one pass per action (values are chosen
+as each edge emits), and a per-symbol adversary's one block, over sub-symbol
+positions, gives every edge value its `ball` of those actions.
+`adversarial_channels` makes the terminals' channels, on which `regions`
+verifies codes.  `AdversarySpec.clip` makes any adversary a `hamming` spec
+on a cut.  `check_demands` is the one cut-set demand check.
 """
 
 import functools
@@ -37,11 +35,11 @@ from dataclasses import dataclass
 
 from . import gf
 from .channel import STAR, SymbolicChannel
-from .errors import (AlphabetMismatch, BadFreeze, CyclicGraph, Infeasible,
-                     InvalidParams, MissingCodeFunction, NotACut,
+from .errors import (AlphabetMismatch, BadFreeze, CyclicGraph, IndexOutOfRange,
+                     Infeasible, InvalidParams, MissingCodeFunction, NotACut,
                      SearchLimitExceeded, UnsupportedVariant)
 from .hamming import (DISJOINT, OVERLAPPING, Block as AdvBlock, HammingSpec,
-                      RankMetricSpec, ball, ball_size, block_actions, check_blocks)
+                      RankMetricSpec, actions, ball, ball_size, check_blocks)
 
 RANK = "rank"
 PER_SYMBOL = "per_symbol"
@@ -68,9 +66,9 @@ class Network:
         self.terminals = tuple(terminals)
         self.alphabet = tuple(alphabet) if alphabet is not None else None
         raw = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
-        ids = [e.id for e in raw]
-        if len(set(ids)) != len(ids):
-            raise InvalidParams("duplicate edge ids")
+        for names, what in ((self.vertices, "vertex names"), ([e.id for e in raw], "edge ids")):
+            if len(set(names)) != len(names):
+                raise InvalidParams(f"duplicate {what}")
         vs = set(self.vertices)
         for e in raw:
             if e.tail not in vs or e.head not in vs:
@@ -174,10 +172,6 @@ def validate(net):
             problems.append(f"vertex {v} unreachable from every source")
         elif not any(t in reach_from[v] for t in net.terminals):
             problems.append(f"vertex {v} reaches no terminal")
-    for i, e1 in enumerate(net.edges):
-        for e2 in net.edges[i + 1:]:
-            if e1.id != e2.id and net.precedes(e2, e1):
-                problems.append(f"edge order violates the path order: {e2.id} before {e1.id}")
     return problems
 
 
@@ -608,6 +602,13 @@ class AdversarySpec:
         else:
             check_blocks(self.blocks, self.variant)
 
+    def check_edges(self, net):
+        """Raise IndexOutOfRange for a block naming an edge id net lacks;
+        per-symbol blocks hold sub-symbol positions and are exempt."""
+        if self.variant != PER_SYMBOL and any(
+                not b.coords.issubset(net.edge_by_id) for b in self.blocks):
+            raise IndexOutOfRange("adversary block names an edge outside the network")
+
     def clip(self, cut, alphabet_size):
         """The adversary on the cut's edges as a `hamming` spec on
         coordinates 0..|cut|-1 in the order of `cut` (per_symbol: on the
@@ -657,30 +658,22 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None):
     """Fan-out sets at every terminal for global input x: the union over
     all admissible adversary actions of the forward-pass observations."""
     alphabet_t = net._alphabet(alphabet)
+    adv.check_edges(net)
     if _count_actions(net, adv, alphabet_t) > ACTION_LIMIT:
         raise SearchLimitExceeded("adversary action space exceeds the limit")
     steps = _steps(net)
+    acts = actions(adv.blocks)
     if adv.variant in (DISJOINT, OVERLAPPING):
-        # one pass per choice of corrupted and erased edges in every block;
-        # a corrupted edge may carry any other value of its clean one
-        actions = dict.fromkeys(
-            (frozenset(eid for errs, _ in combo for eid in errs),
-             frozenset(eid for _, st in combo for eid in st))
-            for combo in itertools.product(*[block_actions(*b) for b in adv.blocks]))
+        # one pass per action; a corrupted edge may carry any other value
+        # of its clean one
         passes = [lambda eid, v, err=err, stars=stars: (
             (STAR,) if eid in stars else
             [w for w in alphabet_t if w != v] if eid in err else (v,))
-            for err, stars in actions]
+            for err, stars in acts]
     else:   # per-symbol: _count_actions has rejected every other variant
         base = sorted({v for sym in alphabet_t for v in sym})
-        balls = {}
-
-        def symbol_ball(eid, v):
-            if v not in balls:
-                balls[v] = ball(v, adv.blocks, base)
-            return balls[v]
-
-        passes = [symbol_ball]
+        symbol_ball = functools.cache(lambda v: ball(v, acts, base))
+        passes = [lambda eid, v: symbol_ball(v)]
     outs = {t: set() for t in net.terminals}
     for replace in passes:
         for values in _forward(code, steps, x, replace):

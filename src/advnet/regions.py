@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import hamming as hamming_mod
 from .channel import ProductChannel, UnionChannel, confusable_pair
-from .errors import EmptyCode, InvalidParams, UnsupportedVariant
+from .errors import AlphabetMismatch, EmptyCode, InvalidParams, UnsupportedVariant
 from .network import (DISJOINT, OVERLAPPING, PER_SYMBOL, RANK, AdversarySpec,
                       adversarial_channels, enumerate_minimal_cuts,
                       full_edge_adversary, source_subsets)
@@ -85,6 +85,7 @@ class RateRegion:
 def port(net, adv, alphabet_size, bound):
     """Per J, the least `hamming.BaseValue` bound(spec) over terminals and
     minimal cuts, spec being `adv.clip` to the cut; ties break on the cut."""
+    adv.check_edges(net)
     ineqs = []
     for subset in source_subsets(len(net.sources)):
         ported = []
@@ -163,10 +164,23 @@ class VerifyResult:
         return self.ok
 
 
-def _rates(source_codes, alphabet_size, n=1):
+def _rates(net, source_codes, alphabet, n=1):
+    """Per-use rates in base |alphabet| of source codes whose codewords are
+    n-tuples of local codewords: tuples of alphabet symbols, one per
+    out-edge of the source."""
+    if len(source_codes) != len(net.sources):
+        raise InvalidParams("one source code per source required")
     if not all(source_codes):
         raise EmptyCode("every source code must be non-empty")
-    return tuple(math.log(len(c), alphabet_size) / n for c in source_codes)
+    symbols = set(alphabet)
+    for s, code in zip(net.sources, source_codes):
+        width = len(net.out_edges(s))
+        for cw in code:
+            if len(cw) != n or not all(isinstance(u, tuple) and len(u) == width
+                                       and symbols.issuperset(u) for u in cw):
+                raise AlphabetMismatch(f"codeword {cw!r} of source {s} is not "
+                                       f"{n} use(s) of {width} alphabet symbols")
+    return tuple(math.log(len(c), len(alphabet)) / n for c in source_codes)
 
 
 def _verdict(channels, inputs, rate, message=lambda x: x):
@@ -185,7 +199,7 @@ def verify_one_shot(net, code, source_codes, adv, alphabet=None):
     alphabet_t = net._alphabet(alphabet)
     return _verdict(adversarial_channels(net, code, adv, alphabet_t),
                     list(itertools.product(*source_codes)),
-                    _rates(source_codes, len(alphabet_t)))
+                    _rates(net, [[(cw,) for cw in c] for c in source_codes], alphabet_t))
 
 
 def verify_n_shot(net, codes_per_use, source_codes, adv, alphabet=None):
@@ -211,12 +225,11 @@ def _verify_uses(net, codes_per_use, source_codes, advs, alphabet):
     per use: per terminal, the union over `advs` of the product over uses
     of the adversarial channels, fed each message's per-use inputs."""
     alphabet_t = net._alphabet(alphabet)
+    rate = _rates(net, source_codes, alphabet_t, len(codes_per_use))
     per_adv = [[adversarial_channels(net, code, adv, alphabet_t) for code in codes_per_use]
                for adv in advs]
     channels = {t: UnionChannel([ProductChannel([chs[t] for chs in uses])
                                  for uses in per_adv])
                 for t in net.terminals}
     inputs = [tuple(zip(*m)) for m in itertools.product(*source_codes)]
-    return _verdict(channels, inputs,
-                    _rates(source_codes, len(alphabet_t), len(codes_per_use)),
-                    lambda x: tuple(zip(*x)))
+    return _verdict(channels, inputs, rate, lambda x: tuple(zip(*x)))

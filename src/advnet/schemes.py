@@ -381,15 +381,11 @@ def _rank_scheme(net, demands, t, q, max_draws, seed, compound):
 
     q1 = list(itertools.product(range(ext1.q), repeat=a1))
     messages = [q1 if as_row else list(itertools.product(q1, repeat=rows))]
-    meta = {"field": fld, "ext1": ext1, "d1": d1, "e1": enc[0], "n1": n1,
-            "m": n1 * n2 if two else n1, "columns": _columns}
+    meta = {"field": fld, "ext1": ext1, "n1": n1, "m": n1 * n2 if two else n1,
+            "columns": _columns}
     if two:
         messages.append(list(itertools.product(range(ext2.q), repeat=a2)))
-        meta.update(ext2=ext2, d2=d2, e2=enc[1], n2=n2,
-                    encode1=encode1, encode2=encode2)
-        if compound:
-            meta.update(local1=lambda x1: encode(0, x1.rows),
-                        local2=lambda x2: encode(1, x2))
+        meta.update(ext2=ext2, n2=n2, encode1=encode1, encode2=encode2)
     else:
         meta["local_codeword"] = lambda msg: encode(0, msg)
         if as_row:
@@ -452,10 +448,8 @@ def build_product_alphabet(net, demands, t, e, q, m, seed=0):
     rate = tuple(k / m * a for a in demands)
     return Scheme(1, [code], [list(itertools.product(words, repeat=a)) for a in demands],
                   local_codeword, decoders, alphabet, rate,
-                  meta={"field": fld, "inner": inner, "outer": base,
-                        "enc_table": enc_table,
-                        "adversary": AdversarySpec((AdvBlock(range(m), t, e),),
-                                                   PER_SYMBOL)})
+                  meta={"field": fld, "adversary": AdversarySpec((AdvBlock(range(m), t, e),),
+                                                                 PER_SYMBOL)})
 
 
 # -- the hand-built double-relay scheme ---------------------------------------------
@@ -506,8 +500,7 @@ def double_relay_scheme():
         AdvBlock({"e5", "e6", "e7"}, 1, 0),
         AdvBlock({"e1", "e8", "e9", "e10", "e11", "e12"}, 1, 0)))
     return Scheme(1, [code], [code1, code2], lambda i, msg: msg, {"T": decode},
-                  tuple(range(5)), (1.0, 2.0), meta={"network": net, "adversary": adv,
-                                    "generator": gen, "block_code": block})
+                  tuple(range(5)), (1.0, 2.0), meta={"network": net, "adversary": adv})
 
 
 # -- exhaustive linear impossibility ---------------------------------------------

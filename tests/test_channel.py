@@ -421,6 +421,12 @@ def test_zero_error_pentagon_lower():
     assert upper == pytest.approx(math.log2(5))
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_zero_error_bounds_need_a_power(n_max):
+    with pytest.raises(ValueError):
+        ch.zero_error_bounds(pentagon_channel(), n_max)
+
+
 def test_zero_error_zero_capacity_collapses():
     c = ch.TableChannel(range(3), range(3), {0: {0, 1}, 1: {1, 2}, 2: {2, 0}})
     # all fan-outs pairwise intersect

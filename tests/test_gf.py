@@ -126,7 +126,7 @@ def test_matrix_rank_and_right_inverse_trivial():
     ident = gf.Matrix.identity(F2, 3)
     assert ident.rank() == 3
     assert ident.right_inverse() == ident
-    zero = gf.Matrix.zeros(F2, 2, 3)
+    zero = gf.Matrix(F2, ((0, 0, 0),) * 2)
     assert zero.rank() == 0
     assert zero.right_inverse() is None
 
@@ -199,8 +199,8 @@ def test_matmul_empty_shapes():
     no_cols = gf.Matrix(F3, ((), ()))                   # 2 x 0
     assert (a @ no_cols).shape == (3, 0)
     assert (a @ no_cols).rows == tuple(gf.mat_vec_row(F3, row, no_cols) for row in a.rows)
-    # a matrix without rows has no columns either: 0 x n reads as 0 x 0
-    no_rows = gf.Matrix.zeros(F3, 0, 4)
+    # a matrix without rows has no columns either: it reads as 0 x 0
+    no_rows = gf.Matrix(F3, ())
     assert no_rows.shape == (0, 0)
     assert (no_rows @ no_rows).shape == (0, 0)
     assert (gf.Matrix(F3, ((),) * 3) @ no_rows).rows == ((), (), ())
@@ -221,7 +221,7 @@ def test_sub_rejects_shape_mismatch():
     F3 = gf.make_field(3)
     rng = random.Random(7)
     a = _random_matrix(rng, F3, 2, 2)
-    assert (a - a) == gf.Matrix.zeros(F3, 2, 2)
+    assert (a - a) == gf.Matrix(F3, ((0, 0),) * 2)
     for b in [gf.Matrix(F3, ((1, 1),)), _random_matrix(rng, F3, 2, 1),
               _random_matrix(rng, F3, 3, 2)]:
         with pytest.raises(ValueError):

@@ -104,7 +104,7 @@ def test_ball_size_counts_the_ball(a):
         for t in range(4):
             for e in range(3):
                 word = tuple(i % a for i in range(n))
-                made = hamming.ball(word, [(range(n), t, e)], range(a))
+                made = hamming.ball(word, hamming.actions([(range(n), t, e)]), range(a))
                 assert len(made) == hamming.ball_size(n, t, e, a), (n, t, e, a)
 
 
@@ -410,6 +410,85 @@ def test_adversarial_strength_disjoint_reduces_to_sum():
         assert got == want
 
 
+def sequential_ball(word, blocks, alphabet):
+    """The blocks acting one after another, each on every word the blocks
+    before it made: the oracle for `ball` over `actions`."""
+    made = {tuple(word)}
+    for coords, t, e in blocks:
+        before, made = made, set()
+        for w in before:
+            for err, stars in hamming.block_actions(coords, t, e):
+                y = list(w)
+                for i in stars:
+                    y[i] = STAR
+                for vals in itertools.product(
+                        *[[v for v in alphabet if v != w[i]] for i in err]):
+                    for i, v in zip(err, vals):
+                        y[i] = v
+                    made.add(tuple(y))
+    return made
+
+
+def pairwise_strength(blocks):
+    """Max size of a union of two per-block <=t choices, over all pairs:
+    the oracle for `adversarial_strength`."""
+    choices = hamming.chosen_subsets((b.coords, b.t, 0) for b in blocks)
+    return max(len(set().union(*first, *second))
+               for first in choices for second in choices)
+
+
+def random_action_spec(rng):
+    """A disjoint spec with erasures or an overlapping one: a in {2, 3, 4},
+    s <= 6, up to 3 blocks."""
+    a = rng.choice((2, 3, 4))
+    s = rng.randint(1, 6)
+    if rng.random() < 0.5:
+        cuts = sorted(rng.sample(range(s + 1), 2))
+        coords = rng.sample(range(s), s)
+        parts = [coords[:cuts[0]], coords[cuts[0]:cuts[1]], coords[cuts[1]:]]
+        blocks = tuple(hamming.Block(p, rng.randint(0, 2), rng.randint(0, 1))
+                       for p in parts[:rng.randint(1, 3)])
+        return hamming.HammingSpec(a, s, blocks)
+    blocks = tuple(hamming.Block(rng.sample(range(s), rng.randint(0, s)), rng.randint(0, 2))
+                   for _ in range(rng.randint(1, 3)))
+    return hamming.HammingSpec(a, s, blocks, hamming.OVERLAPPING)
+
+
+def test_action_ball_and_strength_match_their_oracles():
+    rng = random.Random(1706)
+    overlapping = 0
+    for _ in range(400):
+        spec = random_action_spec(rng)
+        alphabet = range(spec.alphabet_size)
+        for _ in range(3):
+            x = tuple(rng.randrange(spec.alphabet_size) for _ in range(spec.length))
+            assert hamming.fanout(spec, x) == sequential_ball(x, spec.blocks, alphabet)
+        if spec.variant == hamming.OVERLAPPING:
+            overlapping += 1
+            assert (hamming.adversarial_strength(spec.blocks)
+                    == pairwise_strength(spec.blocks)), spec
+    assert overlapping > 150
+
+
+def test_actions_are_distinct_unions_of_block_actions():
+    b = hamming.Block({0, 1, 2}, 1)
+    acts = hamming.actions((b, b))
+    # two t = 1 choices on the same 3 positions: 16 combinations, 7 unions
+    assert len(acts) == len(set(acts)) == 7
+    assert {err for err, stars in acts} == {frozenset(c) for c in
+                                            hamming.subsets_upto(range(3), 2)}
+    assert hamming.actions(()) == [(frozenset(), frozenset())]
+
+
+def test_explicit_channel_outputs_are_the_reached_words():
+    rng = random.Random(4)
+    for _ in range(20):
+        spec = random_action_spec(rng)
+        chan = hamming.explicit_channel(spec)
+        fans = [chan.fanout(x) for x in chan.inputs_tuple()]
+        assert set(chan.outputs) == frozenset().union(*fans)
+
+
 def test_overlap_bound():
     b1 = hamming.Block({0, 1}, 1, 0)
     b2 = hamming.Block({1, 2}, 1, 0)
@@ -487,7 +566,7 @@ def test_rank_confusable_matches_explicit_oracle():
 def test_rank_confusable_respects_column_restriction():
     spec = hamming.RankMetricSpec(2, 2, 3, {0}, 1)
     F = gf.make_field(2)
-    m1 = gf.Matrix.zeros(F, 2, 3)
+    m1 = gf.Matrix(F, ((0, 0, 0),) * 2)
     m2 = gf.Matrix(F, ((1, 0, 0), (0, 0, 0)))
     m3 = gf.Matrix(F, ((0, 1, 0), (0, 0, 0)))
     assert hamming.rank_in_fanout(spec, m1, m2)

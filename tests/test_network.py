@@ -6,8 +6,9 @@ import pytest
 from advnet import channel as ch
 from advnet import codes, gf, hamming, netlib, network, schemes
 from advnet.channel import STAR, concat, same_fanout_map
-from advnet.errors import (BadFreeze, CyclicGraph, Infeasible, InvalidParams,
-                           MissingCodeFunction, NotACut, SearchLimitExceeded, TooLarge)
+from advnet.errors import (BadFreeze, CyclicGraph, IndexOutOfRange, Infeasible,
+                           InvalidParams, MissingCodeFunction, NotACut,
+                           SearchLimitExceeded, TooLarge)
 from advnet.network import (AdvBlock, AdversarySpec, Edge, FuncVertex,
                             LinearVertex, Network, NetworkCode, TableVertex,
                             adversarial_channel, adversarial_fanouts,
@@ -76,6 +77,14 @@ def test_validate_detects_cycle():
                    Edge("e3", "B", "A"), Edge("e4", "B", "T")],
                   ("S",), ("T",))
     assert any("cycle" in p for p in validate(net))
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    (("S", "S", "T"), [Edge("e1", "S", "T")]),
+    (("S", "T"), [Edge("e1", "S", "T"), Edge("e1", "S", "T")])])
+def test_duplicate_vertex_names_and_edge_ids_are_rejected(vertices, edges):
+    with pytest.raises(InvalidParams):
+        Network(vertices, edges, ("S",), ("T",))
 
 
 def test_validate_chain_with_bypass_and_path_order():
@@ -758,3 +767,20 @@ def test_size_guard_fires_before_the_work(name, monkeypatch):
         monkeypatch.setattr(owner, attr, _GuardedWork())
     with pytest.raises(error):
         call()
+
+
+# a block naming "e99", an edge id the butterfly lacks, in each edge-id variant
+TYPO_ADVERSARIES = [
+    AdversarySpec((AdvBlock({"e99"}, 1),)),
+    AdversarySpec((AdvBlock({"e1"}, 1), AdvBlock({"e2", "e99"}, 0, 1))),
+    AdversarySpec((AdvBlock({"e1", "e2"}, 1), AdvBlock({"e2", "e99"}, 1)), hamming.OVERLAPPING),
+    AdversarySpec((AdvBlock({"e1", "e99"}, 1),), network.RANK),
+]
+
+
+@pytest.mark.parametrize("adv", TYPO_ADVERSARIES)
+def test_fanouts_reject_blocks_naming_no_edge(adv):
+    net = netlib.butterfly(A2)
+    code = schemes.build_adversary_free(net, (2,), 2).network_code
+    with pytest.raises(IndexOutOfRange):
+        adversarial_fanouts(net, code, adv, ((0, 1),))

@@ -6,12 +6,13 @@ import pytest
 
 from advnet import codes, gf, hamming, netlib, network, regions, schemes
 from advnet.channel import STAR, one_shot_capacity
-from advnet.errors import EmptyCode, InvalidParams, UnsupportedVariant
+from advnet.errors import (AlphabetMismatch, EmptyCode, IndexOutOfRange, InvalidParams,
+                           UnsupportedVariant)
 from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, TableVertex,
                             adversarial_channel, adversarial_fanouts,
                             enumerate_minimal_cuts)
 from advnet.search import max_independent_set
-from test_network import random_small_network, random_table_code
+from test_network import TYPO_ADVERSARIES, random_small_network, random_table_code
 
 A2 = (0, 1)
 
@@ -468,6 +469,65 @@ def test_verify_rejects_an_empty_source_code(verify):
     codes_arg = code if verify is regions.verify_one_shot else [code]
     with pytest.raises(EmptyCode):
         verify(net, codes_arg, [[]], network.adversary_free(), A2)
+
+
+def butterfly_scheme():
+    net = netlib.butterfly(A2)
+    return net, schemes.build_adversary_free(net, (2,), 2)
+
+
+def _verify_args(verify, scheme, codewords):
+    """The scheme's code and one source code as `verify` takes them (one
+    use for the n-shot and compound checks)."""
+    if verify is regions.verify_one_shot:
+        return scheme.network_code, [codewords]
+    return [scheme.network_code], [[(cw,) for cw in codewords]]
+
+
+@pytest.mark.parametrize("verify", [regions.verify_one_shot, regions.verify_n_shot,
+                                    regions.verify_compound])
+@pytest.mark.parametrize("codeword", [(0, 1, 0), (0, 7), (0,), (0, STAR)])
+def test_verify_rejects_malformed_codewords(verify, codeword):
+    """The butterfly's source has two out-edges and the alphabet is GF(2)."""
+    net, scheme = butterfly_scheme()
+    code, source_codes = _verify_args(verify, scheme, scheme.source_codes[0][:2] + [codeword])
+    with pytest.raises(AlphabetMismatch):
+        verify(net, code, source_codes, network.adversary_free(), A2)
+
+
+@pytest.mark.parametrize("verify", [regions.verify_n_shot, regions.verify_compound])
+def test_verify_rejects_codewords_of_another_number_of_uses(verify):
+    net, scheme = butterfly_scheme()
+    two_uses = [(cw, cw) for cw in scheme.source_codes[0]]
+    with pytest.raises(AlphabetMismatch):
+        verify(net, [scheme.network_code], [two_uses], network.adversary_free(), A2)
+
+
+@pytest.mark.parametrize("verify", [regions.verify_one_shot, regions.verify_n_shot,
+                                    regions.verify_compound])
+def test_verify_needs_one_source_code_per_source(verify):
+    net, scheme = butterfly_scheme()
+    code, source_codes = _verify_args(verify, scheme, scheme.source_codes[0])
+    with pytest.raises(InvalidParams):
+        verify(net, code, source_codes * 2, network.adversary_free(), A2)
+
+
+def test_an_edge_id_typo_is_rejected_not_ignored():
+    net, scheme = butterfly_scheme()
+    real = AdversarySpec((AdvBlock({"e1"}, 1),))
+    assert not regions.verify_one_shot(net, scheme.network_code, scheme.source_codes, real, A2)
+    assert regions.theo2_region(net, real).bound_for({0}).bound == pytest.approx(1.0)
+    typo = AdversarySpec((AdvBlock({"e99"}, 1),))
+    with pytest.raises(IndexOutOfRange):
+        regions.verify_one_shot(net, scheme.network_code, scheme.source_codes, typo, A2)
+    with pytest.raises(IndexOutOfRange):
+        regions.theo2_region(net, typo)
+
+
+@pytest.mark.parametrize("adv", TYPO_ADVERSARIES)
+def test_port_rejects_blocks_naming_no_edge(adv):
+    with pytest.raises(IndexOutOfRange):
+        regions.port(netlib.butterfly(A2), adv, 2, lambda spec: hamming.BaseValue(0, 2))
 
 
 def test_verify_n_shot_coincides_with_one_shot_for_n1():

@@ -352,7 +352,7 @@ def two_source_compound_trial(rng, net, scheme, vary_edge):
     ext1, ext2 = meta["ext1"], meta["ext2"]
     x1 = gf.Matrix(ext1, tuple((rng.randrange(ext1.q),) for _ in range(scheme.n_uses)))
     x2 = (rng.randrange(ext2.q),)
-    uses1, uses2 = meta["local1"](x1), meta["local2"](x2)
+    uses1, uses2 = scheme.encode(0, x1.rows), scheme.encode(1, x2)
     edges = [e.id for e in net.edges]
     edge = rng.choice(edges)
     per_use_obs = []
