@@ -8,9 +8,9 @@ rank-error decoding (Loidreau, "A Welch-Berlekamp like algorithm for
 decoding Gabidulin codes", 2006).
 """
 
+import functools
 import itertools
 import math
-import threading
 
 from . import gf
 from .channel import STAR
@@ -99,9 +99,6 @@ class BetaValue:
         return f"beta({self.a},{self.u},{self.d}) = {self.value:.4g} ({tag})"
 
 
-_beta_memo = {}
-_beta_lock = threading.Lock()
-
 EXHAUSTIVE_BETA_LIMIT = 1 << 12
 
 
@@ -133,17 +130,10 @@ def beta(a, u, d, node_budget=300_000):
         raise InvalidParams("alphabet size must be >= 2")
     if d < 1:
         raise InvalidParams("distance must be >= 1")
-    key = (a, u, d, node_budget)
-    with _beta_lock:
-        hit = _beta_memo.get(key)
-    if hit is not None:
-        return hit
-    result = _beta_compute(a, u, d, node_budget)
-    with _beta_lock:
-        _beta_memo.setdefault(key, result)
-    return result
+    return _beta_compute(a, u, d, node_budget)
 
 
+@functools.cache
 def _beta_compute(a, u, d, node_budget):
     if u == 0 or d > u:
         return BetaValue(a, u, d, 0, 0, True)

@@ -328,17 +328,12 @@ def _smallest_irreducible(base, degree):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-_field_cache = {}
-
-
+@functools.cache
 def make_field(q):
     """Field of order q (a prime power).  Deterministic construction:
     extensions use the smallest irreducible modulus over the prime field."""
     if q > MAX_FIELD_ORDER:
         raise TooLarge(f"field order {q} exceeds limit {MAX_FIELD_ORDER}")
-    cached = _field_cache.get(q)
-    if cached is not None:
-        return cached
     pk = _factor_prime_power(q)
     if pk is None:
         raise NotPrimePower(f"{q} is not a prime power")
@@ -347,13 +342,10 @@ def make_field(q):
         field = PrimeField(p)
     else:
         field, _, _ = make_extension(PrimeField(p), k)
-    _field_cache[q] = field
     return field
 
 
-_extension_cache = {}
-
-
+@functools.cache
 def make_extension(base, degree):
     """Extension of `base` of the given degree.
 
@@ -365,11 +357,6 @@ def make_extension(base, degree):
         raise TooLarge("extension degree must be >= 1")
     if base.q ** degree > MAX_FIELD_ORDER:
         raise TooLarge(f"extension order {base.q ** degree} exceeds limit {MAX_FIELD_ORDER}")
-    key = (base.signature, degree)
-    cached = _extension_cache.get(key)
-    if cached is not None:
-        return cached
-
     if degree == 1:
         field = base
 
@@ -409,9 +396,7 @@ def make_extension(base, degree):
                 return Matrix(_f, tuple(rows))
             return _f.undigits(tuple(v))
 
-    result = (field, expand, flatten)
-    _extension_cache[key] = result
-    return result
+    return field, expand, flatten
 
 
 class Matrix:

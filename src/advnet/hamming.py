@@ -3,9 +3,10 @@
 Words live in A^s for an alphabet of size a (encoded 0..a-1); received
 words may carry the erasure symbol STAR.  A spec lists blocks (U, t, e):
 the adversary owning block U may corrupt up to t coordinates of U into
-different symbols and erase up to e of them.  Disjoint-variant blocks are
-pairwise disjoint; erasure-free overlapping-variant blocks may share
-coordinates, and a coordinate any of them corrupts takes any other symbol.
+different symbols and erase up to e of them.  Blocks may share coordinates
+only when none of them carries erasures; a coordinate any of them corrupts
+takes any other symbol.  The layout is read from the blocks: a result that
+needs disjoint blocks checks `disjoint(blocks)`.
 
 The adversary model lives here only: a `Block`'s coordinates may be word
 positions or network edge ids, so `network.AdversarySpec` holds the same
@@ -31,9 +32,6 @@ from .channel import (STAR, SymbolicChannel, TableChannel, UnionChannel,
 from .errors import (AlphabetMismatch, FieldTooSmall, IndexOutOfRange,
                      InvalidParams, SearchLimitExceeded, UnsupportedVariant)
 
-DISJOINT = "disjoint"
-OVERLAPPING = "overlapping"
-
 
 @dataclass(frozen=True)
 class Block:
@@ -56,21 +54,16 @@ class Block:
         return iter((self.coords, self.t, self.e))
 
 
-def check_blocks(blocks, variant):
-    """Reject blocks their variant cannot hold: overlapping blocks in the
-    disjoint variant, erasures in the overlapping one, or any other
-    variant."""
-    if variant == DISJOINT:
-        seen = set()
-        for b in blocks:
-            if seen & b.coords:
-                raise InvalidParams("disjoint-variant blocks must not overlap")
-            seen |= b.coords
-    elif variant == OVERLAPPING:
-        if any(b.e for b in blocks):
-            raise InvalidParams("overlapping variant is erasure-free")
-    else:
-        raise UnsupportedVariant(variant)
+def disjoint(blocks):
+    """Whether no two blocks share a coordinate."""
+    return sum(len(b.coords) for b in blocks) == len(
+        frozenset().union(*(b.coords for b in blocks)))
+
+
+def check_blocks(blocks):
+    """Reject erasures on blocks that share a coordinate."""
+    if any(b.e for b in blocks) and not disjoint(blocks):
+        raise InvalidParams("blocks that share coordinates are erasure-free")
 
 
 def restrict(blocks, chosen):
@@ -82,14 +75,13 @@ def restrict(blocks, chosen):
 class HammingSpec:
     """Multi-adversary error/erasure channel on A^s.
 
-    Budgets may exceed block sizes (t+e > |U| is allowed).  The overlapping
-    variant is erasure-free.
+    Budgets may exceed block sizes (t+e > |U| is allowed).  Blocks that
+    share coordinates are erasure-free.
     """
 
     alphabet_size: int
     length: int
     blocks: tuple
-    variant: str = DISJOINT
 
     def __post_init__(self):
         if self.alphabet_size < 2:
@@ -97,7 +89,7 @@ class HammingSpec:
         for b in self.blocks:
             if any(not 0 <= i < self.length for i in b.coords):
                 raise IndexOutOfRange("block coordinate outside the word length")
-        check_blocks(self.blocks, self.variant)
+        check_blocks(self.blocks)
 
     @property
     def covered(self):
@@ -111,7 +103,7 @@ class HammingSpec:
     def clip(self, chosen):
         """Restrict each block to a chosen coordinate subset (V within U)."""
         return HammingSpec(self.alphabet_size, self.length,
-                           restrict(self.blocks, chosen), self.variant)
+                           restrict(self.blocks, chosen))
 
 
 def single_block(alphabet_size, length, coords, t, e=0):
@@ -202,7 +194,7 @@ def in_fanout(spec, x, y):
     """Whether y is a possible received word when x is sent."""
     if len(x) != spec.length or len(y) != spec.length:
         raise AlphabetMismatch("word length mismatch")
-    if spec.variant == DISJOINT:
+    if disjoint(spec.blocks):
         covered = spec.covered
         for i in range(spec.length):
             if i not in covered and y[i] != x[i]:
@@ -213,8 +205,9 @@ def in_fanout(spec, x, y):
             if erasure_weight(y, b.coords) > b.e:
                 return False
         return True
-    # overlapping: y = x off the union, and the changed coordinates admit an
-    # assignment to blocks within their budgets (per-coordinate flow check)
+    # shared coordinates: y = x off the union, and the changed coordinates
+    # admit an assignment to blocks within their budgets (per-coordinate
+    # flow check)
     covered = spec.covered
     if any(y[i] == STAR for i in range(spec.length)):
         return False
@@ -257,10 +250,10 @@ def fanout(spec, x):
 # -- confusability -----------------------------------------------------------
 
 def confusable_analytic(spec, x, xp):
-    """Closed-form fan-out intersection test (disjoint variant)."""
-    if spec.variant != DISJOINT:
+    """Closed-form fan-out intersection test (disjoint blocks)."""
+    if not disjoint(spec.blocks):
         raise UnsupportedVariant(
-            "analytic confusability covers the disjoint variant only")
+            "analytic confusability covers disjoint blocks only")
     covered = spec.covered
     for i in range(spec.length):
         if i not in covered and x[i] != xp[i]:
@@ -288,7 +281,7 @@ def explicit_channel(spec, limit=TABLE_LIMIT):
 def symbolic_channel(spec):
     a, s = spec.alphabet_size, spec.length
     conf = None
-    if spec.variant == DISJOINT:
+    if disjoint(spec.blocks):
         conf = lambda x, xp: confusable_analytic(spec, x, xp)
     return SymbolicChannel((a ** s, lambda: words(a, s)),
                            lambda x: fanout(spec, x),
@@ -319,10 +312,10 @@ class BaseValue:
 
 def capacity_single_block(spec):
     """One-shot capacity s - u + beta(a, u, 2t+e+1) of a single-block
-    disjoint spec, in base-a units; where beta is not known exactly the
+    spec, in base-a units; where beta is not known exactly the
     value is an upper bound with beta's Singleton value (exact=False)."""
-    if spec.variant != DISJOINT or len(spec.blocks) != 1:
-        raise InvalidParams("single-block disjoint spec required")
+    if len(spec.blocks) != 1:
+        raise InvalidParams("single-block spec required")
     b = spec.blocks[0]
     u = len(b.coords)
     bv = codes.beta(spec.alphabet_size, u, 2 * b.t + b.e + 1)
@@ -342,11 +335,11 @@ def sigma(spec):
 
 
 def singleton_hamming_bound(spec):
-    """Single-block disjoint spec, base-a units: the tighter of the
+    """Single-block spec, base-a units: the tighter of the
     Singleton-type multi_block_bound and the Hamming-type
     max(0, s - log_a |ball of radius t + floor(e/2) in U|)."""
-    if spec.variant != DISJOINT or len(spec.blocks) != 1:
-        raise InvalidParams("single-block disjoint spec required")
+    if len(spec.blocks) != 1:
+        raise InvalidParams("single-block spec required")
     (coords, t, e), = spec.blocks
     a = spec.alphabet_size
     packing = max(0.0, spec.length - math.log(ball_size(len(coords), t + e // 2, 0, a), a))
@@ -356,8 +349,8 @@ def singleton_hamming_bound(spec):
 def multi_block_bound(spec, n=1):
     """Upper bound n(s - sum_l min(2t_l+e_l, |U_l|)) on the capacity of n
     uses (also valid for the compound model), base-a units."""
-    if spec.variant != DISJOINT:
-        raise InvalidParams("disjoint variant required")
+    if not disjoint(spec.blocks):
+        raise InvalidParams("disjoint blocks required")
     return BaseValue(n * (spec.length - sigma(spec)), spec.alphabet_size)
 
 
@@ -366,8 +359,8 @@ def multi_block_bound(spec, n=1):
 def compound_channel(spec, n):
     """Union over coordinate choices V of the n-fold product of the clipped
     channels: the adversaries fix their vulnerable coordinates across uses."""
-    if spec.variant != DISJOINT:
-        raise InvalidParams("disjoint variant required")
+    if not disjoint(spec.blocks):
+        raise InvalidParams("disjoint blocks required")
     choices = chosen_subsets(spec.blocks)
     if len(choices) * spec.alphabet_size ** (spec.length * n) > TABLE_LIMIT ** 2:
         raise SearchLimitExceeded("compound channel too large")
@@ -383,8 +376,8 @@ PAIRWISE_LIMIT = 1 << 11
 def achievability_code(spec, field):
     """[s, s-sigma, sigma+1] MDS code, checked pairwise to be good for the
     spec's channel."""
-    if spec.variant != DISJOINT:
-        raise InvalidParams("disjoint variant required")
+    if not disjoint(spec.blocks):
+        raise InvalidParams("disjoint blocks required")
     if field.q != spec.alphabet_size:
         raise AlphabetMismatch("field order must match the alphabet size")
     sg = sigma(spec)
@@ -426,8 +419,10 @@ def adversarial_strength(blocks):
 
 
 def overlap_bound(spec):
-    if spec.variant != OVERLAPPING:
-        raise InvalidParams("overlapping variant required")
+    """s - adversarial_strength(blocks), base-a units; the strength ignores
+    erasure budgets, so the blocks must carry none."""
+    if any(b.e for b in spec.blocks):
+        raise InvalidParams("erasure-free blocks required")
     return BaseValue(spec.length - adversarial_strength(spec.blocks),
                      spec.alphabet_size)
 
@@ -438,8 +433,8 @@ def keylong_witness(spec):
     """Deterministic witness (V, V', Ubar): per-block splits with
     |V_l|, |V'_l| <= t_l + e_l and |Ubar| = sigma such that any two words
     agreeing off Ubar have intersecting fan-outs under the clipped specs."""
-    if spec.variant != DISJOINT:
-        raise InvalidParams("disjoint variant required")
+    if not disjoint(spec.blocks):
+        raise InvalidParams("disjoint blocks required")
     V, Vp, stars = [], [], []
     ubar = set()
     for b in spec.blocks:

@@ -17,11 +17,14 @@ serves every evaluation: `evaluate` with the action's overrides,
 `cut_to_sink_channel` on the part of the plan that feeds the terminal.
 Cyclic networks have no plan; evaluating one raises CyclicGraph.
 
-An adversary is a set of `hamming.Block`s whose coordinates are edge ids.
-`adversarial_fanouts` lists `hamming.actions` of the blocks once per call:
-disjoint and overlapping blocks run one pass per action (values are chosen
-as each edge emits), and a per-symbol adversary's one block, over sub-symbol
-positions, gives every edge value its `ball` of those actions.
+An adversary is a set of `hamming.Block`s whose coordinates are edge ids;
+as in `hamming`, blocks may share edges only when none of them carries
+erasures, and a result that needs disjoint blocks checks
+`hamming.disjoint(blocks)`.  `adversarial_fanouts` lists `hamming.actions`
+of the blocks once per call: Hamming-type blocks run one pass per action
+(values are chosen as each edge emits), and a per-symbol adversary's one
+block, over sub-symbol positions, gives every edge value its `ball` of those
+actions.
 `adversarial_channels` makes the terminals' channels, on which `regions`
 verifies codes.  `AdversarySpec.clip` makes any adversary a `hamming` spec
 on a cut.  `check_demands` is the one cut-set demand check.
@@ -38,8 +41,8 @@ from .channel import STAR, SymbolicChannel
 from .errors import (AlphabetMismatch, BadFreeze, CyclicGraph, IndexOutOfRange,
                      Infeasible, InvalidParams, MissingCodeFunction, NotACut,
                      SearchLimitExceeded, UnsupportedVariant)
-from .hamming import (DISJOINT, OVERLAPPING, Block as AdvBlock, HammingSpec,
-                      RankMetricSpec, actions, ball, ball_size, check_blocks)
+from .hamming import (Block as AdvBlock, HammingSpec, RankMetricSpec, actions,
+                      ball, ball_size, check_blocks)
 
 RANK = "rank"
 PER_SYMBOL = "per_symbol"
@@ -584,23 +587,28 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
 @dataclass(frozen=True)
 class AdversarySpec:
     """Network adversary: `hamming.Block`s of edge ids with error and
-    erasure budgets, disjoint or (erasure-free) overlapping.  The rank
-    variant has one block and serves bound computation only; the
-    per_symbol variant has one block over the m sub-symbol positions of an
-    edge value, and corrupts/erases within it on every edge independently."""
+    erasure budgets (variant None), which may share edges only when none
+    carries erasures.  The rank variant has one erasure-free block and
+    serves bound computation only; the per_symbol variant has one block over
+    the m sub-symbol positions of an edge value, and corrupts/erases within
+    it on every edge independently."""
 
     blocks: tuple = ()
-    variant: str = DISJOINT
+    variant: str = None
 
     def __post_init__(self):
-        if self.variant in (RANK, PER_SYMBOL):
-            if len(self.blocks) != 1:
-                raise InvalidParams(f"a {self.variant} adversary has exactly one block")
-            coords = self.blocks[0].coords
-            if self.variant == PER_SYMBOL and coords != frozenset(range(len(coords))):
-                raise InvalidParams("a per_symbol block covers sub-symbols range(m)")
-        else:
-            check_blocks(self.blocks, self.variant)
+        if self.variant is None:
+            check_blocks(self.blocks)
+            return
+        if self.variant not in (RANK, PER_SYMBOL):
+            raise UnsupportedVariant(self.variant)
+        if len(self.blocks) != 1:
+            raise InvalidParams(f"a {self.variant} adversary has exactly one block")
+        (coords, _, e), = self.blocks
+        if self.variant == PER_SYMBOL and coords != frozenset(range(len(coords))):
+            raise InvalidParams("a per_symbol block covers sub-symbols range(m)")
+        if self.variant == RANK and e:
+            raise InvalidParams("a rank adversary is erasure-free")
 
     def check_edges(self, net):
         """Raise IndexOutOfRange for a block naming an edge id net lacks;
@@ -624,7 +632,7 @@ class AdversarySpec:
         if self.variant == RANK:
             (coords, t, _), = blocks
             return RankMetricSpec(alphabet_size, 1, len(cut), coords, t)
-        return HammingSpec(alphabet_size, len(cut), blocks, self.variant)
+        return HammingSpec(alphabet_size, len(cut), blocks)
 
 
 def adversary_free():
@@ -636,14 +644,13 @@ def full_edge_adversary(net, t, e=0):
 
 
 def _count_actions(net, adv, alphabet):
-    if adv.variant in (DISJOINT, OVERLAPPING):
-        count = math.prod(ball_size(len(b.coords), b.t, b.e, len(alphabet))
-                          for b in adv.blocks)
-        if adv.variant == OVERLAPPING:   # the union's ball bounds the branches too
-            union = frozenset().union(*(b.coords for b in adv.blocks))
-            count = min(count, ball_size(len(union), sum(b.t for b in adv.blocks),
-                                         0, len(alphabet)))
-        return count
+    if adv.variant is None:
+        # the blocks' balls multiply; the union's ball bounds the words too
+        a = len(alphabet)
+        union = frozenset().union(*(b.coords for b in adv.blocks))
+        return min(math.prod(ball_size(len(b.coords), b.t, b.e, a) for b in adv.blocks),
+                   ball_size(len(union), sum(b.t for b in adv.blocks),
+                             sum(b.e for b in adv.blocks), a))
     if adv.variant == PER_SYMBOL:
         (coords, t, e), = adv.blocks
         base = len({v for sym in alphabet for v in sym})
@@ -663,7 +670,7 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None):
         raise SearchLimitExceeded("adversary action space exceeds the limit")
     steps = _steps(net)
     acts = actions(adv.blocks)
-    if adv.variant in (DISJOINT, OVERLAPPING):
+    if adv.variant is None:
         # one pass per action; a corrupted edge may carry any other value
         # of its clean one
         passes = [lambda eid, v, err=err, stars=stars: (

@@ -6,7 +6,9 @@ alphabet size, for every non-empty source subset J, with an exactness flag
 one `port` of a `hamming` point-to-point bound: b_J is its least value over
 terminals and minimal cuts on `AdversarySpec.clip` of the adversary to the
 cut.  A ported region bounds whichever capacity its point-to-point bound
-bounds.
+bounds.  As in `hamming`, adversary blocks may share edges only when none
+carries erasures; a region that needs disjoint blocks checks
+`hamming.disjoint(blocks)`.
 
 Verification implements the three achievability notions, each as one
 `channel.confusable_pair` scan of the product code on a channel per
@@ -23,9 +25,8 @@ from dataclasses import dataclass
 from . import hamming as hamming_mod
 from .channel import ProductChannel, UnionChannel, confusable_pair
 from .errors import AlphabetMismatch, EmptyCode, InvalidParams, UnsupportedVariant
-from .network import (DISJOINT, OVERLAPPING, PER_SYMBOL, RANK, AdversarySpec,
-                      adversarial_channels, enumerate_minimal_cuts,
-                      full_edge_adversary, source_subsets)
+from .network import (PER_SYMBOL, RANK, AdversarySpec, adversarial_channels,
+                      enumerate_minimal_cuts, full_edge_adversary, source_subsets)
 # bound here too: perfbench/spans.py traces them under this module's name
 from .network import adversarial_fanouts, min_cut  # noqa: F401
 
@@ -103,8 +104,8 @@ def theo1_region(net, adv, alphabet_size):
     """Single-block error/erasure adversary: per J the minimum over cuts of
     |cut minus U| + beta(a, |cut and U|, 2t+e+1), with beta's upper value
     where it is not known exactly."""
-    if adv.variant != DISJOINT or len(adv.blocks) != 1:
-        raise InvalidParams("single-block disjoint adversary required")
+    if adv.variant is not None or len(adv.blocks) != 1:
+        raise InvalidParams("single-block Hamming-type adversary required")
     return port(net, adv, alphabet_size, hamming_mod.capacity_single_block)
 
 
@@ -121,7 +122,7 @@ def theo2_region(net, adv):
     """Disjoint multi-block adversary: per J the minimum over cuts of
     |cut| - sum_l min(2 t_l + e_l, |cut and U_l|); valid simultaneously for
     the one-shot, zero-error, and compound regions."""
-    if adv.variant != DISJOINT:
+    if adv.variant is not None or not hamming_mod.disjoint(adv.blocks):
         raise InvalidParams("disjoint adversary required")
     return port(net, adv, 2, hamming_mod.multi_block_bound)
 
@@ -136,10 +137,10 @@ def product_alphabet_region(net, t, e, m):
 
 
 def overlap_region(net, adv):
-    """Overlapping erasure-free adversaries: per J the minimum over cuts of
-    |cut| - adversarial_strength(blocks clipped to the cut)."""
-    if adv.variant != OVERLAPPING:
-        raise InvalidParams("overlapping adversary required")
+    """Erasure-free, possibly overlapping adversaries: per J the minimum
+    over cuts of |cut| - adversarial_strength(blocks clipped to the cut)."""
+    if adv.variant is not None or any(b.e for b in adv.blocks):
+        raise InvalidParams("erasure-free Hamming-type adversary required")
     return port(net, adv, 2, hamming_mod.overlap_bound)
 
 
@@ -212,7 +213,7 @@ def verify_n_shot(net, codes_per_use, source_codes, adv, alphabet=None):
 def verify_compound(net, codes_per_use, source_codes, adv, alphabet=None):
     """Compound goodness: the adversary fixes per-block vulnerable edge sets
     (within budget sizes) across all uses, then acts freely within them."""
-    if adv.variant != DISJOINT:
+    if adv.variant is not None or not hamming_mod.disjoint(adv.blocks):
         raise UnsupportedVariant("compound verification needs a disjoint adversary")
     clipped = [AdversarySpec(hamming_mod.restrict(adv.blocks, choice))
                for choice in hamming_mod.chosen_subsets(adv.blocks)]

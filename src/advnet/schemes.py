@@ -57,7 +57,6 @@ class Scheme:
     reports and tests.
     """
 
-    n_uses: int
     network_codes: list
     messages: list
     encode: Callable
@@ -65,6 +64,10 @@ class Scheme:
     alphabet: tuple
     rate: tuple
     meta: dict = field(default_factory=dict)
+
+    @property
+    def n_uses(self):
+        return len(self.network_codes)
 
     @property
     def network_code(self):
@@ -222,7 +225,7 @@ def build_adversary_free(net, demands, q, max_draws=MAX_DRAWS, seed=0):
         return decode
 
     decoders = {t: make_decoder(t) for t in net.terminals}
-    return Scheme(1, [code], [list(itertools.product(range(q), repeat=a)) for a in demands],
+    return Scheme([code], [list(itertools.product(range(q), repeat=a)) for a in demands],
                   lambda i, msg: gf.mat_vec_row(fld, msg, encoders[i]),
                   decoders, tuple(range(q)),
                   tuple(float(a) for a in demands),
@@ -390,7 +393,7 @@ def _rank_scheme(net, demands, t, q, max_draws, seed, compound):
         meta["local_codeword"] = lambda msg: encode(0, msg)
         if as_row:
             meta["messages"] = q1
-    return Scheme(n_uses, [code] * n_uses, messages, encode,
+    return Scheme([code] * n_uses, messages, encode,
                   {t_: make_decoder(t_) for t_ in net.terminals},
                   tuple(itertools.product(range(q), repeat=width)),
                   tuple(float(a) for a in demands), meta)
@@ -446,7 +449,7 @@ def build_product_alphabet(net, demands, t, e, q, m, seed=0):
     decoders = {t_: make_decoder(base.decoders[t_]) for t_ in net.terminals}
     alphabet = tuple(itertools.product(range(q), repeat=m))
     rate = tuple(k / m * a for a in demands)
-    return Scheme(1, [code], [list(itertools.product(words, repeat=a)) for a in demands],
+    return Scheme([code], [list(itertools.product(words, repeat=a)) for a in demands],
                   local_codeword, decoders, alphabet, rate,
                   meta={"field": fld, "adversary": AdversarySpec((AdvBlock(range(m), t, e),),
                                                                  PER_SYMBOL)})
@@ -499,7 +502,7 @@ def double_relay_scheme():
     adv = AdversarySpec(blocks=(
         AdvBlock({"e5", "e6", "e7"}, 1, 0),
         AdvBlock({"e1", "e8", "e9", "e10", "e11", "e12"}, 1, 0)))
-    return Scheme(1, [code], [code1, code2], lambda i, msg: msg, {"T": decode},
+    return Scheme([code], [code1, code2], lambda i, msg: msg, {"T": decode},
                   tuple(range(5)), (1.0, 2.0), meta={"network": net, "adversary": adv})
 
 

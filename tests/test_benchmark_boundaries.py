@@ -58,3 +58,13 @@ def test_every_region_job_checks():
     for entry in workloads.REGIONS:
         job = workloads._region_job(entry, refs[str(entry)])
         assert job.check(job.fn()), job.key
+
+
+def test_every_hamming_job_checks():
+    """A change to `hamming.HammingSpec` that the capacity workload's
+    two-block specs rely on fails here instead of in a benchmark run."""
+    workloads = _workloads()
+    refs = json.loads((PERFBENCH / "reference.json").read_text())["hamming"]
+    for entry in workloads.HAMMING_SPECS:
+        job = workloads._hamming_job(entry, refs[str(entry)])
+        assert job.check(job.fn()), job.key

@@ -79,7 +79,7 @@ def random_overlapping_spec(rng, max_len=4, max_alpha=3):
     blocks = tuple(hamming.Block(rng.sample(range(s), rng.randint(0, s)),
                                  rng.randint(0, 2), 0)
                    for _ in range(rng.randint(1, 3)))
-    return hamming.HammingSpec(a, s, blocks, variant=hamming.OVERLAPPING)
+    return hamming.HammingSpec(a, s, blocks)
 
 
 def test_fanout_enumeration_matches_membership():
@@ -358,14 +358,14 @@ def test_overlap_membership_and_commutation():
     # two adversaries, overlapping coordinate sets, t = 1 each
     b1 = hamming.Block({0, 1}, 1, 0)
     b2 = hamming.Block({1, 2}, 1, 0)
-    spec = hamming.HammingSpec(2, 3, (b1, b2), variant=hamming.OVERLAPPING)
+    spec = hamming.HammingSpec(2, 3, (b1, b2))
     x = (0, 0, 0)
     assert hamming.in_fanout(spec, x, (1, 1, 0))
     assert hamming.in_fanout(spec, x, (0, 1, 1))
     assert not hamming.in_fanout(spec, x, (1, 1, 1))
     # sequential composition in either order gives the same fan-out
-    fwd = hamming.HammingSpec(2, 3, (b1, b2), variant=hamming.OVERLAPPING)
-    bwd = hamming.HammingSpec(2, 3, (b2, b1), variant=hamming.OVERLAPPING)
+    fwd = hamming.HammingSpec(2, 3, (b1, b2))
+    bwd = hamming.HammingSpec(2, 3, (b2, b1))
     for x in hamming.words(2, 3):
         assert hamming.fanout(fwd, x) == hamming.fanout(bwd, x)
 
@@ -378,8 +378,7 @@ def test_overlap_fanout_matches_two_step_composition():
         c2 = frozenset(rng.sample(range(s), rng.randint(0, s)))
         t1, t2 = rng.randint(0, 2), rng.randint(0, 2)
         spec = hamming.HammingSpec(2, s, (hamming.Block(c1, t1, 0),
-                                          hamming.Block(c2, t2, 0)),
-                                   variant=hamming.OVERLAPPING)
+                                          hamming.Block(c2, t2, 0)))
         s1 = hamming.single_block(2, s, c1, t1)
         s2 = hamming.single_block(2, s, c2, t2)
         for x in hamming.words(2, s):
@@ -451,23 +450,23 @@ def random_action_spec(rng):
         return hamming.HammingSpec(a, s, blocks)
     blocks = tuple(hamming.Block(rng.sample(range(s), rng.randint(0, s)), rng.randint(0, 2))
                    for _ in range(rng.randint(1, 3)))
-    return hamming.HammingSpec(a, s, blocks, hamming.OVERLAPPING)
+    return hamming.HammingSpec(a, s, blocks)
 
 
 def test_action_ball_and_strength_match_their_oracles():
     rng = random.Random(1706)
-    overlapping = 0
+    erasure_free = 0
     for _ in range(400):
         spec = random_action_spec(rng)
         alphabet = range(spec.alphabet_size)
         for _ in range(3):
             x = tuple(rng.randrange(spec.alphabet_size) for _ in range(spec.length))
             assert hamming.fanout(spec, x) == sequential_ball(x, spec.blocks, alphabet)
-        if spec.variant == hamming.OVERLAPPING:
-            overlapping += 1
+        if not any(b.e for b in spec.blocks):   # the specs overlap_bound takes
+            erasure_free += 1
             assert (hamming.adversarial_strength(spec.blocks)
                     == pairwise_strength(spec.blocks)), spec
-    assert overlapping > 150
+    assert erasure_free > 150
 
 
 def test_actions_are_distinct_unions_of_block_actions():
@@ -492,19 +491,18 @@ def test_explicit_channel_outputs_are_the_reached_words():
 def test_overlap_bound():
     b1 = hamming.Block({0, 1}, 1, 0)
     b2 = hamming.Block({1, 2}, 1, 0)
-    spec = hamming.HammingSpec(2, 4, (b1, b2), variant=hamming.OVERLAPPING)
+    spec = hamming.HammingSpec(2, 4, (b1, b2))
     assert hamming.overlap_bound(spec).value == pytest.approx(4 - 3)
 
 
 def test_overlap_rejects_erasures():
-    with pytest.raises(InvalidParams):
-        hamming.HammingSpec(2, 3, (hamming.Block({0}, 1, 1),),
-                            variant=hamming.OVERLAPPING)
+    with pytest.raises(InvalidParams, match="erasure-free"):
+        hamming.HammingSpec(2, 3, (hamming.Block({0, 1}, 1, 1), hamming.Block({1, 2}, 1, 0)))
 
 
 def test_analytic_confusability_rejects_overlapping():
-    spec = hamming.HammingSpec(2, 3, (hamming.Block({0, 1}, 1, 0),),
-                               variant=hamming.OVERLAPPING)
+    spec = hamming.HammingSpec(2, 3, (hamming.Block({0, 1}, 1, 0),
+                                      hamming.Block({1, 2}, 1, 0)))
     with pytest.raises(UnsupportedVariant):
         hamming.confusable_analytic(spec, (0, 0, 0), (1, 1, 1))
 

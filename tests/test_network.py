@@ -515,7 +515,7 @@ def test_overlapping_blocks_run_each_distinct_action_once(monkeypatch):
     net = netlib.parallel_path(3, A2)
     code = network.identity_routing_code(net)
     cut = ("e4", "e5", "e6")
-    adv = AdversarySpec((AdvBlock(cut, 1), AdvBlock(cut, 1)), network.OVERLAPPING)
+    adv = AdversarySpec((AdvBlock(cut, 1), AdvBlock(cut, 1)))
     spec = adv.clip(cut, 2)
     forward, calls = network._forward, []
     monkeypatch.setattr(network, "_forward",
@@ -588,8 +588,7 @@ def test_overlapping_fanouts_match_the_clipped_hamming_fanout():
     rng = random.Random(1706)
     for _ in range(4):
         adv = AdversarySpec(blocks=tuple(AdvBlock(rng.sample(cut, 3), rng.randint(0, 2))
-                                         for _ in range(rng.randint(2, 3))),
-                            variant=network.OVERLAPPING)
+                                         for _ in range(rng.randint(2, 3))))
         spec = adv.clip(cut, 3)
         for x in network.global_inputs(net):
             assert adversarial_fanouts(net, code, adv, x)["T"] == hamming.fanout(spec, x[0])
@@ -639,8 +638,7 @@ def test_overlapping_blocks_are_counted_by_their_union():
     net = netlib.parallel_path(4, range(8))
     code = network.identity_routing_code(net)
     edges = [e.id for e in net.edges[:4]]
-    overlapping = AdversarySpec(tuple(AdvBlock(edges, 2) for _ in range(3)),
-                                network.OVERLAPPING)
+    overlapping = AdversarySpec(tuple(AdvBlock(edges, 2) for _ in range(3)))
     single = AdversarySpec((AdvBlock(edges, 4),))
     x = ((0, 1, 2, 3),)
     fanouts = adversarial_fanouts(net, code, overlapping, x)
@@ -769,11 +767,12 @@ def test_size_guard_fires_before_the_work(name, monkeypatch):
         call()
 
 
-# a block naming "e99", an edge id the butterfly lacks, in each edge-id variant
+# a block naming "e99", an edge id the butterfly lacks: one block, disjoint
+# blocks, overlapping blocks and a rank block
 TYPO_ADVERSARIES = [
     AdversarySpec((AdvBlock({"e99"}, 1),)),
     AdversarySpec((AdvBlock({"e1"}, 1), AdvBlock({"e2", "e99"}, 0, 1))),
-    AdversarySpec((AdvBlock({"e1", "e2"}, 1), AdvBlock({"e2", "e99"}, 1)), hamming.OVERLAPPING),
+    AdversarySpec((AdvBlock({"e1", "e2"}, 1), AdvBlock({"e2", "e99"}, 1))),
     AdversarySpec((AdvBlock({"e1", "e99"}, 1),), network.RANK),
 ]
 

@@ -97,16 +97,27 @@ def test_product_alphabet_region():
 
 
 def test_overlap_region_reduces_to_theo2_on_disjoint_blocks():
-    net = netlib.two_source_double_relay(A2)
-    blocks = (AdvBlock({"e5", "e6", "e7"}, 1, 0),
-              AdvBlock({"e8", "e9", "e10"}, 1, 0))
-    adv_o = AdversarySpec(blocks=blocks, variant=network.OVERLAPPING)
-    adv_d = AdversarySpec(blocks=blocks, variant=network.DISJOINT)
-    r_o = regions.overlap_region(net, adv_o)
-    r_d = regions.theo2_region(net, adv_d)
-    for subset in ({0}, {1}, {0, 1}):
-        assert (r_o.bound_for(subset).bound
-                == pytest.approx(r_d.bound_for(subset).bound))
+    # on disjoint erasure-free blocks the adversarial strength is the sum of
+    # min(2t, |U|), so one adversary needs no declared layout
+    rng = random.Random(1706)
+    nets = list(NETLIB.values())
+    for k in range(60):
+        net = nets[k % len(nets)]
+        edges = rng.sample([e.id for e in net.edges], rng.randint(1, len(net.edges)))
+        ends = sorted(rng.sample(range(1, len(edges)), min(rng.randint(0, 2), len(edges) - 1)))
+        adv = AdversarySpec(tuple(AdvBlock(edges[i:j], rng.randint(0, 2))
+                                  for i, j in zip([0] + ends, ends + [len(edges)])))
+        assert hamming.disjoint(adv.blocks)
+        r_o, r_d = regions.overlap_region(net, adv), regions.theo2_region(net, adv)
+        assert ([(q.subset, q.bound, q.exact, q.terminal, q.cut) for q in r_o.inequalities]
+                == [(q.subset, q.bound, q.exact, q.terminal, q.cut) for q in r_d.inequalities])
+    for _ in range(300):
+        s = rng.randint(1, 6)
+        coords = rng.sample(range(s), rng.randint(0, s))
+        split = rng.randint(0, len(coords))
+        spec = hamming.HammingSpec(rng.randint(2, 5), s, tuple(
+            hamming.Block(part, rng.randint(0, 2)) for part in (coords[:split], coords[split:])))
+        assert hamming.overlap_bound(spec).value == hamming.multi_block_bound(spec).value
 
 
 def test_rank_region_trivial_and_parallel():
@@ -119,6 +130,13 @@ def test_rank_region_trivial_and_parallel():
                          variant=network.RANK)
     r1 = regions.rank_region(net, adv1)
     assert r1.bound_for({0}).bound == pytest.approx(1.0)
+    # the rank bound has no erasure term, so a rank block carries no erasures
+    net4 = netlib.parallel_path(4, A2)
+    for e in (1, 3):
+        with pytest.raises(InvalidParams, match="erasure-free"):
+            AdversarySpec((AdvBlock({"e1", "e2", "e3", "e4"}, 1, e),), network.RANK)
+    adv4 = AdversarySpec((AdvBlock({"e1", "e2", "e3", "e4"}, 1, 0),), network.RANK)
+    assert regions.rank_region(net4, adv4).bound_for({0}).bound == pytest.approx(2.0)
 
 
 def test_region_contains_zero():
@@ -208,8 +226,7 @@ def test_ported_regions_match_their_formulas(name):
             for part in (chosen[:split], chosen[split:]) if part))
         assert_matches_formula(net, regions.theo2_region(net, adv), theo2_formula(adv))
         adv = AdversarySpec(blocks=tuple(AdvBlock(sample(4), rng.randint(0, 2))
-                                         for _ in range(rng.randint(1, 3))),
-                            variant=network.OVERLAPPING)
+                                         for _ in range(rng.randint(1, 3))))
         assert_matches_formula(net, regions.overlap_region(net, adv), overlap_formula(adv))
         adv = AdversarySpec(blocks=(AdvBlock(sample(len(edges)), rng.randint(0, 3)),),
                             variant=network.RANK)
@@ -272,8 +289,8 @@ def test_every_inequality_carries_its_terminal_and_cut(name):
              regions.theo2_region(net, AdversarySpec((half, AdvBlock(edges[1::2], 1)))),
              regions.product_alphabet_region(net, 1, 0, 3),
              regions.overlap_region(net, AdversarySpec(
-                 (AdvBlock(edges[:4], 1), AdvBlock(edges[2:6], 1)), network.OVERLAPPING)),
-             regions.rank_region(net, AdversarySpec((half,), network.RANK))]
+                 (AdvBlock(edges[:4], 1), AdvBlock(edges[2:6], 1)))),
+             regions.rank_region(net, AdversarySpec((AdvBlock(edges[::2], 1),), network.RANK))]
     for region in built:
         for ineq in region.inequalities:
             assert ineq.cut is not None
@@ -298,7 +315,7 @@ def test_port_clips_the_adversary_to_cut_coordinates_in_edge_order():
     def bound(spec):
         # encodes the first block's coordinates; the minimum favours many
         # and late ones
-        assert spec.alphabet_size == 3 and spec.variant == network.DISJOINT
+        assert spec.alphabet_size == 3 and hamming.disjoint(spec.blocks)
         assert [(b.t, b.e) for b in spec.blocks] == [(1, 1), (0, 1)]
         return hamming.BaseValue(-sum(2 ** i for i in spec.blocks[0].coords), 3)
 
@@ -330,8 +347,8 @@ def test_adversary_blocks_are_hamming_blocks_checked_by_variant():
     assert network.AdvBlock is hamming.Block
     with pytest.raises(UnsupportedVariant):
         AdversarySpec(variant="bogus")
-    with pytest.raises(InvalidParams, match="overlap"):
-        AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1), AdvBlock({"e2"}, 1)))
+    with pytest.raises(InvalidParams, match="erasure-free"):
+        AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1), AdvBlock({"e2"}, 1, 1)))
     # the per-symbol adversary is one block over the sub-symbol positions
     for blocks in ((), (AdvBlock(range(2), 1), AdvBlock(range(2), 0, 1)),
                    (AdvBlock({0, 2}, 1),)):
@@ -343,9 +360,11 @@ def test_overlap_region_rejects_erasures():
     # a region that ignored these erasure budgets would report a1 <= 1
     net = netlib.triple_path_bottleneck()
     with pytest.raises(InvalidParams, match="erasure-free"):
-        adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 1), AdvBlock({"e2", "e3"}, 0, 2)),
-                            variant=network.OVERLAPPING)
+        adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 1), AdvBlock({"e2", "e3"}, 0, 2)))
         regions.overlap_region(net, adv)
+    # disjoint blocks may carry erasures; the region still refuses them
+    with pytest.raises(InvalidParams, match="erasure-free"):
+        regions.overlap_region(net, AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 1),)))
 
 
 def test_brute_force_port_is_tighter_than_theo2():
@@ -403,7 +422,7 @@ def test_brute_force_bounds_overlapping_network_capacity():
         edges = [e.id for e in net.edges]
         adv = AdversarySpec(blocks=tuple(
             AdvBlock(rng.sample(edges, rng.randint(1, len(edges))), rng.randint(0, 1))
-            for _ in range(2)), variant=network.OVERLAPPING)
+            for _ in range(2)))
         capacity = one_shot_capacity(adversarial_channel(net, code, adv, "T", A2))
         ported = regions.port(net, adv, 2, hamming.brute_force_capacity).bound_for({0})
         formula = regions.overlap_region(net, adv).bound_for({0})
