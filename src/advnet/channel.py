@@ -15,12 +15,15 @@ Composites answer it lazily, factor by factor, so powers of channels stay
 cheap even when their materialized fan-out sets would not;
 `_fanouts_intersect` only compares two different channels, such as union
 branches.  `confusable_pair` is the one pairwise scan of a code.
+`BaseValue`, the log of an exact count, is the one value type.
 """
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
-from .errors import AlphabetMismatch, EmptyCode, EmptyFamily, SearchLimitExceeded
+from .errors import AlphabetMismatch, EmptyCode, EmptyFamily, InvalidParams, SearchLimitExceeded
 from .search import (greedy_clique_cover_size, greedy_independent_set,
                      max_independent_set)
 
@@ -282,27 +285,107 @@ def is_good_code(ch, code):
     return confusable_pair(ch, code) is None
 
 
-class CapacityResult:
-    """One-shot capacity value (in bits) plus the witness code.
+@functools.total_ordering
+class BaseValue:
+    """e + log_a(count)/uses in base a: an int or Fraction exponent e, a
+    positive int or Fraction count and a number of uses; exact=False marks
+    an upper bound on what the value names.
 
-    When the search is exact, lower == upper == bits.  Otherwise bits holds
-    the best-found lower bound and upper the clique-cover bound, with
-    exact=False.
+    The one value type of capacities, beta values and bounds, each the log
+    of a count.  Values add, and compare exactly: both sides raised to a
+    common denominator are ratios of integers.  A pure exponent (count 1)
+    reads in any alphabet; counts in two bases do not combine
+    (AlphabetMismatch).  ints and Fractions act as pure exponents; floats
+    compare with the display float `value`, the one place logs are taken.
     """
 
-    __slots__ = ("size", "bits", "witness", "exact", "lower_bits", "upper_bits")
+    __slots__ = ("exponent", "base", "exact", "count", "uses")
+
+    def __init__(self, exponent, base, exact=True, count=1, uses=1):
+        if count <= 0 or uses < 1:
+            raise InvalidParams("a value needs a positive count and uses")
+        self.exponent = exponent if isinstance(exponent, int) else Fraction(exponent)
+        self.base, self.exact, self.count, self.uses = base, exact, count, uses
+
+    @property
+    def value(self):
+        c = Fraction(self.count)
+        logs = math.log2(c.numerator) - math.log2(c.denominator)
+        return float(self.exponent) + (logs and logs / math.log2(self.base) / self.uses)
+
+    @property
+    def bits(self):
+        return self.value * math.log2(self.base)
+
+    def _with(self, other):
+        """other as a value, and the one base of their counts (None: no count)."""
+        other = other if isinstance(other, BaseValue) else BaseValue(other, None)
+        bases = {v.base for v in (self, other) if v.count != 1}
+        if len(bases) > 1:
+            raise AlphabetMismatch(f"counts in bases {sorted(bases)} do not combine")
+        return other, next(iter(bases), None)
+
+    def __add__(self, other):
+        if isinstance(other, float):
+            return self.value + other
+        other, base = self._with(other)
+        k = math.lcm(self.uses, other.uses)
+        count = (Fraction(self.count) ** (k // self.uses)
+                 * Fraction(other.count) ** (k // other.uses))
+        return BaseValue(self.exponent + other.exponent, base or self.base,
+                         self.exact and other.exact, count, k)
+
+    __radd__ = __add__
+
+    def _sign(self, other):
+        """Sign of self - other: of their display floats against a float."""
+        if isinstance(other, float):
+            return (self.value > other) - (self.value < other)
+        other, base = self._with(other)
+        x = self.exponent - other.exponent
+        if base is None:
+            return (x > 0) - (x < 0)
+        d = math.lcm(x.denominator, self.uses, other.uses)
+        n = x.numerator * (d // x.denominator)
+        lhs = self.count ** (d // self.uses) * base ** max(n, 0)
+        rhs = other.count ** (d // other.uses) * base ** max(-n, 0)
+        return (lhs > rhs) - (lhs < rhs)
+
+    def __eq__(self, other):
+        return isinstance(other, (BaseValue, int, float, Fraction)) and self._sign(other) == 0
+
+    def __lt__(self, other):
+        return self._sign(other) < 0
+
+    def __repr__(self):
+        tag = "exact" if self.exact else "bound"
+        return f"BaseValue({self.value:.6g} in base {self.base}, {tag})"
+
+
+class CapacityResult:
+    """One-shot capacity: `size` words of a good code (the witness) and an
+    upper size, equal when the search is exact, else the clique-cover bound
+    with exact=False.  `bits`/`lower_bits`/`upper_bits` read their logs."""
+
+    __slots__ = ("size", "upper_size", "witness", "exact")
 
     def __init__(self, size, witness, exact, upper_size=None):
-        self.size = size
-        self.witness = tuple(witness)
-        self.exact = exact
-        self.bits = math.log2(size) if size else 0.0
-        self.lower_bits = self.bits
-        self.upper_bits = self.bits if exact else math.log2(max(upper_size, 1))
+        self.size, self.witness, self.exact = size, tuple(witness), exact
+        self.upper_size = size if exact else upper_size
 
     def value_in_base(self, base):
-        """Capacity expressed as a logarithm in the given base."""
-        return self.bits / math.log2(base)
+        """The capacity as a BaseValue; with exact=False, its upper bound."""
+        return BaseValue(0, base, self.exact, max(self.upper_size, 1))
+
+    @property
+    def bits(self):
+        return BaseValue(0, 2, count=max(self.size, 1)).value
+
+    lower_bits = bits
+
+    @property
+    def upper_bits(self):
+        return self.value_in_base(2).value
 
     def __repr__(self):
         tag = "exact" if self.exact else "bounds"

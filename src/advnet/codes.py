@@ -1,19 +1,17 @@
 """Block codes over finite alphabets and fields.
 
 Covers minimum-distance computation, the beta table (largest code of a
-given length and minimum distance, measured as a log in the alphabet
-size), MDS generator constructions, erasure-aware minimum-distance
-decoding, and Gabidulin rank-metric codes with Welch-Berlekamp
-rank-error decoding (Loidreau, "A Welch-Berlekamp like algorithm for
-decoding Gabidulin codes", 2006).
+given length and minimum distance, as exact code sizes), MDS generator
+constructions, erasure-aware minimum-distance decoding, and Gabidulin
+rank-metric codes with Welch-Berlekamp rank-error decoding (Loidreau, "A
+Welch-Berlekamp like algorithm for decoding Gabidulin codes", 2006).
 """
 
 import functools
 import itertools
-import math
 
 from . import gf
-from .channel import STAR
+from .channel import STAR, BaseValue
 from .errors import (FieldTooSmall, InvalidParams, NoCodewordInRange,
                      SearchLimitExceeded, SingletonCode)
 from .search import max_independent_set
@@ -72,10 +70,9 @@ def min_distance(code):
 # -- the beta table ----------------------------------------------------------
 
 class BetaValue:
-    """Largest code size (and its log in base a) for given (a, u, d).
-
-    exact is False when only construction/Singleton bounds are available;
-    then size/value hold the lower bound and upper_* the Singleton bound.
+    """Largest code size for given (a, u, d) as exact counts: size, of a
+    code in hand, and upper_size, the Singleton bound where exact is False.
+    `value`/`upper_value` read their logs in base a through `BaseValue`.
     """
 
     __slots__ = ("a", "u", "d", "size", "upper_size", "exact")
@@ -88,11 +85,11 @@ class BetaValue:
 
     @property
     def value(self):
-        return math.log(self.size, self.a) if self.size else 0.0
+        return BaseValue(0, self.a, count=self.size).value
 
     @property
     def upper_value(self):
-        return math.log(self.upper_size, self.a) if self.upper_size else 0.0
+        return BaseValue(0, self.a, count=self.upper_size).value
 
     def __repr__(self):
         tag = "exact" if self.exact else f"<= {self.upper_value:.4g}"
@@ -119,13 +116,12 @@ def _beta_exhaustive(a, u, d, node_budget):
 
 
 def beta(a, u, d, node_budget=300_000):
-    """beta(a, u, d): log_a of the largest size of a code of length u with
-    minimum distance >= d over an alphabet of size a (0 when no code with
-    at least two words exists).  Exact via constructions matching the
-    Singleton bound, or exhaustive search when a**u is small; otherwise (or
-    when the search budget runs out) a (lower, Singleton-upper) bounded
-    value.  Values are memoized per budget, since a budget that runs out
-    gives a bounded value where a larger one may give the exact size."""
+    """beta(a, u, d): the largest size of a code of length u with minimum
+    distance >= d over an alphabet of size a (1 when no two words fit).
+    Exact via constructions matching the Singleton bound, or exhaustive
+    search when a**u is small; otherwise (or when the search budget runs
+    out) a (lower, Singleton-upper) bounded value.  Memoized per budget,
+    since a larger budget may give the exact size where a smaller one ran out."""
     if a < 2:
         raise InvalidParams("alphabet size must be >= 2")
     if d < 1:
@@ -136,7 +132,7 @@ def beta(a, u, d, node_budget=300_000):
 @functools.cache
 def _beta_compute(a, u, d, node_budget):
     if u == 0 or d > u:
-        return BetaValue(a, u, d, 0, 0, True)
+        return BetaValue(a, u, d, 1, 1, True)
     singleton = a ** (u - d + 1)
     if d == 1:
         return BetaValue(a, u, d, a ** u, singleton, True)

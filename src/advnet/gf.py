@@ -358,43 +358,32 @@ def make_extension(base, degree):
     if base.q ** degree > MAX_FIELD_ORDER:
         raise TooLarge(f"extension order {base.q ** degree} exceeds limit {MAX_FIELD_ORDER}")
     if degree == 1:
-        field = base
-
-        def expand(x):
-            if isinstance(x, Matrix):
-                return Matrix(base, tuple(tuple(row) for row in x.rows))
-            return (x,)
-
-        def flatten(v):
-            if isinstance(v, Matrix):
-                return Matrix(base, tuple(tuple(row) for row in v.rows))
-            return v[0]
-
+        field, digits, undigits = base, (lambda x: (x,)), (lambda v: v[0])
     else:
-        modulus = _smallest_irreducible(base, degree)
-        field = ExtensionField(base, degree, modulus)
+        field = ExtensionField(base, degree, _smallest_irreducible(base, degree))
+        digits, undigits = field.digits, field.undigits
 
-        def expand(x, _f=field):
-            if isinstance(x, Matrix):
-                rows = []
-                for row in x.rows:
-                    cols = [_f.digits(entry) for entry in row]
-                    for d in range(degree):
-                        rows.append(tuple(c[d] for c in cols))
-                return Matrix(base, tuple(rows))
-            return _f.digits(x)
+    def expand(x):
+        if isinstance(x, Matrix):
+            rows = []
+            for row in x.rows:
+                cols = [digits(entry) for entry in row]
+                for d in range(degree):
+                    rows.append(tuple(c[d] for c in cols))
+            return Matrix(base, tuple(rows))
+        return digits(x)
 
-        def flatten(v, _f=field):
-            if isinstance(v, Matrix):
-                if v.nrows % degree:
-                    raise ValueError("row count not divisible by extension degree")
-                rows = []
-                for i in range(v.nrows // degree):
-                    block = v.rows[i * degree:(i + 1) * degree]
-                    rows.append(tuple(_f.undigits(tuple(block[d][j] for d in range(degree)))
-                                      for j in range(v.ncols)))
-                return Matrix(_f, tuple(rows))
-            return _f.undigits(tuple(v))
+    def flatten(v):
+        if isinstance(v, Matrix):
+            if v.nrows % degree:
+                raise ValueError("row count not divisible by extension degree")
+            rows = []
+            for i in range(v.nrows // degree):
+                block = v.rows[i * degree:(i + 1) * degree]
+                rows.append(tuple(undigits(tuple(block[d][j] for d in range(degree)))
+                                  for j in range(v.ncols)))
+            return Matrix(field, tuple(rows))
+        return undigits(tuple(v))
 
     return field, expand, flatten
 

@@ -17,17 +17,20 @@ a word, and they serve `adversarial_strength` and, on edges,
 model's fixed vulnerable sets and `restrict` narrows blocks to them.
 
 A product alphabet B^m is a spec over B with one block per symbol, over
-its m sub-symbols.  Capacity values in this module are logarithms in base
-a, with the base recorded on the returned value; each bound takes one spec.
+its m sub-symbols.  Capacity values in this module are `BaseValue`s built
+from integers: e + log_a(count)/uses, with the base a recorded.  Bounds
+that never read the alphabet (Singleton type, overlap, rank, product
+alphabet) are pure exponents; each bound takes one spec.
 """
 
 import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import codes, gf
-from .channel import (STAR, SymbolicChannel, TableChannel, UnionChannel,
+from .channel import (STAR, BaseValue, SymbolicChannel, TableChannel, UnionChannel,
                       is_good_code, one_shot_capacity, power)
 from .errors import (AlphabetMismatch, FieldTooSmall, IndexOutOfRange,
                      InvalidParams, SearchLimitExceeded, UnsupportedVariant)
@@ -290,36 +293,16 @@ def symbolic_channel(spec):
 
 # -- capacity values ----------------------------------------------------------
 
-class BaseValue:
-    """A capacity value or bound expressed as a log in the given base;
-    exact=False means the value is an upper bound on what it names."""
-
-    __slots__ = ("value", "base", "exact")
-
-    def __init__(self, value, base, exact=True):
-        self.value = value
-        self.base = base
-        self.exact = exact
-
-    @property
-    def bits(self):
-        return self.value * math.log2(self.base)
-
-    def __repr__(self):
-        tag = "exact" if self.exact else "bound"
-        return f"BaseValue({self.value:.6g} in base {self.base}, {tag})"
-
-
 def capacity_single_block(spec):
-    """One-shot capacity s - u + beta(a, u, 2t+e+1) of a single-block
-    spec, in base-a units; where beta is not known exactly the
-    value is an upper bound with beta's Singleton value (exact=False)."""
+    """One-shot capacity of a single-block spec: a^(s-u) beta(a, u, 2t+e+1)
+    codewords; where beta is not known exactly the value is an upper bound
+    with beta's Singleton size (exact=False)."""
     if len(spec.blocks) != 1:
         raise InvalidParams("single-block spec required")
     b = spec.blocks[0]
     u = len(b.coords)
     bv = codes.beta(spec.alphabet_size, u, 2 * b.t + b.e + 1)
-    return BaseValue(spec.length - u + bv.upper_value, spec.alphabet_size, bv.exact)
+    return BaseValue(spec.length - u, spec.alphabet_size, bv.exact, bv.upper_size)
 
 
 def block_sigma(block):
@@ -335,20 +318,21 @@ def sigma(spec):
 
 
 def singleton_hamming_bound(spec):
-    """Single-block spec, base-a units: the tighter of the
-    Singleton-type multi_block_bound and the Hamming-type
-    max(0, s - log_a |ball of radius t + floor(e/2) in U|)."""
+    """Single-block spec: the tighter of the Singleton-type
+    multi_block_bound and the Hamming-type max(1, a^s / |ball of radius
+    t + floor(e/2) in U|) codewords, unfloored: n uses pack (a^s/|ball|)^n."""
     if len(spec.blocks) != 1:
         raise InvalidParams("single-block spec required")
     (coords, t, e), = spec.blocks
     a = spec.alphabet_size
-    packing = max(0.0, spec.length - math.log(ball_size(len(coords), t + e // 2, 0, a), a))
-    return BaseValue(min(multi_block_bound(spec).value, packing), a)
+    packing = BaseValue(spec.length, a,
+                        count=Fraction(1, ball_size(len(coords), t + e // 2, 0, a)))
+    return min(multi_block_bound(spec), max(BaseValue(0, a), packing))
 
 
 def multi_block_bound(spec, n=1):
     """Upper bound n(s - sum_l min(2t_l+e_l, |U_l|)) on the capacity of n
-    uses (also valid for the compound model), base-a units."""
+    uses (also valid for the compound model), a pure exponent."""
     if not disjoint(spec.blocks):
         raise InvalidParams("disjoint blocks required")
     return BaseValue(n * (spec.length - sigma(spec)), spec.alphabet_size)
@@ -399,7 +383,7 @@ def product_alphabet_bound(spec):
     """s max(0, m - 2t - e) / m in base-(b^m) units: multi_block_bound / m
     for s symbols over B^m, a spec over B with one block per symbol."""
     m = spec.length // len(spec.blocks) if spec.blocks else 1
-    return BaseValue(multi_block_bound(spec).value / m, spec.alphabet_size ** m)
+    return BaseValue(Fraction(multi_block_bound(spec).exponent, m), spec.alphabet_size ** m)
 
 
 def product_alphabet_channel(b, m, s, t, e):
@@ -419,7 +403,7 @@ def adversarial_strength(blocks):
 
 
 def overlap_bound(spec):
-    """s - adversarial_strength(blocks), base-a units; the strength ignores
+    """s - adversarial_strength(blocks), a pure exponent; the strength ignores
     erasure budgets, so the blocks must carry none."""
     if any(b.e for b in spec.blocks):
         raise InvalidParams("erasure-free blocks required")
@@ -530,7 +514,7 @@ def rank_explicit_channel(spec):
 
 
 def rank_channel_bound(spec):
-    """s - min(2t, |U|) in base-(q^m) units."""
+    """s - min(2t, |U|) in base-(q^m) units, a pure exponent."""
     return BaseValue(spec.s - min(2 * spec.t, len(spec.coords)), spec.q ** spec.m)
 
 
@@ -564,4 +548,4 @@ def brute_force_capacity(spec, node_budget=None):
     res = one_shot_capacity(chan, max_vertices=BRUTE_FORCE_LIMIT, node_budget=node_budget)
     if not res.exact:
         raise SearchLimitExceeded("budget exhausted in brute-force capacity")
-    return BaseValue(res.value_in_base(spec.alphabet_size), spec.alphabet_size)
+    return res.value_in_base(spec.alphabet_size)

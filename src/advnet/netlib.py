@@ -1,17 +1,23 @@
 """Small example networks used by the test and self-test suites.
 
-Edge ids are numbered so that the natural id order is a valid linear
-extension of each network's path order.
+Edge ids are numbered e1, e2, ... along arcs listed in path order, so
+that the natural id order is a valid linear extension of each network's
+path order.
 """
 
 from .network import Edge, Network
 
 
+def _numbered(vertices, arcs, sources, terminals, alphabet):
+    """The network whose edges e1, e2, ... run along the (tail, head) arcs."""
+    edges = [Edge(f"e{i + 1}", tail, head) for i, (tail, head) in enumerate(arcs)]
+    return Network(vertices, edges, sources, terminals, alphabet)
+
+
 def parallel_path(width, alphabet=None):
     """S -> V -> T with `width` parallel edges on both hops."""
-    edges = [Edge(f"e{i + 1}", "S", "V") for i in range(width)]
-    edges += [Edge(f"e{width + i + 1}", "V", "T") for i in range(width)]
-    return Network(("S", "V", "T"), edges, ("S",), ("T",), alphabet)
+    return _numbered(("S", "V", "T"), [("S", "V")] * width + [("V", "T")] * width,
+                     ("S",), ("T",), alphabet)
 
 
 def single_path(alphabet=None):
@@ -22,123 +28,60 @@ def single_path(alphabet=None):
 def chain_with_bypass(alphabet=None):
     """Five-vertex chain with a bypass arc; the cut {e2, e5} is not an
     antichain (e2 precedes e5)."""
-    edges = [
-        Edge("e1", "S", "V2"),
-        Edge("e2", "S", "V1"),
-        Edge("e3", "V1", "V2"),
-        Edge("e4", "V1", "V3"),
-        Edge("e5", "V2", "V3"),
-        Edge("e6", "V3", "T"),
-        Edge("e7", "V3", "T"),
-    ]
-    return Network(("S", "V1", "V2", "V3", "T"), edges, ("S",), ("T",), alphabet)
+    return _numbered(("S", "V1", "V2", "V3", "T"),
+                     [("S", "V2"), ("S", "V1"), ("V1", "V2"), ("V1", "V3"), ("V2", "V3"),
+                      ("V3", "T"), ("V3", "T")], ("S",), ("T",), alphabet)
 
 
 def two_source_hub(alphabet=None):
     """Two sources into one relay with four parallel edges to the sink."""
-    edges = [
-        Edge("e1", "S1", "V"),
-        Edge("e2", "S1", "V"),
-        Edge("e3", "S2", "V"),
-        Edge("e4", "V", "T"),
-        Edge("e5", "V", "T"),
-        Edge("e6", "V", "T"),
-        Edge("e7", "V", "T"),
-    ]
-    return Network(("S1", "S2", "V", "T"), edges, ("S1", "S2"), ("T",), alphabet)
+    return _numbered(("S1", "S2", "V", "T"),
+                     [("S1", "V")] * 2 + [("S2", "V")] + [("V", "T")] * 4,
+                     ("S1", "S2"), ("T",), alphabet)
 
 
 def two_source_grid(alphabet=None):
     """Two sources, two relays, ten edges; every min-cut towards T has
     size at least three per source."""
-    edges = [
-        Edge("e1", "S1", "V1"),
-        Edge("e2", "S1", "V1"),
-        Edge("e3", "S1", "V2"),
-        Edge("e4", "S2", "V1"),
-        Edge("e5", "S2", "V2"),
-        Edge("e6", "S2", "V2"),
-        Edge("e7", "V1", "T"),
-        Edge("e8", "V1", "T"),
-        Edge("e9", "V2", "T"),
-        Edge("e10", "V2", "T"),
-    ]
-    return Network(("S1", "S2", "V1", "V2", "T"), edges, ("S1", "S2"), ("T",), alphabet)
+    return _numbered(("S1", "S2", "V1", "V2", "T"),
+                     [("S1", "V1")] * 2 + [("S1", "V2"), ("S2", "V1")] + [("S2", "V2")] * 2
+                     + [("V1", "T")] * 2 + [("V2", "T")] * 2,
+                     ("S1", "S2"), ("T",), alphabet)
 
 
 def two_source_double_relay(alphabet=None):
     """Two sources and two relays with asymmetric fan-in: S1 reaches both
     relays once, S2 reaches relay one twice and relay two three times."""
-    edges = [
-        Edge("e1", "S1", "V1"),
-        Edge("e2", "S1", "V2"),
-        Edge("e3", "S2", "V1"),
-        Edge("e4", "S2", "V1"),
-        Edge("e5", "S2", "V2"),
-        Edge("e6", "S2", "V2"),
-        Edge("e7", "S2", "V2"),
-        Edge("e8", "V1", "T"),
-        Edge("e9", "V1", "T"),
-        Edge("e10", "V1", "T"),
-        Edge("e11", "V2", "T"),
-        Edge("e12", "V2", "T"),
-    ]
-    return Network(("S1", "S2", "V1", "V2", "T"), edges, ("S1", "S2"), ("T",), alphabet)
+    return _numbered(("S1", "S2", "V1", "V2", "T"),
+                     [("S1", "V1"), ("S1", "V2")] + [("S2", "V1")] * 2 + [("S2", "V2")] * 3
+                     + [("V1", "T")] * 3 + [("V2", "T")] * 2,
+                     ("S1", "S2"), ("T",), alphabet)
 
 
 def triple_path_bottleneck(alphabet=None):
     """Three parallel edges into a relay with a single outgoing edge."""
-    edges = [
-        Edge("e1", "S", "V"),
-        Edge("e2", "S", "V"),
-        Edge("e3", "S", "V"),
-        Edge("e4", "V", "T"),
-    ]
-    return Network(("S", "V", "T"), edges, ("S",), ("T",), alphabet)
+    return _numbered(("S", "V", "T"), [("S", "V")] * 3 + [("V", "T")],
+                     ("S",), ("T",), alphabet)
 
 
 def fan_bottleneck(alphabet=None):
     """Two edges into a relay that fans out four parallel edges to the sink."""
-    edges = [
-        Edge("e1", "S", "V"),
-        Edge("e2", "S", "V"),
-        Edge("e3", "V", "T"),
-        Edge("e4", "V", "T"),
-        Edge("e5", "V", "T"),
-        Edge("e6", "V", "T"),
-    ]
-    return Network(("S", "V", "T"), edges, ("S",), ("T",), alphabet)
+    return _numbered(("S", "V", "T"), [("S", "V")] * 2 + [("V", "T")] * 4,
+                     ("S",), ("T",), alphabet)
 
 
 def butterfly(alphabet=None):
     """The classic two-terminal multicast network with min-cut two."""
-    edges = [
-        Edge("e1", "S", "V1"),
-        Edge("e2", "S", "V2"),
-        Edge("e3", "V1", "T1"),
-        Edge("e4", "V1", "V3"),
-        Edge("e5", "V2", "V3"),
-        Edge("e6", "V2", "T2"),
-        Edge("e7", "V3", "V4"),
-        Edge("e8", "V4", "T1"),
-        Edge("e9", "V4", "T2"),
-    ]
-    return Network(("S", "V1", "V2", "V3", "V4", "T1", "T2"), edges,
-                   ("S",), ("T1", "T2"), alphabet)
+    return _numbered(("S", "V1", "V2", "V3", "V4", "T1", "T2"),
+                     [("S", "V1"), ("S", "V2"), ("V1", "T1"), ("V1", "V3"), ("V2", "V3"),
+                      ("V2", "T2"), ("V3", "V4"), ("V4", "T1"), ("V4", "T2")],
+                     ("S",), ("T1", "T2"), alphabet)
 
 
 def two_source_shared_relay(widths, out_width, alphabet=None):
     """N sources with the given edge multiplicities into one relay, which
     fans out `out_width` parallel edges to the sink."""
-    vertices = [f"S{i + 1}" for i in range(len(widths))] + ["V", "T"]
-    edges = []
-    n = 0
-    for i, w in enumerate(widths):
-        for _ in range(w):
-            n += 1
-            edges.append(Edge(f"e{n}", f"S{i + 1}", "V"))
-    for _ in range(out_width):
-        n += 1
-        edges.append(Edge(f"e{n}", "V", "T"))
-    return Network(vertices, edges, tuple(f"S{i + 1}" for i in range(len(widths))),
-                   ("T",), alphabet)
+    sources = tuple(f"S{i + 1}" for i in range(len(widths)))
+    arcs = [(s, "V") for s, w in zip(sources, widths) for _ in range(w)]
+    return _numbered(sources + ("V", "T"), arcs + [("V", "T")] * out_width,
+                     sources, ("T",), alphabet)

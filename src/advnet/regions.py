@@ -1,8 +1,10 @@
 """Capacity-region bounds via cut-set porting, and rate verification.
 
-A rate region bounds sum_{i in J} alpha_i by b_J, a log in the network
-alphabet size, for every non-empty source subset J, with an exactness flag
-(False: an upper bound) and the attaining (terminal, cut).  Every region is
+A rate region bounds sum_{i in J} alpha_i by b_J for every non-empty
+source subset J, with the attaining (terminal, cut).  b_J is a
+`channel.BaseValue`, the log of an exact count in the network alphabet
+(or a pure exponent, in any alphabet), flagged exact=False when it is an
+upper bound; rates and bounds compare in integers.  Every region is
 one `port` of a `hamming` point-to-point bound: b_J is its least value over
 terminals and minimal cuts on `AdversarySpec.clip` of the adversary to the
 cut.  A ported region bounds whichever capacity its point-to-point bound
@@ -19,11 +21,10 @@ the adversary may fix across all uses, of such products.
 """
 
 import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import hamming as hamming_mod
-from .channel import ProductChannel, UnionChannel, confusable_pair
+from .channel import BaseValue, ProductChannel, UnionChannel, confusable_pair
 from .errors import AlphabetMismatch, EmptyCode, InvalidParams, UnsupportedVariant
 from .network import (PER_SYMBOL, RANK, AdversarySpec, adversarial_channels,
                       enumerate_minimal_cuts, full_edge_adversary, source_subsets)
@@ -31,20 +32,25 @@ from .network import (PER_SYMBOL, RANK, AdversarySpec, adversarial_channels,
 from .network import adversarial_fanouts, min_cut  # noqa: F401
 
 
-# slack on every rate comparison, for bounds computed as floating logs
-TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class Inequality:
+    """sum_{i in subset} alpha_i <= value; `bound` is its display float."""
+
     subset: frozenset
-    bound: float
-    exact: bool = True
+    value: BaseValue = field(hash=False)   # equal values may differ in form
     terminal: str = None
     cut: tuple = None
 
+    @property
+    def bound(self):
+        return self.value.value
+
+    @property
+    def exact(self):
+        return self.value.exact
+
     def holds(self, alpha):
-        return sum(alpha[i] for i in self.subset) <= self.bound + TOL
+        return sum(alpha[i] for i in self.subset) <= self.value
 
 
 class RateRegion:
@@ -60,18 +66,17 @@ class RateRegion:
         raise KeyError(subset)
 
     def contains(self, alpha):
-        if len(alpha) != self.n_sources or any(a < -TOL for a in alpha):
-            return False
-        return all(ineq.holds(alpha) for ineq in self.inequalities)
+        """Whether rates alpha (ints, Fractions, floats or BaseValues) lie in it."""
+        if len(alpha) != self.n_sources:
+            raise InvalidParams(f"{len(alpha)} rates for {self.n_sources} sources")
+        return (all(a >= 0 for a in alpha)
+                and all(ineq.holds(alpha) for ineq in self.inequalities))
 
     def integer_points(self, box=None):
         """Lattice points of the region within the given per-coordinate box
-        (defaults to the singleton bounds rounded down)."""
+        (defaults to one past the singleton bounds' display floats)."""
         if box is None:
-            box = []
-            for i in range(self.n_sources):
-                b = self.bound_for({i}).bound
-                box.append(int(math.floor(b + TOL)))
+            box = [int(self.bound_for({i}).bound) + 1 for i in range(self.n_sources)]
         ranges = [range(0, b + 1) for b in box]
         return [pt for pt in itertools.product(*ranges) if self.contains(pt)]
 
@@ -93,10 +98,9 @@ def port(net, adv, alphabet_size, bound):
         for t in net.terminals:
             for cut in enumerate_minimal_cuts(net, sorted(subset), t):
                 cut = tuple(net.edge_positions(cut))
-                value = bound(adv.clip(cut, alphabet_size))
-                ported.append((float(value.value), cut, value.exact, t))
-        value, cut, exact, t = min(ported, key=lambda p: p[:2])
-        ineqs.append(Inequality(subset, value, exact, t, cut))
+                ported.append((bound(adv.clip(cut, alphabet_size)), cut, t))
+        value, cut, t = min(ported, key=lambda p: p[:2])
+        ineqs.append(Inequality(subset, value, t, cut))
     return RateRegion(len(net.sources), ineqs)
 
 
@@ -166,9 +170,9 @@ class VerifyResult:
 
 
 def _rates(net, source_codes, alphabet, n=1):
-    """Per-use rates in base |alphabet| of source codes whose codewords are
-    n-tuples of local codewords: tuples of alphabet symbols, one per
-    out-edge of the source."""
+    """Per-use rates log_|alphabet|(|code|)/n, as `BaseValue`s, of
+    source codes whose codewords are n-tuples of local codewords: tuples of
+    alphabet symbols, one per out-edge of the source."""
     if len(source_codes) != len(net.sources):
         raise InvalidParams("one source code per source required")
     if not all(source_codes):
@@ -181,7 +185,7 @@ def _rates(net, source_codes, alphabet, n=1):
                                        and symbols.issuperset(u) for u in cw):
                 raise AlphabetMismatch(f"codeword {cw!r} of source {s} is not "
                                        f"{n} use(s) of {width} alphabet symbols")
-    return tuple(math.log(len(c), len(alphabet)) / n for c in source_codes)
+    return tuple(BaseValue(0, len(alphabet), count=len(c), uses=n) for c in source_codes)
 
 
 def _verdict(channels, inputs, rate, message=lambda x: x):

@@ -28,6 +28,7 @@ import itertools
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import channel, network
 from . import codes as codes_mod
@@ -39,7 +40,6 @@ from .network import (AdvBlock, AdversarySpec, FuncVertex, LinearVertex,
                       edge_disjoint_paths, evaluate)
 # bound here too: perfbench/spans.py traces it under this module's name
 from .network import min_cut  # noqa: F401
-from .regions import TOL
 
 
 @dataclass
@@ -228,7 +228,7 @@ def build_adversary_free(net, demands, q, max_draws=MAX_DRAWS, seed=0):
     return Scheme([code], [list(itertools.product(range(q), repeat=a)) for a in demands],
                   lambda i, msg: gf.mat_vec_row(fld, msg, encoders[i]),
                   decoders, tuple(range(q)),
-                  tuple(float(a) for a in demands),
+                  tuple(demands),
                   meta={"field": fld, "encoders": encoders})
 
 
@@ -396,7 +396,7 @@ def _rank_scheme(net, demands, t, q, max_draws, seed, compound):
     return Scheme([code] * n_uses, messages, encode,
                   {t_: make_decoder(t_) for t_ in net.terminals},
                   tuple(itertools.product(range(q), repeat=width)),
-                  tuple(float(a) for a in demands), meta)
+                  tuple(demands), meta)
 
 
 # -- link-level coded scheme ------------------------------------------------------
@@ -448,7 +448,7 @@ def build_product_alphabet(net, demands, t, e, q, m, seed=0):
 
     decoders = {t_: make_decoder(base.decoders[t_]) for t_ in net.terminals}
     alphabet = tuple(itertools.product(range(q), repeat=m))
-    rate = tuple(k / m * a for a in demands)
+    rate = tuple(Fraction(k * a, m) for a in demands)
     return Scheme([code], [list(itertools.product(words, repeat=a)) for a in demands],
                   local_codeword, decoders, alphabet, rate,
                   meta={"field": fld, "adversary": AdversarySpec((AdvBlock(range(m), t, e),),
@@ -503,7 +503,7 @@ def double_relay_scheme():
         AdvBlock({"e5", "e6", "e7"}, 1, 0),
         AdvBlock({"e1", "e8", "e9", "e10", "e11", "e12"}, 1, 0)))
     return Scheme([code], [code1, code2], lambda i, msg: msg, {"T": decode},
-                  tuple(range(5)), (1.0, 2.0), meta={"network": net, "adversary": adv})
+                  tuple(range(5)), (1, 2), meta={"network": net, "adversary": adv})
 
 
 # -- exhaustive linear impossibility ---------------------------------------------
@@ -527,14 +527,15 @@ def linear_impossibility(net, adv, q, target):
     if q ** (r * s) > ASSIGNMENT_LIMIT:
         raise InvalidParams("too many linear assignments to enumerate")
     alphabet = tuple(range(q))
-    results = []
+    results, all_below = [], True
     for combo in itertools.product(range(q), repeat=r * s):
         rows = tuple(tuple(combo[i * s + j] for j in range(s)) for i in range(r))
         code = NetworkCode({relay: LinearVertex(fld, rows)})
         cap = channel.one_shot_capacity(network.adversarial_channel(
             net, code, adv, net.terminals[0], alphabet))
-        results.append((rows, cap.value_in_base(q)))
-    all_below = all(value < target - TOL for _, value in results)
+        value = cap.value_in_base(q)
+        results.append((rows, value.value))
+        all_below = all_below and value < target
 
     nonlinear = None
     if r >= 3 and s == 1:

@@ -7,6 +7,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS_PY = PERFBENCH / "spans.py"
 
@@ -68,3 +70,40 @@ def test_every_hamming_job_checks():
     for entry in workloads.HAMMING_SPECS:
         job = workloads._hamming_job(entry, refs[str(entry)])
         assert job.check(job.fn()), job.key
+
+
+def _check_and_summary(job):
+    result = job.fn()
+    assert job.check(result), job.key
+    return job.summary(result)
+
+
+def test_one_job_of_each_capacity_family_checks_and_summarises(monkeypatch):
+    """The capacity summaries read `upper_bits`, `lower_bits`,
+    `upper_value`, `value` and `bits`; a change to the value types that
+    breaks them fails here instead of in a benchmark run.  Covers exact and
+    budget-exhausted capacities, an exact and an inexact beta, and both
+    answers of a two-block Hamming job."""
+    workloads = _workloads()
+    refs = json.loads((PERFBENCH / "reference.json").read_text())
+    rand = workloads.RANDOM_TABLES[0]
+    circ = workloads.CIRCULANTS[0]
+    region = workloads.REGIONS[0]
+    ham = workloads.HAMMING_SPECS[-1]
+    answers = [_check_and_summary(job) for job in (
+        workloads._capacity_job("random_table", "rand", workloads.random_table(*rand),
+                                refs["random_table"][str(rand)]),
+        workloads._region_job(region, refs["region"][str(region)]),
+        workloads._hamming_job(ham, refs["hamming"][str(ham)]),
+        workloads._beta_job((2, 4, 3), refs["beta"]["(2, 4, 3)"]),
+        # outside the reference: the six constant words stand in for the
+        # unknown largest size, which the inexact answer must bracket
+        workloads._beta_job((6, 7, 4), 6))]
+    monkeypatch.setattr(workloads, "NODE_BUDGET", 1)
+    answers += [_check_and_summary(job) for job in (
+        workloads._capacity_job("circulant", "circ", workloads.circulant_channel(*circ),
+                                refs["circulant"][str(circ)]),
+        workloads._hamming_job(ham, refs["hamming"][str(ham)]))]
+    assert [a.exact for a in answers] == [True, True, True, True, False, False, False]
+    assert answers[4].gap == pytest.approx(3.0) and answers[5].gap > 0
+    assert answers[6].summary == ["hamming", None] and answers[6].gap > 0

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from advnet import channel as ch
 from advnet import search
-from advnet.errors import AlphabetMismatch, EmptyCode, EmptyFamily
+from advnet.errors import AlphabetMismatch, EmptyCode, EmptyFamily, InvalidParams
 
 # ---------------------------------------------------------------------------
 # helpers / oracles
@@ -437,4 +438,20 @@ def test_zero_error_zero_capacity_collapses():
 def test_capacity_base_conversion():
     ident = ch.identity_channel(range(9))
     res = ch.one_shot_capacity(ident)
-    assert res.value_in_base(3) == pytest.approx(2.0)
+    assert res.value_in_base(3) == 2 and res.value_in_base(3).count == 9
+
+
+def test_values_compare_in_integers():
+    V = ch.BaseValue
+    # log2(3) + log2(5) = log2(15); half of log2(9) is log2(3)
+    assert V(0, 2, count=3) + V(0, 2, count=5) == V(0, 2, count=15)
+    assert V(0, 2, count=9, uses=2) == V(0, 2, count=3) < V(Fraction(8, 5), 8)
+    # 3^5 = 243 < 256 = 2^8: log2(3) < 8/5, in any base of the exponent
+    assert V(0, 2, count=3) < Fraction(8, 5) and V(0, 2, count=3) + 1 > 2.5
+    assert V(1, 3, count=Fraction(26, 3)) < 3 == V(1, 3, count=9)
+    # a pure exponent reads in any alphabet; two counts need one base
+    assert V(1, 2) == V(0, 5, count=5)
+    with pytest.raises(AlphabetMismatch):
+        V(0, 2, count=3) < V(0, 3, count=2)
+    with pytest.raises(InvalidParams):
+        V(0, 2, count=0)

@@ -103,8 +103,9 @@ def test_beta_5_5_3_is_three():
 
 
 def test_beta_degenerate_cases():
-    assert codes.beta(2, 0, 1).size == 0
-    assert codes.beta(2, 3, 5).size == 0
+    # no two words fit: a one-word code, log 0
+    assert codes.beta(2, 0, 1).size == codes.beta(2, 0, 1).upper_size == 1
+    assert codes.beta(2, 3, 5).size == codes.beta(2, 3, 5).upper_size == 1
     assert codes.beta(2, 3, 5).value == 0.0
     with pytest.raises(InvalidParams):
         codes.beta(1, 3, 1)

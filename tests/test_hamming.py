@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from advnet import channel as ch
 from advnet import codes, gf, hamming, network
-from advnet.channel import STAR
+from advnet.channel import STAR, BaseValue
 from advnet.errors import IndexOutOfRange, InvalidParams, UnsupportedVariant
 
 
@@ -292,12 +293,22 @@ def test_singleton_hamming_bound_is_at_least_brute_force():
         spec = hamming.single_block(a, s, rng.sample(range(s), rng.randint(0, s)),
                                     rng.randint(0, 2), rng.randint(0, 2))
         bound = hamming.singleton_hamming_bound(spec)
-        assert hamming.brute_force_capacity(spec).value <= bound.value + 1e-9, spec
+        assert hamming.brute_force_capacity(spec) <= bound, spec
     # a = 2, s = 7, t = 1: the Hamming code meets the packing bound 7 - log2(8)
     assert hamming.singleton_hamming_bound(hamming.single_block(2, 7, range(7), 1)).value == 4
     with pytest.raises(InvalidParams):
         hamming.singleton_hamming_bound(hamming.HammingSpec(
             2, 2, (hamming.Block({0}, 1), hamming.Block({1}, 1))))
+
+
+def test_sphere_packing_is_the_exact_quotient_per_use():
+    # a = 2, s = 5, t = 1: |ball| = 6, so 32/6 words per use and (32/6)^n
+    # over n uses; flooring to 5 would bound one use only
+    bound = hamming.singleton_hamming_bound(hamming.single_block(2, 5, range(5), 1))
+    assert bound == BaseValue(0, 2, count=Fraction(32, 6))
+    assert bound == BaseValue(0, 2, count=Fraction(32, 6) ** 3, uses=3)
+    assert BaseValue(0, 2, count=5) < bound < BaseValue(0, 2, count=6)
+    assert bound.value == pytest.approx(5 - math.log2(6))
 
 
 def per_symbol_spec(b, m, s, t, e):

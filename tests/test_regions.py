@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from advnet import codes, gf, hamming, netlib, network, regions, schemes
-from advnet.channel import STAR, one_shot_capacity
+from advnet.channel import STAR, BaseValue, one_shot_capacity
 from advnet.errors import (AlphabetMismatch, EmptyCode, IndexOutOfRange, InvalidParams,
                            UnsupportedVariant)
 from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, TableVertex,
@@ -303,9 +304,49 @@ def test_theo1_ports_the_upper_value_of_an_inexact_beta():
     region = regions.theo1_region(net, adv, 6)
     assert_matches_formula(net, region, theo1_formula(adv, 6))
     one, both = region.bound_for({1}), region.bound_for({0, 1})
-    assert (one.bound, one.exact) == (2.0, False)
-    assert (both.bound, both.exact) == (3.0000000000000004, False)
+    assert (one.value, one.exact) == (2, False)
+    # 6^3 codewords exactly: a float log read it as 3.0000000000000004
+    assert (both.value.count, both.value, both.exact) == (6 ** 3, 3, False)
     assert both.cut == ("e1", "e3", "e4", "e11", "e12")
+    # a rate exactly at an inexact bound lies inside it, one word more does not
+    assert region.contains((0, BaseValue(0, 6, count=6 ** 2)))
+    assert not region.contains((0, BaseValue(0, 6, count=6 ** 2 + 1)))
+    assert both.holds((0, BaseValue(0, 6, count=6 ** 3)))
+
+
+def test_rates_and_bounds_compare_as_exact_counts():
+    one_bit = regions.theo2_region(netlib.parallel_path(1), network.adversary_free())
+    # 2^31 + 1 words over 31 uses: rate 1 + 2.2e-11, past any float slack
+    assert not one_bit.contains((BaseValue(0, 2, count=2 ** 31 + 1, uses=31),))
+    assert one_bit.contains((BaseValue(0, 2, count=2 ** 31, uses=31),))
+    # equal inequalities hash alike whatever the form of their values
+    assert len({*one_bit.inequalities, *one_bit.inequalities}) == 1
+
+
+def test_theo2_regions_read_rates_over_any_alphabet():
+    net = netlib.parallel_path(3)
+    region = regions.theo2_region(net, network.full_edge_adversary(net, 1))
+    assert region.bound_for({0}).value == 1
+    for q in (2, 3, 5, 7):
+        assert region.contains((BaseValue(0, q, count=q),))
+        assert not region.contains((BaseValue(0, q, count=q + 1),))
+    assert region.contains((Fraction(1),)) and not region.contains((Fraction(4, 3),))
+
+
+def test_count_bounds_reject_rates_over_another_alphabet():
+    net = netlib.parallel_path(3)
+    region = regions.theo1_region(net, network.full_edge_adversary(net, 1), 3)
+    assert region.bound_for({0}).value.count == 3
+    assert region.contains((BaseValue(0, 3, count=3),))
+    with pytest.raises(AlphabetMismatch):
+        region.contains((BaseValue(0, 2, count=3),))
+
+
+@pytest.mark.parametrize("alpha", [(1.0, 0.0), ()])
+def test_contains_rejects_a_rate_vector_of_the_wrong_length(alpha):
+    region = regions.theo2_region(netlib.parallel_path(1), network.adversary_free())
+    with pytest.raises(InvalidParams):
+        region.contains(alpha)
 
 
 def test_port_clips_the_adversary_to_cut_coordinates_in_edge_order():

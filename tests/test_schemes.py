@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -488,7 +489,16 @@ def test_product_alphabet_path_rate_third():
                                   scheme.source_codes, adv, scheme.alphabet)
     assert res.ok
     bound = regions.product_alphabet_region(net, 1, 0, 3)
-    assert bound.bound_for({0}).bound == pytest.approx(scheme.rate[0])
+    assert bound.bound_for({0}).value == scheme.rate[0] == res.rate[0] == Fraction(1, 3)
+
+
+def test_product_alphabet_rate_at_its_bound_lies_in_the_region():
+    # k/m * a = 1/5 * 3 is 0.6000000000000001 in floats, past the bound 3/5
+    net = netlib.parallel_path(3, None)
+    scheme = schemes.build_product_alphabet(net, (3,), 2, 0, 2, 5)
+    region = regions.product_alphabet_region(net, 2, 0, 5)
+    assert scheme.rate == (Fraction(3, 5),) and region.contains(scheme.rate)
+    assert region.bound_for({0}).value == scheme.rate[0]
 
 
 def test_product_alphabet_decodes_with_erasures():
