@@ -426,22 +426,23 @@ def one_shot_capacity(ch, max_vertices=MAX_VERTICES, node_budget=None):
 
 
 def zero_error_bounds(ch, n_max):
-    """(lower, upper) bounds on the zero-error capacity in bits.
+    """(lower, upper) bounds on the zero-error capacity as `BaseValue`s in
+    base 2.
 
-    lower = max over n <= n_max of C(ch^n)/n.  upper is the universal
-    log2|X| bound, and collapses to 0 when lower is 0: then the one-shot
-    capacity is 0, so every two inputs are confusable, in every power too.
+    lower = max over n <= n_max of C(ch^n)/n, the count C(ch^n) over n
+    uses.  upper is the universal count |X|, and collapses to 0 when lower
+    is 0: then the one-shot capacity is 0, so every two inputs are
+    confusable, in every power too.
     """
     if n_max < 1:
         raise ValueError("zero_error_bounds requires n_max >= 1")
-    best = 0.0
+    best = BaseValue(0, 2)
     for n in range(1, n_max + 1):
         res = one_shot_capacity(power(ch, n))
         if not res.exact:
             raise SearchLimitExceeded(f"capacity search for power {n} not exact")
-        best = max(best, res.bits / n)
-    upper = 0.0 if best == 0 else math.log2(ch.input_count)
-    return best, upper
+        best = max(best, BaseValue(0, 2, count=res.size, uses=n))
+    return best, BaseValue(0, 2, count=1 if best == 0 else ch.input_count)
 
 
 ISOMORPHISM_BUDGET = 2_000_000

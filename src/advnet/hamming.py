@@ -10,11 +10,13 @@ needs disjoint blocks checks `disjoint(blocks)`.
 
 The adversary model lives here only: a `Block`'s coordinates may be word
 positions or network edge ids, so `network.AdversarySpec` holds the same
-blocks, checked by `check_blocks`.  `actions` is the one enumerator of the
-(corrupted, erased) choices of the blocks together; `ball` applies them to
-a word, and they serve `adversarial_strength` and, on edges,
-`network.adversarial_fanouts`.  `chosen_subsets` lists the compound
-model's fixed vulnerable sets and `restrict` narrows blocks to them.
+blocks, checked by `check_blocks`.  `charge` is the one budget rule, which
+block pays for a changed coordinate: `in_fanout` and the reads of
+`network.adversarial_fanouts` apply it one coordinate at a time.  `actions`
+enumerates the (corrupted, erased) choices of the blocks together, which
+`ball` applies to a word: word fan-outs, `adversarial_strength` and a
+per-symbol adversary's symbol ball read it.  `chosen_subsets` lists the
+compound model's fixed vulnerable sets and `restrict` narrows blocks to them.
 
 A product alphabet B^m is a spec over B with one block per symbol, over
 its m sub-symbols.  Capacity values in this module are `BaseValue`s built
@@ -174,75 +176,31 @@ def chosen_subsets(blocks):
                                     for coords, t, e in blocks]))
 
 
-# -- discrepancy and erasure weight ------------------------------------------
-
-def discrepancy(y, x, coords):
-    """Number of non-erased disagreements between y and x inside coords."""
-    for i in coords:
-        if not 0 <= i < len(y):
-            raise IndexOutOfRange(f"coordinate {i} out of range")
-    return sum(1 for i in coords if y[i] != STAR and y[i] != x[i])
-
-
-def erasure_weight(y, coords):
-    for i in coords:
-        if not 0 <= i < len(y):
-            raise IndexOutOfRange(f"coordinate {i} out of range")
-    return sum(1 for i in coords if y[i] == STAR)
-
-
 # -- membership --------------------------------------------------------------
 
+def charge(blocks, spare, coord, erase):
+    """The budgets that can be left when a block that holds coord and has
+    budget of that kind left pays to corrupt coord (to erase it when erase
+    is true), starting from any budget in spare: one per choice of budget
+    and block, empty when no block can pay.  A budget lists each block's
+    remaining t and e in turn; spare and the result are frozensets of
+    budgets.  The one budget rule of membership and of network reads."""
+    return frozenset(left[:j] + (left[j] - 1,) + left[j + 1:] for left in spare
+                     for j, b in zip(range(int(erase), 2 * len(blocks), 2), blocks)
+                     if left[j] and coord in b.coords)
+
+
 def in_fanout(spec, x, y):
-    """Whether y is a possible received word when x is sent."""
+    """Whether y is a possible received word when x is sent: the blocks can
+    pay, through `charge`, for every coordinate where y differs from x (an
+    erasure where y holds STAR, else an error)."""
     if len(x) != spec.length or len(y) != spec.length:
         raise AlphabetMismatch("word length mismatch")
-    if disjoint(spec.blocks):
-        covered = spec.covered
-        for i in range(spec.length):
-            if i not in covered and y[i] != x[i]:
-                return False
-        for b in spec.blocks:
-            if discrepancy(y, x, b.coords) > b.t:
-                return False
-            if erasure_weight(y, b.coords) > b.e:
-                return False
-        return True
-    # shared coordinates: y = x off the union, and the changed coordinates
-    # admit an assignment to blocks within their budgets (per-coordinate
-    # flow check)
-    covered = spec.covered
-    if any(y[i] == STAR for i in range(spec.length)):
-        return False
-    diff = [i for i in range(spec.length) if y[i] != x[i]]
-    if any(i not in covered for i in diff):
-        return False
-    return _assignable(diff, spec.blocks)
-
-
-def _assignable(positions, blocks):
-    """Bipartite feasibility: each position to some block containing it,
-    block ell taking at most t_ell positions (augmenting-path matching
-    over block slots)."""
-    slots = []
-    for idx, b in enumerate(blocks):
-        slots.extend([idx] * b.t)
-    match = {}
-
-    def try_place(pos, visited):
-        for s_idx, b_idx in enumerate(slots):
-            if s_idx in visited or pos not in blocks[b_idx].coords:
-                continue
-            visited.add(s_idx)
-            if s_idx not in match or try_place(match[s_idx], visited):
-                match[s_idx] = pos
-                return True
-        return False
-
-    for pos in positions:
-        if not try_place(pos, set()):
-            return False
-    return True
+    reach = frozenset({tuple(n for b in spec.blocks for n in (b.t, b.e))})
+    for i in range(spec.length):
+        if y[i] != x[i]:
+            reach = charge(spec.blocks, reach, i, y[i] == STAR)
+    return bool(reach)
 
 
 def fanout(spec, x):

@@ -6,25 +6,27 @@ stable sort by topological depth of the tail, then by natural edge id).
 Every edge carries one symbol of the network alphabet per use, possibly
 replaced by the erasure symbol.  Network codes assign to each intermediate
 vertex a total function from incoming to outgoing values; adversaries
-override edge values during the single forward pass, before any
-downstream read.
+change an edge's value as its head reads it, before any downstream use.
 
-Each acyclic network compiles a plan once: one step per emitting vertex,
-in edge order, holding the vertex, its source index (or its in-edge ids)
-and its out-edge ids.  One branching pass, `_forward`, walks a plan and
-serves every evaluation: `evaluate` with the action's overrides,
-`adversarial_fanouts` with every admissible corruption, and
-`cut_to_sink_channel` on the part of the plan that feeds the terminal.
-Cyclic networks have no plan; evaluating one raises CyclicGraph.
+Each acyclic network compiles a plan once: one step per vertex that emits
+(in edge order) or only reads, such as a terminal, holding the vertex, its
+source index, its in- and out-edge ids and the ids it or a later step
+reads or an earlier terminal read.  One sweep, `_forward`, walks a plan:
+before each step, states equal on the budget and on those ids merge; the
+step reads its in-edges through read(eid, v, spare), the values an edge
+may read as with the budget each leaves, then writes its out-edges.
+`evaluate` and `cut_to_sink_channel` (on the part of the plan that feeds
+the terminal) read each edge as its override, if any.  Cyclic networks
+have no plan; evaluating one raises CyclicGraph.
 
 An adversary is a set of `hamming.Block`s whose coordinates are edge ids;
 as in `hamming`, blocks may share edges only when none of them carries
 erasures, and a result that needs disjoint blocks checks
-`hamming.disjoint(blocks)`.  `adversarial_fanouts` lists `hamming.actions`
-of the blocks once per call: Hamming-type blocks run one pass per action
-(values are chosen as each edge emits), and a per-symbol adversary's one
-block, over sub-symbol positions, gives every edge value its `ball` of those
-actions.
+`hamming.disjoint(blocks)`.  `adversarial_fanouts` reads a Hamming-type
+adversary's edge as itself or as any other symbol or STAR that a block
+holding it pays for through `hamming.charge`; a per-symbol adversary's one
+block, over sub-symbol positions, reads every edge value as its `ball` of
+the block's `hamming.actions`, listed once per call.
 `adversarial_channels` makes the terminals' channels, on which `regions`
 verifies codes.  `AdversarySpec.clip` makes any adversary a `hamming` spec
 on a cut.  `check_demands` is the one cut-set demand check.
@@ -42,7 +44,7 @@ from .errors import (AlphabetMismatch, BadFreeze, CyclicGraph, IndexOutOfRange,
                      Infeasible, InvalidParams, MissingCodeFunction, NotACut,
                      SearchLimitExceeded, UnsupportedVariant)
 from .hamming import (Block as AdvBlock, HammingSpec, RankMetricSpec, actions,
-                      ball, ball_size, check_blocks)
+                      ball, ball_size, charge, check_blocks)
 
 RANK = "rank"
 PER_SYMBOL = "per_symbol"
@@ -86,10 +88,17 @@ class Network:
         self.edge_by_id = {e.id: e for e in self.edges}
         self._in = {v: tuple(e for e in self.edges if e.head == v) for v in self.vertices}
         self._out = {v: tuple(e for e in self.edges if e.tail == v) for v in self.vertices}
+        # the plan (see the module docstring); step i keeps the ids written
+        # before it that it, a later step or an earlier terminal reads
+        stepped = [*dict.fromkeys(e.tail for e in self.edges),
+                   *(v for v in self.vertices if self._in[v] and not self._out[v])]
+        at = {v: i for i, v in enumerate(stepped)}
         self._plan = None if self._cyclic else tuple(
             (v, self.sources.index(v) if v in self.sources else None,
-             tuple(e.id for e in self._in[v]), tuple(e.id for e in self._out[v]))
-            for v in dict.fromkeys(e.tail for e in self.edges))
+             tuple(e.id for e in self._in[v]), tuple(e.id for e in self._out[v]),
+             tuple(e.id for e in self.edges if at[e.tail] < i
+                   and (at[e.head] >= i or e.head in self.terminals)))
+            for i, v in enumerate(stepped))
 
     def _topological_vertex_index(self, edges):
         indeg = {v: 0 for v in self.vertices}
@@ -142,9 +151,12 @@ class Network:
         return e1.id == e2.id or e2.tail in _reachable(self, {e1.head})
 
     def edge_positions(self, edge_ids):
-        """The given edge ids sorted into the global edge order."""
-        pos = {e.id: i for i, e in enumerate(self.edges)}
-        return sorted(edge_ids, key=lambda eid: pos[eid])
+        """The given edge ids sorted into the global edge order; an id the
+        network lacks raises IndexOutOfRange."""
+        try:
+            return sorted(edge_ids, key=list(self.edge_by_id).index)
+        except ValueError:
+            raise IndexOutOfRange(f"an edge id outside the network in {list(edge_ids)}") from None
 
 
 def validate(net):
@@ -431,26 +443,33 @@ def _steps(net):
     return net._plan
 
 
-def _forward(code, steps, x, replace, start=()):
-    """Every edge-value map of one forward pass over `steps`, starting from
-    the values in `start`.  Edge eid with clean value v may carry any value
-    in replace(eid, v); each vertex function is called once per state."""
-    states = [dict(start)]
-    for vertex, src, ins, outs in steps:
-        fn = None if src is not None else code.fn(vertex)
-        branched = []
-        for values in states:
-            clean = x[src] if src is not None else fn(tuple(values[i] for i in ins))
-            choices = list(itertools.product(
-                *[replace(eid, v) for eid, v in zip(outs, clean)]))
-            for choice in choices[1:]:
-                branch = dict(values)
-                branch.update(zip(outs, choice))
-                branched.append(branch)
-            if choices:
-                values.update(zip(outs, choices[0]))
-                branched.append(values)
-        states = branched
+def _forward(code, steps, x, read, spare=(), start=()):
+    """The end states (edge values, spare budget) of one sweep over
+    `steps` from the values in `start`.  Each step reads its in-edges, edge
+    eid with written value v as any (w, spare') in read(eid, v, spare), then
+    writes its out-edges: a source x[src], another vertex its function of
+    what it read.  Before each step, states that agree on the budget and on
+    every value still to be read or read by a terminal merge, so a vertex
+    function is called once per distinct state."""
+    states = [(dict(start), spare)]
+    for vertex, src, ins, outs, kept in steps:
+        if len(states) > 1:
+            states = list({(left, *map(values.__getitem__, kept)): (values, left)
+                           for values, left in states}.values())
+        for eid in ins:
+            branched = []
+            for values, spare in states:
+                choices = read(eid, values[eid], spare)
+                for w, left in choices[1:]:
+                    branched.append((values | {eid: w}, left))
+                values[eid], left = choices[0]
+                branched.append((values, left))
+            states = branched
+        if outs:
+            fn = code.fn(vertex) if src is None else None
+            for values, _ in states:
+                values.update(zip(outs, x[src] if fn is None
+                                  else fn(tuple(map(values.__getitem__, ins)))))
     return states
 
 
@@ -459,12 +478,13 @@ def _observe(net, values):
 
 
 def evaluate(net, code, x, action=None):
-    """Single forward pass in edge order.  x is a tuple of per-source
-    value tuples; action maps edge ids to override values (symbols or the
-    erasure symbol), applied before any downstream read."""
+    """One sweep in edge order.  x is a tuple of per-source value tuples;
+    action maps edge ids to override values (symbols or the erasure
+    symbol), read in place of the edges' values; an id the network lacks
+    raises IndexOutOfRange."""
     action = action or {}
-    values, = _forward(code, _steps(net), x,
-                       lambda eid, v: (action.get(eid, v),))
+    net.edge_positions(action)
+    (values, _), = _forward(code, _steps(net), x, lambda eid, v, s: ((action.get(eid, v), s),))
     return EvalResult(values, _observe(net, values))
 
 
@@ -534,7 +554,7 @@ def _cone(net, terminal, resolved):
         if e.tail not in needed:
             needed.add(e.tail)
             stack.extend(ie for ie in net.in_edges(e.tail) if ie.id not in resolved)
-    return [step for step in _steps(net) if step[0] in needed]
+    return [step for step in _steps(net) if step[0] in needed or step[0] == terminal]
 
 
 def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
@@ -543,10 +563,10 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
     incoming values, honoring the priority rule for non-antichain cuts.
 
     Inputs range over the extended alphabet on the cut edges (edge order);
-    coordinates of cut edges that the pass never reads are ignored.  With
+    coordinates of cut edges that the sweep never reads are ignored.  With
     keep/frozen given (as for `transfer_channel`), the cut needs to
     separate only the kept sources and the frozen sources' emissions
-    resolve the pass.
+    resolve the sweep.
     """
     keep = _kept_sources(net, keep, frozen)
     alphabet_t = net._alphabet(alphabet)
@@ -575,8 +595,8 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
     def fanout_fn(vals):
         start = dict(zip(cut_list, vals))
         start.update(frozen_values)
-        values, = _forward(code, steps, None,
-                           lambda eid, v: (start.get(eid, v),), start)
+        (values, _), = _forward(code, steps, None, lambda eid, v, s: ((start.get(eid, v), s),),
+                                start=start)
         return (tuple(values[eid] for eid in in_ids),)
 
     return SymbolicChannel((count, factory), fanout_fn)
@@ -613,9 +633,9 @@ class AdversarySpec:
     def check_edges(self, net):
         """Raise IndexOutOfRange for a block naming an edge id net lacks;
         per-symbol blocks hold sub-symbol positions and are exempt."""
-        if self.variant != PER_SYMBOL and any(
-                not b.coords.issubset(net.edge_by_id) for b in self.blocks):
-            raise IndexOutOfRange("adversary block names an edge outside the network")
+        if self.variant != PER_SYMBOL:
+            for b in self.blocks:
+                net.edge_positions(b.coords)
 
     def clip(self, cut, alphabet_size):
         """The adversary on the cut's edges as a `hamming` spec on
@@ -662,31 +682,31 @@ ACTION_LIMIT = 10 ** 6
 
 
 def adversarial_fanouts(net, code, adv, x, alphabet=None):
-    """Fan-out sets at every terminal for global input x: the union over
-    all admissible adversary actions of the forward-pass observations."""
+    """Fan-out sets at every terminal for global input x: the observations
+    of all admissible adversary actions, from one sweep."""
     alphabet_t = net._alphabet(alphabet)
     adv.check_edges(net)
     if _count_actions(net, adv, alphabet_t) > ACTION_LIMIT:
         raise SearchLimitExceeded("adversary action space exceeds the limit")
-    steps = _steps(net)
-    acts = actions(adv.blocks)
     if adv.variant is None:
-        # one pass per action; a corrupted edge may carry any other value
-        # of its clean one
-        passes = [lambda eid, v, err=err, stars=stars: (
-            (STAR,) if eid in stars else
-            [w for w in alphabet_t if w != v] if eid in err else (v,))
-            for err, stars in acts]
+        # an edge reads as itself, or as any other symbol or STAR that a
+        # block holding it pays for; spare is the set of budgets left
+        def read(eid, v, spare):
+            if eid not in covered or not any(map(any, spare)):
+                return ((v, spare),)
+            errs, stars = (charge(adv.blocks, spare, eid, erase) for erase in (False, True))
+            return ([(v, spare)] + [(w, errs) for w in (alphabet_t if errs else ()) if w != v]
+                    + ([(STAR, stars)] if stars else []))
+        spare = frozenset({tuple(n for b in adv.blocks for n in (b.t, b.e))})
+        covered = frozenset().union(*(b.coords for b in adv.blocks))
     else:   # per-symbol: _count_actions has rejected every other variant
+        acts = actions(adv.blocks)
         base = sorted({v for sym in alphabet_t for v in sym})
         symbol_ball = functools.cache(lambda v: ball(v, acts, base))
-        passes = [lambda eid, v: symbol_ball(v)]
-    outs = {t: set() for t in net.terminals}
-    for replace in passes:
-        for values in _forward(code, steps, x, replace):
-            for t, obs in _observe(net, values).items():
-                outs[t].add(obs)
-    return {t: frozenset(v) for t, v in outs.items()}
+        read = lambda eid, v, spare: [(w, spare) for w in symbol_ball(v)]
+        spare = ()
+    ends = [_observe(net, values) for values, _ in _forward(code, _steps(net), x, read, spare)]
+    return {t: frozenset(obs[t] for obs in ends) for t in net.terminals}
 
 
 def adversarial_channels(net, code, adv, alphabet=None, keep=None, frozen=None):

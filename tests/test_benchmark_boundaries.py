@@ -72,6 +72,25 @@ def test_every_hamming_job_checks():
         assert job.check(job.fn()), job.key
 
 
+def test_every_verify_job_checks():
+    """A fan-out, verification or impossibility answer that the verify
+    workload would count as wrong fails here instead of in a benchmark run:
+    every linear-relay, adversary-free, impossibility and product-alphabet
+    job (the double-relay jobs draw random sub-codes)."""
+    workloads = _workloads()
+    refs = json.loads((PERFBENCH / "reference.json").read_text())
+    schemes = workloads.setup("verify")["product_alphabet"]
+    jobs = [workloads._relay_job(e, refs["linear_relay"][str(e)])
+            for e in workloads.LINEAR_RELAYS]
+    jobs += [workloads._af_job(e, refs["adversary_free"][str(e)]) for e in workloads.AF_BUILDS]
+    jobs += [workloads._impossibility_job(e, refs["impossibility"][str(e)])
+             for e in workloads.IMPOSSIBILITY]
+    jobs += [workloads._product_alphabet_job(key, *schemes[key])
+             for key in workloads.PRODUCT_ALPHABET]
+    for job in jobs:
+        assert job.check(job.fn()), job.key
+
+
 def _check_and_summary(job):
     result = job.fn()
     assert job.check(result), job.key

@@ -412,14 +412,16 @@ def test_finer_channel_has_larger_capacity():
 def test_zero_error_identity():
     ident = ch.identity_channel(range(4))
     lower, upper = ch.zero_error_bounds(ident, 2)
-    assert lower == pytest.approx(2.0)
-    assert upper == pytest.approx(2.0)
+    assert lower == upper == 2
+    assert (lower.count, lower.uses, upper.count) == (4, 1, 4)
 
 
 def test_zero_error_pentagon_lower():
+    # 5 words over 2 uses beat the 2 words of one use; the upper count is |X|
     lower, upper = ch.zero_error_bounds(pentagon_channel(), 2)
-    assert lower == pytest.approx(math.log2(5) / 2)
-    assert upper == pytest.approx(math.log2(5))
+    assert (lower.base, lower.count, lower.uses) == (2, 5, 2)
+    assert lower > ch.BaseValue(0, 2, count=2)
+    assert (upper.base, upper.count, upper.uses) == (2, 5, 1)
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
@@ -432,7 +434,7 @@ def test_zero_error_zero_capacity_collapses():
     c = ch.TableChannel(range(3), range(3), {0: {0, 1}, 1: {1, 2}, 2: {2, 0}})
     # all fan-outs pairwise intersect
     lower, upper = ch.zero_error_bounds(c, 2)
-    assert lower == 0.0 and upper == 0.0
+    assert lower == upper == ch.BaseValue(0, 2) == 0
 
 
 def test_capacity_base_conversion():

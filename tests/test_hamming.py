@@ -31,19 +31,8 @@ def random_disjoint_spec(rng, max_len=4, max_alpha=3):
 
 
 # ---------------------------------------------------------------------------
-# discrepancy / erasure weight / membership
+# membership
 # ---------------------------------------------------------------------------
-
-
-def test_discrepancy_and_erasure_weight():
-    x = (0, 0, 0, 0)
-    assert hamming.discrepancy(x, x, range(4)) == 0
-    assert hamming.erasure_weight(x, range(4)) == 0
-    y = (1, STAR, 0, 0)
-    assert hamming.discrepancy(y, x, range(4)) == 1
-    assert hamming.erasure_weight(y, range(4)) == 1
-    assert hamming.discrepancy(y, x, {2, 3}) == 0
-    assert hamming.erasure_weight(y, {2, 3}) == 0
 
 
 def test_coordinates_outside_the_word_raise():
@@ -51,10 +40,6 @@ def test_coordinates_outside_the_word_raise():
         hamming.single_block(2, 4, {1, 4}, t=1)
     with pytest.raises(IndexOutOfRange):
         hamming.RankMetricSpec(2, 2, 3, {0, 3}, 1)
-    with pytest.raises(IndexOutOfRange):
-        hamming.discrepancy((0, 0), (0, 1), {2})
-    with pytest.raises(IndexOutOfRange):
-        hamming.erasure_weight((0, STAR), {-1})
 
 
 def test_in_fanout_single_block():

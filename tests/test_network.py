@@ -511,19 +511,19 @@ def test_channels_of_huge_input_spaces_build_without_listing_them():
 
 def test_overlapping_blocks_run_each_distinct_action_once(monkeypatch):
     # two t = 1 blocks on the same three edges: 16 combinations of block
-    # actions, 7 distinct corrupted sets
+    # actions, 7 distinct corrupted sets, all in one sweep per input
     net = netlib.parallel_path(3, A2)
     code = network.identity_routing_code(net)
     cut = ("e4", "e5", "e6")
     adv = AdversarySpec((AdvBlock(cut, 1), AdvBlock(cut, 1)))
     spec = adv.clip(cut, 2)
     forward, calls = network._forward, []
-    monkeypatch.setattr(network, "_forward",
-                        lambda *args: calls.append(args) or forward(*args))
+    monkeypatch.setattr(network, "_forward", lambda *args, **kwargs:
+                        calls.append(args) or forward(*args, **kwargs))
     for x in network.global_inputs(net):
         calls.clear()
         assert adversarial_fanouts(net, code, adv, x)["T"] == hamming.fanout(spec, x[0])
-        assert len(calls) == 7
+        assert len(calls) == 1
 
 
 def test_cyclic_network_raises_typed_error():
@@ -559,23 +559,30 @@ def _block_actions(edges, t, e, symbols):
 
 @pytest.mark.parametrize("t,e", [(1, 0), (0, 1), (1, 1)])
 def test_fanouts_match_explicit_actions_on_random_networks(t, e):
-    # two blocks, corrupted edges possibly upstream of other corrupted ones
+    # two blocks, corrupted edges possibly upstream of other corrupted ones;
+    # from the seventh network on, erasure-free blocks share edges (which
+    # block pays matters), and the last network is the two-terminal
+    # butterfly (every terminal's reads must survive the merges)
     rng = random.Random(1706 + 10 * t + e)
     checked = 0
-    while checked < 6:
-        net = random_small_network(rng)
+    while checked < 10:
+        net = netlib.butterfly(A2) if checked == 9 else random_small_network(rng)
         if net is None or len(net.edges) < 3:
             continue
         code = random_table_code(rng, net, A2, erasures=True)
         edges = rng.sample([edge.id for edge in net.edges], rng.randint(2, len(net.edges)))
         cut = rng.randint(1, len(edges) - 1)
-        adv = AdversarySpec(blocks=(AdvBlock(edges[:cut], t, e), AdvBlock(edges[cut:], t, e)))
-        actions = [a | b for a in _block_actions(edges[:cut], t, e, A2)
-                   for b in _block_actions(edges[cut:], t, e, A2)]
+        reach = rng.randint(cut + 1, len(edges)) if checked >= 6 and not e else cut
+        first, second = edges[:reach], edges[cut:]
+        adv = AdversarySpec(blocks=(AdvBlock(first, t, e), AdvBlock(second, t, e)))
+        actions = [a | b for a in _block_actions(first, t, e, A2)
+                   for b in _block_actions(second, t, e, A2)]
         for x in network.global_inputs(net, A2):
-            want = {evaluate(net, code, x, action=act).observations["T"]
-                    for act in actions}
-            assert adversarial_fanouts(net, code, adv, x, A2)["T"] == want
+            want = {term: set() for term in net.terminals}
+            for act in actions:
+                for term, obs in evaluate(net, code, x, action=act).observations.items():
+                    want[term].add(obs)
+            assert adversarial_fanouts(net, code, adv, x, A2) == want
         checked += 1
 
 
@@ -777,9 +784,20 @@ TYPO_ADVERSARIES = [
 ]
 
 
-@pytest.mark.parametrize("adv", TYPO_ADVERSARIES)
+# after the adversaries, the other calls that take a caller's edge ids: an
+# evaluation's action, and the edges of a transfer or cut-to-sink channel
+@pytest.mark.parametrize("adv", TYPO_ADVERSARIES + [
+    pytest.param(lambda net, code: evaluate(net, code, ((0, 1),), action={"e99": 0}),
+                 id="evaluate"),
+    pytest.param(lambda net, code: transfer_channel(net, code, ["e1", "e99"]),
+                 id="transfer_channel"),
+    pytest.param(lambda net, code: cut_to_sink_channel(net, code, ["e3", "e99"], "T1"),
+                 id="cut_to_sink_channel")])
 def test_fanouts_reject_blocks_naming_no_edge(adv):
     net = netlib.butterfly(A2)
     code = schemes.build_adversary_free(net, (2,), 2).network_code
     with pytest.raises(IndexOutOfRange):
-        adversarial_fanouts(net, code, adv, ((0, 1),))
+        if callable(adv):
+            adv(net, code)
+        else:
+            adversarial_fanouts(net, code, adv, ((0, 1),))
