@@ -15,6 +15,9 @@ Composites answer it lazily, factor by factor, so powers of channels stay
 cheap even when their materialized fan-out sets would not;
 `_fanouts_intersect` only compares two different channels, such as union
 branches.  `confusable_pair` is the one pairwise scan of a code.
+`confusability_adjacency` builds the graph of a table, or of a symbolic
+channel without a predicate, from an output -> inputs index over the
+listed fan-outs; every other channel answers pair by pair.
 `BaseValue`, the log of an exact count, is the one value type.
 """
 
@@ -54,9 +57,6 @@ class Channel:
 
     def confusable(self, x, xp):
         return x == xp or not self.fanout(x).isdisjoint(self.fanout(xp))
-
-    def is_deterministic(self):
-        return all(len(self.fanout(x)) == 1 for x in self.iter_inputs())
 
 
 class TableChannel(Channel):
@@ -396,13 +396,36 @@ MAX_VERTICES = 512
 
 
 def confusability_adjacency(ch, max_vertices=MAX_VERTICES):
-    """Neighbor bitmasks of the confusability graph (self-loops dropped)."""
+    """Neighbor bitmasks of the confusability graph (self-loops dropped).
+
+    A table, or a symbolic channel without a predicate, is confusable
+    exactly where listed fan-outs meet: its fan-outs are taken once, in
+    input order, into an index from each output to the bitmask of the
+    inputs reaching it, and row i ORs the index over fan-out(i).  Products
+    and concatenations would materialize fan-outs that their `confusable`
+    answers factor by factor, unions compare branches, and an analytic
+    predicate is cheaper than the fan-outs it stands for, so these stay
+    pairwise.
+    """
     if ch.input_count > max_vertices:
         raise SearchLimitExceeded(
             f"{ch.input_count} inputs exceed the search limit {max_vertices}")
     inputs = ch.inputs_tuple()
     n = len(inputs)
     adj = [0] * n
+    if isinstance(ch, TableChannel) or (isinstance(ch, SymbolicChannel)
+                                        and ch._confusable_fn is None):
+        fans = [ch.fanout(x) for x in inputs]
+        index = {}
+        for i, fan in enumerate(fans):
+            for y in fan:
+                index[y] = index.get(y, 0) | 1 << i
+        for i, fan in enumerate(fans):
+            row = 0
+            for y in fan:
+                row |= index[y]
+            adj[i] = row & ~(1 << i)
+        return inputs, adj
     for i, j in itertools.combinations(range(n), 2):
         if ch.confusable(inputs[i], inputs[j]):
             adj[i] |= 1 << j

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from advnet import channel as ch
-from advnet import search
+from advnet import hamming, network, search
 from advnet.errors import AlphabetMismatch, EmptyCode, EmptyFamily, InvalidParams
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def test_every_channel_is_union_of_deterministic():
             table = {x: {sorted(c.fanout(x))[min(j, len(c.fanout(x)) - 1)]}
                      for x in range(3)}
             parts.append(ch.TableChannel(range(3), range(3), table))
-        assert all(p.is_deterministic() for p in parts)
+        assert all(len(p.fanout(x)) == 1 for p in parts for x in range(3))
         assert ch.same_fanout_map(ch.union(parts), c)
 
 
@@ -353,16 +353,98 @@ def test_confusable_is_fanout_intersection_on_composites():
                 assert c.confusable(x, xp) == bool(c.fanout(x) & c.fanout(xp)), (c, x, xp)
 
 
+def pairwise_rows(c, inputs):
+    """Oracle: confusability rows by explicit pairwise fan-out intersection."""
+    fans = [c.fanout(x) for x in inputs]
+    return [sum(1 << j for j, fan in enumerate(fans) if j != i and fan & fans[i])
+            for i in range(len(inputs))]
+
+
+def assert_pairwise_graph(c):
+    inputs, adj = ch.confusability_adjacency(c)
+    assert inputs == c.inputs_tuple()
+    assert adj == pairwise_rows(c, inputs), c
+
+
 def test_benchmark_channel_graphs_are_pairwise_fanout_intersection():
     from test_benchmark_boundaries import _workloads
     workloads = _workloads()
+    # five of the six Hamming specs have an erasing block: STAR outputs
+    tables = [hamming.explicit_channel(workloads.hamming_spec(*args))
+              for args in workloads.HAMMING_SPECS]
+    assert sum(any(ch.STAR in y for y in c.outputs) for c in tables) == 5
     instances = ([workloads.random_table(*args) for args in workloads.RANDOM_TABLES]
-                 + [workloads.circulant_channel(*args) for args in workloads.CIRCULANTS])
+                 + [workloads.circulant_channel(*args) for args in workloads.CIRCULANTS]
+                 + tables)
     for c in instances:
-        inputs, adj = ch.confusability_adjacency(c)
-        fans = [c.fanout(x) for x in inputs]
-        assert adj == [sum(1 << j for j, fan in enumerate(fans) if j != i and fan & fans[i])
-                       for i in range(len(inputs))]
+        assert_pairwise_graph(c)
+
+
+def nested_table(rng, n_in, n_out):
+    """A table whose fan-outs repeat, nest inside or around earlier ones,
+    or are drawn afresh."""
+    outs = range(n_out)
+    fans = []
+    for _ in range(n_in):
+        kind = rng.randrange(4) if fans else 3
+        if kind == 0:
+            fan = set(rng.choice(fans))
+        elif kind == 1:
+            base = sorted(rng.choice(fans))
+            fan = set(rng.sample(base, rng.randint(1, len(base))))
+        elif kind == 2:
+            fan = set(rng.choice(fans)) | set(rng.sample(outs, rng.randint(1, min(n_out, 3))))
+        else:
+            fan = set(rng.sample(outs, rng.randint(1, n_out)))
+        fans.append(fan)
+    return ch.TableChannel(range(n_in), outs, dict(enumerate(fans)))
+
+
+def test_table_graphs_with_repeated_and_nested_fanouts_are_pairwise():
+    rng = random.Random(1706)
+    for _ in range(30):
+        assert_pairwise_graph(nested_table(rng, rng.randint(1, 70), rng.randint(1, 12)))
+
+
+def test_adversarial_channel_graphs_are_pairwise():
+    # one error, or one erasure, on the relay's in- or out-edges
+    from test_benchmark_boundaries import _workloads
+    workloads = _workloads()
+    for name, q, seed, edges in workloads.LINEAR_RELAYS:
+        net, code = workloads.relay_code(name, q, seed)
+        for t, e in ((1, 0), (0, 1)):
+            adv = network.AdversarySpec((network.AdvBlock(set(edges), t, e),))
+            c = network.adversarial_channels(net, code, adv)["T"]
+            assert isinstance(c, ch.SymbolicChannel)
+            assert_pairwise_graph(c)
+
+
+def test_composite_graphs_stay_pairwise():
+    rng = random.Random(170605)
+    for _ in range(3):
+        for c in random_composites(rng)[1:]:
+            calls = []
+            answer = c.confusable
+            c.confusable = lambda x, xp: calls.append((x, xp)) or answer(x, xp)
+            assert_pairwise_graph(c)
+            n = c.input_count
+            assert len(calls) == n * (n - 1) // 2
+
+
+def test_symbolic_predicate_answers_its_graph():
+    def fan(x):
+        fan_calls.append(x)
+        return {x // 3, (x * 5) % 7 + 10}
+
+    def predicate(x, xp):
+        pred_calls.append((x, xp))
+        return x == xp or x // 3 == xp // 3 or (x * 5) % 7 == (xp * 5) % 7
+
+    fan_calls, pred_calls = [], []
+    c = ch.SymbolicChannel((20, lambda: iter(range(20))), fan, confusable_fn=predicate)
+    inputs, adj = ch.confusability_adjacency(c)
+    assert (len(pred_calls), fan_calls) == (20 * 19 // 2, [])
+    assert adj == pairwise_rows(c, inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -742,7 +742,7 @@ SIZE_GUARDS = {
                              SearchLimitExceeded, [(hamming, "fanout")]),
     "confusability_adjacency": (
         lambda: ch.confusability_adjacency(ch.identity_channel(range(513))),
-        SearchLimitExceeded, [(ch.Channel, "confusable")]),
+        SearchLimitExceeded, [(ch.Channel, "confusable"), (ch.TableChannel, "fanout")]),
     "same_fanout_map": (
         lambda: same_fanout_map(*[ch.identity_channel(range(2 ** 14 + 1))] * 2),
         SearchLimitExceeded, [(ch.TableChannel, "fanout")]),
@@ -772,6 +772,16 @@ def test_size_guard_fires_before_the_work(name, monkeypatch):
         monkeypatch.setattr(owner, attr, _GuardedWork())
     with pytest.raises(error):
         call()
+
+
+def test_a_fanout_past_the_action_limit_surfaces_from_capacity(monkeypatch):
+    # 101 inputs pass the vertex limit; the first fan-out read raises
+    net = _hop_net(3, range(101))
+    chan = network.adversarial_channels(net, network.identity_routing_code(net),
+                                        network.full_edge_adversary(net, 3))["T"]
+    monkeypatch.setattr(network, "_forward", _GuardedWork())
+    with pytest.raises(SearchLimitExceeded, match="action space"):
+        ch.one_shot_capacity(chan)
 
 
 # a block naming "e99", an edge id the butterfly lacks: one block, disjoint
