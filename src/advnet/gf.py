@@ -59,13 +59,10 @@ class Field:
 
     q       : field order
     p       : characteristic
-    zero/one: the encodings 0 and 1
     """
 
     q = None
     p = None
-    zero = 0
-    one = 1
 
     def add(self, a, b):
         raise NotImplementedError

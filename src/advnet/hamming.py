@@ -10,13 +10,13 @@ needs disjoint blocks checks `disjoint(blocks)`.
 
 The adversary model lives here only: a `Block`'s coordinates may be word
 positions or network edge ids, so `network.AdversarySpec` holds the same
-blocks, checked by `check_blocks`.  `charge` is the one budget rule, which
-block pays for a changed coordinate: `in_fanout` and the reads of
-`network.adversarial_fanouts` apply it one coordinate at a time.  `actions`
-enumerates the (corrupted, erased) choices of the blocks together, which
-`ball` applies to a word: word fan-outs, `adversarial_strength` and a
-per-symbol adversary's symbol ball read it.  `chosen_subsets` lists the
-compound model's fixed vulnerable sets and `restrict` narrows blocks to them.
+blocks, checked by `check_blocks`.  `reader` is the one statement of what
+the blocks may do, one coordinate at a time: `in_fanout` and the reads of
+`network.adversarial_fanouts` walk words through it, and `actions` lists,
+once per blocks, the (corrupted, erased) choices it allows, which `ball`
+applies to a word for word fan-outs, `adversarial_strength` and a
+per-symbol adversary's symbol ball.  `chosen_subsets` lists the compound
+model's fixed vulnerable sets and `restrict` narrows blocks to them.
 
 A product alphabet B^m is a spec over B with one block per symbol, over
 its m sub-symbols.  Capacity values in this module are `BaseValue`s built
@@ -55,14 +55,18 @@ class Block:
             raise InvalidParams("error/erasure powers must be non-negative")
 
     def __iter__(self):
-        """Unpacks as (coords, t, e), the block form `actions` takes."""
+        """Unpacks as (coords, t, e)."""
         return iter((self.coords, self.t, self.e))
+
+
+def covered(blocks):
+    """The coordinates some block holds."""
+    return frozenset().union(*(b.coords for b in blocks))
 
 
 def disjoint(blocks):
     """Whether no two blocks share a coordinate."""
-    return sum(len(b.coords) for b in blocks) == len(
-        frozenset().union(*(b.coords for b in blocks)))
+    return sum(len(b.coords) for b in blocks) == len(covered(blocks))
 
 
 def check_blocks(blocks):
@@ -89,21 +93,13 @@ class HammingSpec:
     blocks: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         if self.alphabet_size < 2:
             raise InvalidParams("alphabet size must be >= 2")
         for b in self.blocks:
             if any(not 0 <= i < self.length for i in b.coords):
                 raise IndexOutOfRange("block coordinate outside the word length")
         check_blocks(self.blocks)
-
-    @property
-    def covered(self):
-        return frozenset().union(*(b.coords for b in self.blocks))
-
-    @functools.cached_property
-    def action_set(self):
-        """`actions` of the blocks, listed once per spec."""
-        return actions(self.blocks)
 
     def clip(self, chosen):
         """Restrict each block to a chosen coordinate subset (V within U)."""
@@ -127,23 +123,44 @@ def words(a, s):
     return itertools.product(range(a), repeat=s)
 
 
-# -- the adversary action set ---------------------------------------------------
+# -- the adversary read ---------------------------------------------------------
 
-def block_actions(coords, t, e):
-    """Every (corrupted, erased) choice of positions for one block: up to t
-    corrupted positions, then up to e erased ones among the rest."""
-    return [(err, stars) for err in subsets_upto(coords, t)
-            for stars in subsets_upto(set(coords).difference(err), e)]
+def reader(blocks, alphabet):
+    """(read, spare) for the blocks over the alphabet.  read(coord, v, spare)
+    lists what coordinate coord, holding v, may read as: v itself, then each
+    other symbol and STAR that a block holding coord, with budget of that
+    kind left, can pay for from a budget in spare, each paired with the
+    budgets then left (one per choice of budget and paying block).  A budget
+    lists each block's remaining t and e in turn; spare, a frozenset of
+    budgets, starts as the blocks' full budgets."""
+    held = covered(blocks)
+
+    def pay(spare, coord, erase):
+        return frozenset(left[:j] + (left[j] - 1,) + left[j + 1:] for left in spare
+                         for j, b in zip(range(int(erase), 2 * len(blocks), 2), blocks)
+                         if left[j] and coord in b.coords)
+
+    def read(coord, v, spare):
+        if coord not in held or not any(map(any, spare)):
+            return ((v, spare),)
+        errs, stars = pay(spare, coord, False), pay(spare, coord, True)
+        return ([(v, spare)] + [(w, errs) for w in (alphabet if errs else ()) if w != v]
+                + ([(STAR, stars)] if stars else []))
+
+    return read, frozenset({tuple(n for b in blocks for n in (b.t, b.e))})
 
 
+@functools.cache
 def actions(blocks):
-    """Each distinct (corrupted, erased) pair of position sets that one
-    `block_actions` choice per block (coords, t, e) makes, the unions taken
-    across blocks."""
-    return list(dict.fromkeys(
-        (frozenset(i for err, _ in combo for i in err),
-         frozenset(i for _, stars in combo for i in stars))
-        for combo in itertools.product(*[block_actions(*b) for b in blocks])))
+    """Each distinct (corrupted, erased) pair of position sets the blocks (a
+    tuple) can make: the covered positions of a zero word read over (0, 1)
+    through `reader`, 1 marking a corrupted position and STAR an erased one."""
+    read, spare = reader(blocks, (0, 1))
+    made = [(frozenset(), frozenset(), spare)]
+    for i in covered(blocks):
+        made = [(err | {i} if w == 1 else err, stars | {i} if w == STAR else stars, left)
+                for err, stars, spare in made for w, left in read(i, 0, spare)]
+    return tuple((err, stars) for err, stars, _ in made)
 
 
 def ball(word, acts, alphabet):
@@ -163,7 +180,7 @@ def ball(word, acts, alphabet):
 
 
 def ball_size(n, t, e, a):
-    """len(ball(w, actions([(range(n), t, e)]), range(a))) for any word w
+    """len(fanout(single_block(a, n, range(n), t, e), w)) for any word w
     over range(a): distinct actions of one block make distinct words."""
     return sum(math.comb(n, i) * (a - 1) ** i * math.comb(n - i, j)
                for i in range(min(t, n) + 1) for j in range(min(e, n - i) + 1))
@@ -178,34 +195,26 @@ def chosen_subsets(blocks):
 
 # -- membership --------------------------------------------------------------
 
-def charge(blocks, spare, coord, erase):
-    """The budgets that can be left when a block that holds coord and has
-    budget of that kind left pays to corrupt coord (to erase it when erase
-    is true), starting from any budget in spare: one per choice of budget
-    and block, empty when no block can pay.  A budget lists each block's
-    remaining t and e in turn; spare and the result are frozensets of
-    budgets.  The one budget rule of membership and of network reads."""
-    return frozenset(left[:j] + (left[j] - 1,) + left[j + 1:] for left in spare
-                     for j, b in zip(range(int(erase), 2 * len(blocks), 2), blocks)
-                     if left[j] and coord in b.coords)
-
-
 def in_fanout(spec, x, y):
-    """Whether y is a possible received word when x is sent: the blocks can
-    pay, through `charge`, for every coordinate where y differs from x (an
-    erasure where y holds STAR, else an error)."""
+    """Whether y is a possible received word when x is sent: each coordinate
+    of x can read, through `reader`, as that of y, on a budget the earlier
+    reads left."""
+    alphabet = range(spec.alphabet_size)
     if len(x) != spec.length or len(y) != spec.length:
         raise AlphabetMismatch("word length mismatch")
-    reach = frozenset({tuple(n for b in spec.blocks for n in (b.t, b.e))})
-    for i in range(spec.length):
-        if y[i] != x[i]:
-            reach = charge(spec.blocks, reach, i, y[i] == STAR)
-    return bool(reach)
+    if any(v not in alphabet for v in x) or any(w not in alphabet and w != STAR for w in y):
+        raise AlphabetMismatch("symbol outside the alphabet")
+    read, spare = reader(spec.blocks, alphabet)
+    for i, (v, w) in enumerate(zip(x, y)):
+        spare = dict(read(i, v, spare)).get(w)
+        if spare is None:
+            return False
+    return True
 
 
 def fanout(spec, x):
     """Explicit fan-out set of x (tiny instances only)."""
-    return frozenset(ball(x, spec.action_set, range(spec.alphabet_size)))
+    return frozenset(ball(x, actions(spec.blocks), range(spec.alphabet_size)))
 
 
 # -- confusability -----------------------------------------------------------
@@ -215,9 +224,9 @@ def confusable_analytic(spec, x, xp):
     if not disjoint(spec.blocks):
         raise UnsupportedVariant(
             "analytic confusability covers disjoint blocks only")
-    covered = spec.covered
+    held = covered(spec.blocks)
     for i in range(spec.length):
-        if i not in covered and x[i] != xp[i]:
+        if i not in held and x[i] != xp[i]:
             return False
     for b in spec.blocks:
         d = sum(1 for i in b.coords if x[i] != xp[i])
@@ -357,7 +366,7 @@ def product_alphabet_channel(b, m, s, t, e):
 def adversarial_strength(blocks):
     """Exhaustive max size of a union of two per-block <=t subsets: the
     union of two <=t subsets of a block is one <=2t subset of it."""
-    return max(len(err) for err, _ in actions(Block(b.coords, 2 * b.t) for b in blocks))
+    return max(len(err) for err, _ in actions(tuple(Block(b.coords, 2 * b.t) for b in blocks)))
 
 
 def overlap_bound(spec):

@@ -23,10 +23,10 @@ An adversary is a set of `hamming.Block`s whose coordinates are edge ids;
 as in `hamming`, blocks may share edges only when none of them carries
 erasures, and a result that needs disjoint blocks checks
 `hamming.disjoint(blocks)`.  `adversarial_fanouts` reads a Hamming-type
-adversary's edge as itself or as any other symbol or STAR that a block
-holding it pays for through `hamming.charge`; a per-symbol adversary's one
-block, over sub-symbol positions, reads every edge value as its `ball` of
-the block's `hamming.actions`, listed once per call.
+adversary's edges through `hamming.reader`, the one statement of what the
+blocks may do; a per-symbol adversary's one block, over sub-symbol
+positions, reads every edge value as its `ball` of the block's
+`hamming.actions`.
 `adversarial_channels` makes the terminals' channels, on which `regions`
 verifies codes.  `AdversarySpec.clip` makes any adversary a `hamming` spec
 on a cut.  `check_demands` is the one cut-set demand check.
@@ -44,7 +44,7 @@ from .errors import (AlphabetMismatch, BadFreeze, CyclicGraph, IndexOutOfRange,
                      Infeasible, InvalidParams, MissingCodeFunction, NotACut,
                      SearchLimitExceeded, UnsupportedVariant)
 from .hamming import (Block as AdvBlock, HammingSpec, RankMetricSpec, actions,
-                      ball, ball_size, charge, check_blocks)
+                      ball, ball_size, check_blocks, covered, reader)
 
 RANK = "rank"
 PER_SYMBOL = "per_symbol"
@@ -368,7 +368,7 @@ class LinearVertex:
     """Matrix vertex function over F_q acting on symbols that are field
     elements (m = None) or length-m tuples over the field, digit by digit.
     Either way the product is `gf.mat_vec_row`, once per digit.  Erasures
-    are replaced by zero before the product (recorded on the instance).
+    are replaced by zero before the product.
     `matrix` is the tuple of rows, one per in-edge."""
 
     def __init__(self, fld, matrix, m=None):
@@ -376,11 +376,9 @@ class LinearVertex:
         self._coefficients = gf.Matrix(fld, matrix)
         self.matrix = self._coefficients.rows
         self.m = m
-        self.saw_erasure = False
 
     def __call__(self, values):
         if STAR in values:
-            self.saw_erasure = True
             zero = 0 if self.m is None else (0,) * self.m
             values = [zero if v == STAR else v for v in values]
         if self.m is None:
@@ -467,6 +465,9 @@ def _forward(code, steps, x, read, spare=(), start=()):
             states = branched
         if outs:
             fn = code.fn(vertex) if src is None else None
+            if fn is None and len(x[src]) != len(outs):
+                raise AlphabetMismatch(f"source {vertex} emits {len(outs)} symbols, "
+                                       f"not {len(x[src])}")
             for values, _ in states:
                 values.update(zip(outs, x[src] if fn is None
                                   else fn(tuple(map(values.__getitem__, ins)))))
@@ -617,6 +618,7 @@ class AdversarySpec:
     variant: str = None
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         if self.variant is None:
             check_blocks(self.blocks)
             return
@@ -667,9 +669,8 @@ def _count_actions(net, adv, alphabet):
     if adv.variant is None:
         # the blocks' balls multiply; the union's ball bounds the words too
         a = len(alphabet)
-        union = frozenset().union(*(b.coords for b in adv.blocks))
         return min(math.prod(ball_size(len(b.coords), b.t, b.e, a) for b in adv.blocks),
-                   ball_size(len(union), sum(b.t for b in adv.blocks),
+                   ball_size(len(covered(adv.blocks)), sum(b.t for b in adv.blocks),
                              sum(b.e for b in adv.blocks), a))
     if adv.variant == PER_SYMBOL:
         (coords, t, e), = adv.blocks
@@ -689,16 +690,7 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None):
     if _count_actions(net, adv, alphabet_t) > ACTION_LIMIT:
         raise SearchLimitExceeded("adversary action space exceeds the limit")
     if adv.variant is None:
-        # an edge reads as itself, or as any other symbol or STAR that a
-        # block holding it pays for; spare is the set of budgets left
-        def read(eid, v, spare):
-            if eid not in covered or not any(map(any, spare)):
-                return ((v, spare),)
-            errs, stars = (charge(adv.blocks, spare, eid, erase) for erase in (False, True))
-            return ([(v, spare)] + [(w, errs) for w in (alphabet_t if errs else ()) if w != v]
-                    + ([(STAR, stars)] if stars else []))
-        spare = frozenset({tuple(n for b in adv.blocks for n in (b.t, b.e))})
-        covered = frozenset().union(*(b.coords for b in adv.blocks))
+        read, spare = reader(adv.blocks, alphabet_t)
     else:   # per-symbol: _count_actions has rejected every other variant
         acts = actions(adv.blocks)
         base = sorted({v for sym in alphabet_t for v in sym})

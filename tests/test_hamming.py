@@ -8,7 +8,7 @@ import pytest
 from advnet import channel as ch
 from advnet import codes, gf, hamming, network
 from advnet.channel import STAR, BaseValue
-from advnet.errors import IndexOutOfRange, InvalidParams, UnsupportedVariant
+from advnet.errors import AlphabetMismatch, IndexOutOfRange, InvalidParams, UnsupportedVariant
 
 
 def random_disjoint_spec(rng, max_len=4, max_alpha=3):
@@ -51,6 +51,24 @@ def test_in_fanout_single_block():
     assert not hamming.in_fanout(spec, x, (0, STAR, 0, 0))  # e = 0
 
 
+def test_in_fanout_rejects_symbols_outside_the_alphabet():
+    spec = hamming.single_block(2, 3, range(3), 1)
+    for x, y in [((0, 0, 0), (7, 0, 0)), ((7, 0, 0), (0, 0, 0)),
+                 ((STAR, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, -1))]:
+        with pytest.raises(AlphabetMismatch):
+            hamming.in_fanout(spec, x, y)
+
+
+def test_specs_store_their_blocks_as_tuples():
+    blocks = [hamming.Block(range(3), 1)]
+    spec = hamming.HammingSpec(2, 3, blocks)
+    assert spec == hamming.HammingSpec(2, 3, tuple(blocks))
+    assert hash(spec) == hash(hamming.HammingSpec(2, 3, tuple(blocks)))
+    adv = network.AdversarySpec(blocks)
+    assert adv == network.AdversarySpec(tuple(blocks))
+    assert hash(adv) == hash(network.AdversarySpec(tuple(blocks)))
+
+
 def test_in_fanout_two_blocks():
     spec = hamming.HammingSpec(2, 4, (hamming.Block({0, 1}, 1, 0),
                                       hamming.Block({2, 3}, 1, 0)))
@@ -72,8 +90,7 @@ def test_fanout_enumeration_matches_membership():
     rng = random.Random(6)
     specs = [random_disjoint_spec(rng) for _ in range(15)]
     specs += [random_overlapping_spec(rng) for _ in range(15)]
-    assert any(len(spec.blocks) > 1 and len(spec.covered) < sum(
-        len(b.coords) for b in spec.blocks) for spec in specs)
+    assert any(not hamming.disjoint(spec.blocks) for spec in specs)
     for spec in specs:
         a, s = spec.alphabet_size, spec.length
         for x in itertools.islice(hamming.words(a, s), 4):
@@ -90,7 +107,7 @@ def test_ball_size_counts_the_ball(a):
         for t in range(4):
             for e in range(3):
                 word = tuple(i % a for i in range(n))
-                made = hamming.ball(word, hamming.actions([(range(n), t, e)]), range(a))
+                made = hamming.fanout(hamming.single_block(a, n, range(n), t, e), word)
                 assert len(made) == hamming.ball_size(n, t, e, a), (n, t, e, a)
 
 
@@ -405,6 +422,13 @@ def test_adversarial_strength_disjoint_reduces_to_sum():
         assert got == want
 
 
+def block_choices(coords, t, e):
+    """Every (corrupted, erased) choice of positions for one block: up to t
+    corrupted positions, then up to e erased ones among the rest."""
+    return [(err, stars) for err in hamming.subsets_upto(coords, t)
+            for stars in hamming.subsets_upto(set(coords).difference(err), e)]
+
+
 def sequential_ball(word, blocks, alphabet):
     """The blocks acting one after another, each on every word the blocks
     before it made: the oracle for `ball` over `actions`."""
@@ -412,7 +436,7 @@ def sequential_ball(word, blocks, alphabet):
     for coords, t, e in blocks:
         before, made = made, set()
         for w in before:
-            for err, stars in hamming.block_actions(coords, t, e):
+            for err, stars in block_choices(coords, t, e):
                 y = list(w)
                 for i in stars:
                     y[i] = STAR
@@ -430,6 +454,14 @@ def pairwise_strength(blocks):
     choices = hamming.chosen_subsets((b.coords, b.t, 0) for b in blocks)
     return max(len(set().union(*first, *second))
                for first in choices for second in choices)
+
+
+def union_actions(blocks):
+    """The distinct unions of one `block_choices` choice per block: the
+    oracle for `actions`."""
+    return {(frozenset(i for err, _ in combo for i in err),
+             frozenset(i for _, stars in combo for i in stars))
+            for combo in itertools.product(*[block_choices(*b) for b in blocks])}
 
 
 def random_action_spec(rng):
@@ -451,10 +483,13 @@ def random_action_spec(rng):
 
 def test_action_ball_and_strength_match_their_oracles():
     rng = random.Random(1706)
-    erasure_free = 0
+    erasure_free = overlapping = 0
     for _ in range(400):
         spec = random_action_spec(rng)
         alphabet = range(spec.alphabet_size)
+        acts = hamming.actions(spec.blocks)
+        assert len(acts) == len(set(acts)) and set(acts) == union_actions(spec.blocks), spec
+        overlapping += not hamming.disjoint(spec.blocks)
         for _ in range(3):
             x = tuple(rng.randrange(spec.alphabet_size) for _ in range(spec.length))
             assert hamming.fanout(spec, x) == sequential_ball(x, spec.blocks, alphabet)
@@ -462,7 +497,7 @@ def test_action_ball_and_strength_match_their_oracles():
             erasure_free += 1
             assert (hamming.adversarial_strength(spec.blocks)
                     == pairwise_strength(spec.blocks)), spec
-    assert erasure_free > 150
+    assert erasure_free > 150 and 400 - erasure_free > 100 and overlapping > 50
 
 
 def test_actions_are_distinct_unions_of_block_actions():
@@ -472,7 +507,7 @@ def test_actions_are_distinct_unions_of_block_actions():
     assert len(acts) == len(set(acts)) == 7
     assert {err for err, stars in acts} == {frozenset(c) for c in
                                             hamming.subsets_upto(range(3), 2)}
-    assert hamming.actions(()) == [(frozenset(), frozenset())]
+    assert hamming.actions(()) == ((frozenset(), frozenset()),)
 
 
 def test_explicit_channel_outputs_are_the_reached_words():

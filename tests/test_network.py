@@ -6,8 +6,8 @@ import pytest
 from advnet import channel as ch
 from advnet import codes, gf, hamming, netlib, network, schemes
 from advnet.channel import STAR, concat, same_fanout_map
-from advnet.errors import (BadFreeze, CyclicGraph, IndexOutOfRange, Infeasible,
-                           InvalidParams, MissingCodeFunction, NotACut,
+from advnet.errors import (AlphabetMismatch, BadFreeze, CyclicGraph, IndexOutOfRange,
+                           Infeasible, InvalidParams, MissingCodeFunction, NotACut,
                            SearchLimitExceeded, TooLarge)
 from advnet.network import (AdvBlock, AdversarySpec, Edge, FuncVertex,
                             LinearVertex, Network, NetworkCode, TableVertex,
@@ -218,6 +218,16 @@ def test_evaluate_with_override():
     # e1 overridden before V reads it; e3 erased on the way to T
     assert res.observations["T"] == (STAR, 0)
     assert res.edge_values["e1"] == 0
+
+
+@pytest.mark.parametrize("x", [((0,),), ((0, 1, 1),)])
+def test_source_inputs_of_the_wrong_width_raise(x):
+    net = netlib.parallel_path(2, A2)
+    code = network.identity_routing_code(net)
+    with pytest.raises(AlphabetMismatch):
+        evaluate(net, code, x)
+    with pytest.raises(AlphabetMismatch):
+        adversarial_fanouts(net, code, network.full_edge_adversary(net, 1), x)
 
 
 def chain_code():
@@ -434,7 +444,6 @@ def test_linear_vertex_on_tuples_is_digitwise(q):
                        else tuple(rng.randrange(q) for _ in range(k)) for _ in range(r))
         vector = LinearVertex(F, rows, m=k)
         got = vector(values)
-        assert vector.saw_erasure == (STAR in values)
         cleaned = [(0,) * k if v == STAR else v for v in values]
         digits = [LinearVertex(F, rows)(tuple(v[d] for v in cleaned)) for d in range(k)]
         assert got == tuple(tuple(digits[d][j] for d in range(k)) for j in range(s))
@@ -460,7 +469,6 @@ def test_linear_vertex_erasure_totalization():
     lv = LinearVertex(F2, ((1,), (1,)))
     assert lv((1, 1)) == (0,)
     assert lv((STAR, 1)) == (1,)
-    assert lv.saw_erasure
 
 
 def test_adversarial_channel_agrees_with_restricted_middle():
