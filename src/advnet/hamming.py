@@ -10,13 +10,15 @@ needs disjoint blocks checks `disjoint(blocks)`.
 
 The adversary model lives here only: a `Block`'s coordinates may be word
 positions or network edge ids, so `network.AdversarySpec` holds the same
-blocks, checked by `check_blocks`.  `reader` is the one statement of what
-the blocks may do, one coordinate at a time: `in_fanout` and the reads of
+blocks, checked by `check_blocks`.  `reader` is the one statement of what the
+blocks may do, one coordinate at a time in a given order, cached per blocks,
+alphabet and order; it memoizes the budgets each read leaves and retires a
+block once its last coordinate is read.  `in_fanout` and the reads of
 `network.adversarial_fanouts` walk words through it, and `actions` lists,
 once per blocks, the (corrupted, erased) choices it allows, which `ball`
-applies to a word for word fan-outs, `adversarial_strength` and a
-per-symbol adversary's symbol ball.  `chosen_subsets` lists the compound
-model's fixed vulnerable sets and `restrict` narrows blocks to them.
+applies to a word for word fan-outs, `adversarial_strength` and a per-symbol
+adversary's symbol ball.  `chosen_subsets` lists the compound model's fixed
+vulnerable sets and `restrict` narrows blocks to them.
 
 A product alphabet B^m is a spec over B with one block per symbol, over
 its m sub-symbols.  Capacity values in this module are `BaseValue`s built
@@ -125,26 +127,36 @@ def words(a, s):
 
 # -- the adversary read ---------------------------------------------------------
 
-def reader(blocks, alphabet):
-    """(read, spare) for the blocks over the alphabet.  read(coord, v, spare)
-    lists what coordinate coord, holding v, may read as: v itself, then each
-    other symbol and STAR that a block holding coord, with budget of that
-    kind left, can pay for from a budget in spare, each paired with the
-    budgets then left (one per choice of budget and paying block).  A budget
-    lists each block's remaining t and e in turn; spare, a frozenset of
-    budgets, starts as the blocks' full budgets."""
-    held = covered(blocks)
+@functools.cache
+def reader(blocks, alphabet, order):
+    """(read, spare) for the blocks over the alphabet, read in `order`.
+    read(coord, v, spare) lists what coordinate coord, holding v, may read
+    as: v itself, then each other symbol and STAR that a block holding
+    coord, with budget of that kind left, can pay for from a budget in
+    spare, each paired with the budgets then left (one per choice of budget
+    and paying block; memoized), where the blocks coord ends in order have
+    t = e = 0.  A budget lists each block's remaining t and e in turn;
+    spare, a frozenset of budgets, starts as the blocks' full budgets."""
+    last = [max(b.coords, key=order.index, default=None) for b in blocks]
+    paid = {}
 
     def pay(spare, coord, erase):
         return frozenset(left[:j] + (left[j] - 1,) + left[j + 1:] for left in spare
                          for j, b in zip(range(int(erase), 2 * len(blocks), 2), blocks)
                          if left[j] and coord in b.coords)
 
+    def retire(budgets, coord):
+        return frozenset(tuple(0 if last[k // 2] == coord else n for k, n in enumerate(left))
+                         for left in budgets)
+
     def read(coord, v, spare):
-        if coord not in held or not any(map(any, spare)):
-            return ((v, spare),)
-        errs, stars = pay(spare, coord, False), pay(spare, coord, True)
-        return ([(v, spare)] + [(w, errs) for w in (alphabet if errs else ()) if w != v]
+        if (coord, spare) not in paid:
+            paid[coord, spare] = tuple(retire(s, coord) for s in (
+                spare, pay(spare, coord, False), pay(spare, coord, True)))
+        keep, errs, stars = paid[coord, spare]
+        if not (errs or stars):
+            return ((v, keep),)
+        return ([(v, keep)] + [(w, errs) for w in (alphabet if errs else ()) if w != v]
                 + ([(STAR, stars)] if stars else []))
 
     return read, frozenset({tuple(n for b in blocks for n in (b.t, b.e))})
@@ -155,9 +167,10 @@ def actions(blocks):
     """Each distinct (corrupted, erased) pair of position sets the blocks (a
     tuple) can make: the covered positions of a zero word read over (0, 1)
     through `reader`, 1 marking a corrupted position and STAR an erased one."""
-    read, spare = reader(blocks, (0, 1))
+    order = tuple(covered(blocks))
+    read, spare = reader(blocks, (0, 1), order)
     made = [(frozenset(), frozenset(), spare)]
-    for i in covered(blocks):
+    for i in order:
         made = [(err | {i} if w == 1 else err, stars | {i} if w == STAR else stars, left)
                 for err, stars, spare in made for w, left in read(i, 0, spare)]
     return tuple((err, stars) for err, stars, _ in made)
@@ -204,7 +217,7 @@ def in_fanout(spec, x, y):
         raise AlphabetMismatch("word length mismatch")
     if any(v not in alphabet for v in x) or any(w not in alphabet and w != STAR for w in y):
         raise AlphabetMismatch("symbol outside the alphabet")
-    read, spare = reader(spec.blocks, alphabet)
+    read, spare = reader(spec.blocks, alphabet, range(spec.length))
     for i, (v, w) in enumerate(zip(x, y)):
         spare = dict(read(i, v, spare)).get(w)
         if spare is None:

@@ -23,13 +23,14 @@ An adversary is a set of `hamming.Block`s whose coordinates are edge ids;
 as in `hamming`, blocks may share edges only when none of them carries
 erasures, and a result that needs disjoint blocks checks
 `hamming.disjoint(blocks)`.  `adversarial_fanouts` reads a Hamming-type
-adversary's edges through `hamming.reader`, the one statement of what the
-blocks may do; a per-symbol adversary's one block, over sub-symbol
-positions, reads every edge value as its `ball` of the block's
-`hamming.actions`.
-`adversarial_channels` makes the terminals' channels, on which `regions`
-verifies codes.  `AdversarySpec.clip` makes any adversary a `hamming` spec
-on a cut.  `check_demands` is the one cut-set demand check.
+adversary's edges through `hamming.reader` in plan order, the one statement
+of what the blocks may do, which retires each block after its last edge; a
+per-symbol adversary's one block, over sub-symbol positions, reads every
+edge value as its `ball` of the block's `hamming.actions`.  A network keeps
+each adversary's read, checked once, for all inputs.  `adversarial_channels`
+makes the terminals' channels, on which `regions` verifies codes.
+`AdversarySpec.clip` makes any adversary a `hamming` spec on a cut.
+`check_demands` is the one cut-set demand check.
 """
 
 import functools
@@ -86,6 +87,9 @@ class Network:
             self._cyclic = True
         self.edges = tuple(raw)
         self.edge_by_id = {e.id: e for e in self.edges}
+        self._position = {e.id: i for i, e in enumerate(self.edges)}
+        self._symbols = frozenset(self.alphabet) if alphabet is not None else None
+        self._reads = {}    # see `adversarial_fanouts`
         self._in = {v: tuple(e for e in self.edges if e.head == v) for v in self.vertices}
         self._out = {v: tuple(e for e in self.edges if e.tail == v) for v in self.vertices}
         # the plan (see the module docstring); step i keeps the ids written
@@ -154,8 +158,8 @@ class Network:
         """The given edge ids sorted into the global edge order; an id the
         network lacks raises IndexOutOfRange."""
         try:
-            return sorted(edge_ids, key=list(self.edge_by_id).index)
-        except ValueError:
+            return sorted(edge_ids, key=self._position.__getitem__)
+        except KeyError:
             raise IndexOutOfRange(f"an edge id outside the network in {list(edge_ids)}") from None
 
 
@@ -465,9 +469,6 @@ def _forward(code, steps, x, read, spare=(), start=()):
             states = branched
         if outs:
             fn = code.fn(vertex) if src is None else None
-            if fn is None and len(x[src]) != len(outs):
-                raise AlphabetMismatch(f"source {vertex} emits {len(outs)} symbols, "
-                                       f"not {len(x[src])}")
             for values, _ in states:
                 values.update(zip(outs, x[src] if fn is None
                                   else fn(tuple(map(values.__getitem__, ins)))))
@@ -478,13 +479,23 @@ def _observe(net, values):
     return {t: tuple(values[e.id] for e in net.in_edges(t)) for t in net.terminals}
 
 
+def _check_input(net, x, symbols):
+    """Raise AlphabetMismatch unless x holds one tuple per source, of one
+    symbol per out-edge, from the set `symbols` (any symbol if None)."""
+    if [len(xs) for xs in x] != [len(net.out_edges(s)) for s in net.sources]:
+        raise AlphabetMismatch(f"input {x} is not one tuple per source of one symbol per out-edge")
+    if symbols is not None and not symbols.issuperset(itertools.chain(*x)):
+        raise AlphabetMismatch(f"input {x} holds a symbol outside the alphabet")
+
+
 def evaluate(net, code, x, action=None):
-    """One sweep in edge order.  x is a tuple of per-source value tuples;
-    action maps edge ids to override values (symbols or the erasure
+    """One sweep in edge order.  x is a tuple of per-source tuples of network
+    symbols; action maps edge ids to override values (symbols or the erasure
     symbol), read in place of the edges' values; an id the network lacks
     raises IndexOutOfRange."""
     action = action or {}
     net.edge_positions(action)
+    _check_input(net, x, net._symbols)
     (values, _), = _forward(code, _steps(net), x, lambda eid, v, s: ((action.get(eid, v), s),))
     return EvalResult(values, _observe(net, values))
 
@@ -684,19 +695,25 @@ ACTION_LIMIT = 10 ** 6
 
 def adversarial_fanouts(net, code, adv, x, alphabet=None):
     """Fan-out sets at every terminal for global input x: the observations
-    of all admissible adversary actions, from one sweep."""
-    alphabet_t = net._alphabet(alphabet)
-    adv.check_edges(net)
-    if _count_actions(net, adv, alphabet_t) > ACTION_LIMIT:
-        raise SearchLimitExceeded("adversary action space exceeds the limit")
-    if adv.variant is None:
-        read, spare = reader(adv.blocks, alphabet_t)
-    else:   # per-symbol: _count_actions has rejected every other variant
-        acts = actions(adv.blocks)
-        base = sorted({v for sym in alphabet_t for v in sym})
-        symbol_ball = functools.cache(lambda v: ball(v, acts, base))
-        read = lambda eid, v, spare: [(w, spare) for w in symbol_ball(v)]
-        spare = ()
+    of all admissible adversary actions, from one sweep.  The network keeps
+    the read per adversary and alphabet, once its checks pass."""
+    alphabet = net._alphabet(alphabet)
+    if (adv, alphabet) not in net._reads:
+        adv.check_edges(net)
+        if _count_actions(net, adv, alphabet) > ACTION_LIMIT:
+            raise SearchLimitExceeded("adversary action space exceeds the limit")
+        if adv.variant is None:
+            order = tuple(eid for _, _, ins, _, _ in _steps(net) for eid in ins)
+            read, spare = reader(adv.blocks, alphabet, order)
+        else:   # per-symbol: _count_actions has rejected every other variant
+            acts = actions(adv.blocks)
+            base = sorted({v for sym in alphabet for v in sym})
+            symbol_ball = functools.cache(lambda v: ball(v, acts, base))
+            read = lambda eid, v, spare: [(w, spare) for w in symbol_ball(v)]
+            spare = ()
+        net._reads[adv, alphabet] = read, spare, frozenset(alphabet)
+    read, spare, symbols = net._reads[adv, alphabet]
+    _check_input(net, x, symbols)
     ends = [_observe(net, values) for values, _ in _forward(code, _steps(net), x, read, spare)]
     return {t: frozenset(obs[t] for obs in ends) for t in net.terminals}
 

@@ -37,7 +37,7 @@ from .channel import STAR
 from .errors import DrawsExhausted, InvalidParams, UnsupportedSources
 from .network import (AdvBlock, AdversarySpec, FuncVertex, LinearVertex,
                       NetworkCode, PER_SYMBOL, TableVertex, check_demands,
-                      edge_disjoint_paths, evaluate)
+                      edge_disjoint_paths)
 # bound here too: perfbench/spans.py traces it under this module's name
 from .network import min_cut  # noqa: F401
 
@@ -102,7 +102,8 @@ def linear_transfer_matrices(net, code, fld):
               for s in net.sources)
     coeff_code = NetworkCode({v: LinearVertex(fld, code.fn(v).matrix, m=total)
                               for v in net.intermediates})
-    observations = evaluate(net, coeff_code, x).observations
+    # unit vectors lie outside the alphabet that `evaluate` holds sources to
+    (values, _), = network._forward(coeff_code, network._steps(net), x, lambda e, v, s: ((v, s),))
     out = {}
     for t in net.terminals:
         per_source = {}
@@ -110,7 +111,7 @@ def linear_transfer_matrices(net, code, fld):
             b = len(net.out_edges(s))
             rows = []
             for r in range(offsets[s], offsets[s] + b):
-                rows.append(tuple(col[r] for col in observations[t]))
+                rows.append(tuple(values[e.id][r] for e in net.in_edges(t)))
             per_source[i] = gf.Matrix(fld, tuple(rows))
         out[t] = per_source
     return out

@@ -510,6 +510,28 @@ def test_actions_are_distinct_unions_of_block_actions():
     assert hamming.actions(()) == ((frozenset(), frozenset()),)
 
 
+def test_reader_retires_each_block_after_its_last_coordinate():
+    # every budget a read returns once a block's last coordinate in the read
+    # order is read has that block's t and e at zero
+    rng = random.Random(20)
+    kinds = {True: 0, False: 0}
+    for _ in range(400):
+        spec = random_action_spec(rng)
+        order = tuple(rng.sample(range(spec.length), spec.length))
+        read, spare = hamming.reader(spec.blocks, range(spec.alphabet_size), order)
+        ends = {j: max(map(order.index, b.coords)) for j, b in enumerate(spec.blocks)
+                if b.coords}
+        x = [rng.randrange(spec.alphabet_size) for _ in range(spec.length)]
+        spares = {spare}
+        for pos, i in enumerate(order):
+            spares = {left for s in spares for _, left in read(i, x[i], s)}
+            for left in frozenset().union(*spares):
+                assert all(left[2 * j:2 * j + 2] == (0, 0)
+                           for j, end in ends.items() if end <= pos), (spec, order, left)
+        kinds[hamming.disjoint(spec.blocks)] += any(b.t + b.e for b in spec.blocks)
+    assert kinds[True] > 100 and kinds[False] > 50
+
+
 def test_explicit_channel_outputs_are_the_reached_words():
     rng = random.Random(4)
     for _ in range(20):

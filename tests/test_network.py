@@ -220,7 +220,8 @@ def test_evaluate_with_override():
     assert res.edge_values["e1"] == 0
 
 
-@pytest.mark.parametrize("x", [((0,),), ((0, 1, 1),)])
+# too narrow, too wide, no source tuple, and one tuple too many
+@pytest.mark.parametrize("x", [((0,),), ((0, 1, 1),), (), ((0, 1), (0, 1))])
 def test_source_inputs_of_the_wrong_width_raise(x):
     net = netlib.parallel_path(2, A2)
     code = network.identity_routing_code(net)
@@ -228,6 +229,22 @@ def test_source_inputs_of_the_wrong_width_raise(x):
         evaluate(net, code, x)
     with pytest.raises(AlphabetMismatch):
         adversarial_fanouts(net, code, network.full_edge_adversary(net, 1), x)
+
+
+def test_source_symbols_outside_the_alphabet_raise():
+    net = netlib.parallel_path(2, A2)
+    code = network.identity_routing_code(net)
+    adv = network.full_edge_adversary(net, 1)
+    with pytest.raises(AlphabetMismatch):
+        evaluate(net, code, ((0, 7),))
+    with pytest.raises(AlphabetMismatch):
+        adversarial_fanouts(net, code, adv, ((0, 7),))
+    # without a network alphabet, evaluate takes any symbol and the fan-outs
+    # check the alphabet they are given
+    bare = netlib.parallel_path(2)
+    assert evaluate(bare, code, ((0, 7),)).observations["T"] == (0, 7)
+    with pytest.raises(AlphabetMismatch):
+        adversarial_fanouts(bare, code, adv, ((0, 7),), A2)
 
 
 def chain_code():
@@ -500,6 +517,36 @@ def test_adversarial_channel_computes_each_fanout_once(monkeypatch):
     got = ch.one_shot_capacity(adversarial_channel(net, code, adv, "T"))
     assert sorted(calls) == sorted(inputs)
     assert (got.size, got.witness, got.exact) == (want.size, want.witness, want.exact)
+
+
+def test_double_relay_fanouts_merge_states_of_spent_blocks(monkeypatch):
+    # each block retires after its last edge is read, so states that differ
+    # only in a spent block's leftover budget merge: 25 end states, not 50
+    scheme = schemes.double_relay_scheme()
+    net, adv = scheme.meta["network"], scheme.meta["adversary"]
+    x = tuple(code[1] for code in scheme.source_codes)
+    observe, ends = network._observe, []
+    monkeypatch.setattr(network, "_observe", lambda *args: ends.append(args) or observe(*args))
+    adversarial_fanouts(net, scheme.network_code, adv, x, scheme.alphabet)
+    assert len(ends) <= 25
+
+
+def test_adversary_checks_run_once_per_network_and_adversary(monkeypatch):
+    net = netlib.triple_path_bottleneck((0, 1, 2))
+    code = NetworkCode({"V": LinearVertex(gf.make_field(3), ((1,), (2,), (1,)))})
+    adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 0),))
+    count, counted = [], network._count_actions
+    monkeypatch.setattr(network, "_count_actions", lambda *args: count.append(args)
+                        or counted(*args))
+    ch.one_shot_capacity(adversarial_channel(net, code, adv, "T"))
+    assert len(count) == 1
+    # a check that fails is not kept: every call raises
+    far = _hop_net(3, range(101))
+    for _ in range(2):
+        with pytest.raises(SearchLimitExceeded):
+            adversarial_fanouts(far, network.identity_routing_code(far),
+                                network.full_edge_adversary(far, 3), ((0,),))
+    assert len(count) == 3
 
 
 def test_channels_of_huge_input_spaces_build_without_listing_them():
