@@ -34,6 +34,7 @@ makes the terminals' channels, on which `regions` verifies codes.
 """
 
 import functools
+import heapq
 import itertools
 import math
 import re
@@ -58,6 +59,7 @@ class Edge:
     head: str
 
 
+@functools.lru_cache(maxsize=1 << 12, typed=True)
 def _natural_key(name):
     return tuple(int(part) if part.isdigit() else part
                  for part in re.split(r"(\d+)", str(name)) if part)
@@ -90,41 +92,50 @@ class Network:
         self._position = {e.id: i for i, e in enumerate(self.edges)}
         self._symbols = frozenset(self.alphabet) if alphabet is not None else None
         self._reads = {}    # see `adversarial_fanouts`
-        self._in = {v: tuple(e for e in self.edges if e.head == v) for v in self.vertices}
-        self._out = {v: tuple(e for e in self.edges if e.tail == v) for v in self.vertices}
+        self._cuts = {}     # see `enumerate_minimal_cuts`
+        ins = {v: [] for v in self.vertices}
+        outs = {v: [] for v in self.vertices}
+        for e in self.edges:
+            ins[e.head].append(e)
+            outs[e.tail].append(e)
+        self._in = {v: tuple(es) for v, es in ins.items()}
+        self._out = {v: tuple(es) for v, es in outs.items()}
         # the plan (see the module docstring); step i keeps the ids written
-        # before it that it, a later step or an earlier terminal reads
+        # before it that it, a later step or an earlier terminal reads: edge
+        # e from step at[tail] + 1 through step at[head], or to the end
+        # when its head is a terminal
         stepped = [*dict.fromkeys(e.tail for e in self.edges),
-                   *(v for v in self.vertices if self._in[v] and not self._out[v])]
+                   *(v for v in self.vertices if ins[v] and not outs[v])]
         at = {v: i for i, v in enumerate(stepped)}
+        kept = [[] for _ in stepped]
+        for e in self.edges:
+            end = len(stepped) if e.head in self.terminals else at[e.head] + 1
+            for i in range(at[e.tail] + 1, end):
+                kept[i].append(e.id)
         self._plan = None if self._cyclic else tuple(
             (v, self.sources.index(v) if v in self.sources else None,
-             tuple(e.id for e in self._in[v]), tuple(e.id for e in self._out[v]),
-             tuple(e.id for e in self.edges if at[e.tail] < i
-                   and (at[e.head] >= i or e.head in self.terminals)))
+             tuple(e.id for e in ins[v]), tuple(e.id for e in outs[v]), tuple(kept[i]))
             for i, v in enumerate(stepped))
 
     def _topological_vertex_index(self, edges):
+        """Kahn's order, the ready vertex of least natural name first."""
         indeg = {v: 0 for v in self.vertices}
         outs = {v: [] for v in self.vertices}
         for e in edges:
             indeg[e.head] += 1
             outs[e.tail].append(e.head)
-        ready = sorted((v for v in self.vertices if indeg[v] == 0), key=_natural_key)
+        item = {v: (_natural_key(v), i, v) for i, v in enumerate(self.vertices)}
+        ready = [item[v] for v in self.vertices if indeg[v] == 0]
+        heapq.heapify(ready)
         order = {}
-        idx = 0
         while ready:
-            v = ready.pop(0)
-            order[v] = idx
-            idx += 1
-            added = []
+            v = heapq.heappop(ready)[2]
+            order[v] = len(order)
             for w in outs[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    added.append(w)
-            if added:
-                ready = sorted(set(ready) | set(added), key=_natural_key)
-        if idx != len(self.vertices):
+                    heapq.heappush(ready, item[w])
+        if len(order) != len(self.vertices):
             raise CyclicGraph("cycle detected")
         return order
 
@@ -293,26 +304,28 @@ BIPARTITION_LIMIT = 1 << 20
 
 def enumerate_minimal_cuts(net, source_subset, terminal):
     """All inclusion-minimal edge cuts between the sources and the terminal,
-    via the crossing sets of vertex bipartitions."""
-    subset = set(_as_sources(net, source_subset))
-    others = [v for v in net.vertices if v not in subset and v != terminal]
-    if 2 ** len(others) > BIPARTITION_LIMIT:
-        raise SearchLimitExceeded("too many vertex bipartitions")
-    crossings = set()
-    for mask in range(2 ** len(others)):
-        side = set(subset)
-        for i, v in enumerate(others):
-            if (mask >> i) & 1:
-                side.add(v)
-        crossing = frozenset(e.id for e in net.edges
-                             if e.tail in side and e.head not in side)
-        crossings.add(crossing)
-    minimal = []
-    for c in sorted(crossings, key=lambda c: (len(c), sorted(c))):
-        if any(m <= c for m in minimal):
-            continue
-        minimal.append(c)
-    return [set(c) for c in minimal]
+    via the crossing sets of vertex bipartitions; kept per network, sources
+    and terminal, and returned as fresh sets."""
+    subset = frozenset(_as_sources(net, source_subset))
+    if (subset, terminal) not in net._cuts:
+        others = [v for v in net.vertices if v not in subset and v != terminal]
+        if 2 ** len(others) > BIPARTITION_LIMIT:
+            raise SearchLimitExceeded("too many vertex bipartitions")
+        crossings = set()
+        for mask in range(2 ** len(others)):
+            side = set(subset)
+            for i, v in enumerate(others):
+                if (mask >> i) & 1:
+                    side.add(v)
+            crossing = frozenset(e.id for e in net.edges
+                                 if e.tail in side and e.head not in side)
+            crossings.add(crossing)
+        minimal = []
+        for c in sorted(crossings, key=lambda c: (len(c), sorted(c))):
+            if not any(m <= c for m in minimal):
+                minimal.append(c)
+        net._cuts[subset, terminal] = minimal
+    return [set(c) for c in net._cuts[subset, terminal]]
 
 
 def check_demands(net, demands, slack=0):

@@ -2,9 +2,14 @@
 
 Graphs are given as a list of neighbor bitmasks (bit j of adj[i] set iff
 i and j are adjacent; self-bits must be clear).  The solver runs a
-branch-and-bound maximum-clique search on the complement graph with a
-greedy coloring bound, and can reconstruct the lexicographically smallest
-maximum independent set deterministically.
+branch-and-bound maximum-clique search on the complement graph.  Its bound
+is a greedy colouring whose colour classes are bitmasks, built with one
+`&=` per coloured vertex (bit-parallel, as in San Segundo et al.'s BBMC).
+The branching order, classes from the highest down and each class from
+its highest vertex down, fixes the tree and so the node count that a
+`node_budget` limits; it is part of the search's contract.  The solver
+reconstructs the lexicographically smallest maximum independent set
+deterministically.
 """
 
 from .errors import SearchLimitExceeded
@@ -23,66 +28,59 @@ class _Budget:
                 raise SearchLimitExceeded("search node budget exhausted")
 
 
-def _complement(adj):
-    n = len(adj)
-    full = (1 << n) - 1
-    return [full & ~adj[v] & ~(1 << v) for v in range(n)]
+def _color_classes(block, p):
+    """Greedy colouring of candidate set p (bitmask) for the clique search.
 
-
-def _color_order(nbr, p):
-    """Greedy coloring of candidate set p (bitmask) for the clique search.
-
-    Returns (order, bounds): vertices grouped by color class; bounds[i] is
-    the color number of order[i], an upper bound on the clique size
-    extendable from {order[0..i]}.
+    Returns the colour classes as bitmasks, class k at index k-1: each
+    class takes the lowest uncoloured vertex, then the lowest one left
+    that is not its neighbour, and so on.  block[v] clears v and its
+    neighbours.  A vertex of class k bounds by k the clique that it and
+    the vertices of lower classes extend.  `_clique_search` branches on the
+    classes from the last down, each from its highest vertex down; that
+    order, and so the node count under a node budget, is part of the
+    search's contract.
     """
-    order = []
-    bounds = []
-    color = 0
-    remaining = p
-    while remaining:
-        color += 1
-        avail = remaining
+    classes = []
+    while p:
+        cls = 0
+        avail = p
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            bit = 1 << v
-            avail &= ~nbr[v]
-            avail &= ~bit
-            remaining &= ~bit
-            order.append(v)
-            bounds.append(color)
-    return order, bounds
+            bit = avail & -avail
+            cls |= bit
+            avail &= block[bit.bit_length() - 1]
+        classes.append(cls)
+        p ^= cls
+    return classes
 
 
-def _clique_search(nbr, r, p, best, budget, target):
-    """Expand clique r (list) with candidates p (bitmask).
+def _clique_search(nbr, block, depth, p, best, budget, target):
+    """Expand a clique of `depth` vertices with candidates p (bitmask).
 
-    best is [size, vertices]; stops early once target (if given) reached.
+    best is [size]; stops early once best reaches target.
     """
     budget.spend()
-    order, bounds = _color_order(nbr, p)
-    for i in range(len(order) - 1, -1, -1):
-        if target is not None and best[0] >= target:
-            return
-        if len(r) + bounds[i] <= best[0]:
-            return
-        v = order[i]
-        r.append(v)
-        sub = p & nbr[v]
-        if sub:
-            _clique_search(nbr, r, sub, best, budget, target)
-        elif len(r) > best[0]:
-            best[0] = len(r)
-            best[1] = list(r)
-        r.pop()
-        p &= ~(1 << v)
+    classes = _color_classes(block, p)
+    for k in range(len(classes), 0, -1):
+        cls = classes[k - 1]
+        while cls:
+            if best[0] >= target or depth + k <= best[0]:
+                return
+            v = cls.bit_length() - 1
+            bit = 1 << v
+            cls ^= bit
+            sub = p & nbr[v]
+            if sub:
+                _clique_search(nbr, block, depth + 1, sub, best, budget, target)
+            elif depth + 1 > best[0]:
+                best[0] = depth + 1
+            p ^= bit
 
 
-def _has_clique(nbr, p, k, budget):
+def _has_clique(nbr, block, p, k, budget):
     if k <= 0:
         return True
-    best = [k - 1, []]
-    _clique_search(nbr, [], p, best, budget, target=k)
+    best = [k - 1]
+    _clique_search(nbr, block, 0, p, best, budget, target=k)
     return best[0] >= k
 
 
@@ -92,11 +90,12 @@ def max_independent_set(adj, node_budget=None):
     n = len(adj)
     if n == 0:
         return 0, []
-    comp = _complement(adj)
-    budget = _Budget(node_budget)
     full = (1 << n) - 1
-    best = [0, []]
-    _clique_search(comp, [], full, best, budget, None)
+    comp = [full & ~adj[v] & ~(1 << v) for v in range(n)]
+    block = [~(comp[v] | 1 << v) for v in range(n)]
+    budget = _Budget(node_budget)
+    best = [0]
+    _clique_search(comp, block, 0, full, best, budget, n + 1)
     alpha = best[0]
 
     # Lexicographically smallest witness: include each vertex in ascending
@@ -110,7 +109,7 @@ def max_independent_set(adj, node_budget=None):
             chosen.append(v)
             break
         sub = p & comp[v] & ~((1 << (v + 1)) - 1)
-        if _has_clique(comp, sub, alpha - len(chosen) - 1, budget):
+        if _has_clique(comp, block, sub, alpha - len(chosen) - 1, budget):
             chosen.append(v)
             p = sub
         else:

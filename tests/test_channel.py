@@ -7,7 +7,8 @@ import pytest
 
 from advnet import channel as ch
 from advnet import hamming, network, search
-from advnet.errors import AlphabetMismatch, EmptyCode, EmptyFamily, InvalidParams
+from advnet.errors import (AlphabetMismatch, EmptyCode, EmptyFamily, InvalidParams,
+                           SearchLimitExceeded)
 
 # ---------------------------------------------------------------------------
 # helpers / oracles
@@ -30,6 +31,23 @@ def brute_force_mis(adj):
         if ok:
             best = max(best, mask.bit_count())
     return best
+
+
+def least_maximum_independent_set(adj):
+    """Independent oracle: every independent set, each grown in ascending
+    vertex order; the lexicographically least of the largest."""
+    n = len(adj)
+    sets = []
+
+    def grow(chosen, start, blocked):
+        sets.append(chosen)
+        for v in range(start, n):
+            if not (blocked >> v) & 1:
+                grow(chosen + [v], v + 1, blocked | adj[v])
+
+    grow([], 0, 0)
+    top = max(map(len, sets))
+    return min(s for s in sets if len(s) == top)
 
 
 def hamming_ball(word, radius, alphabet=(0, 1)):
@@ -91,6 +109,45 @@ def test_mis_witness_is_lexicographically_smallest():
         adj[j] |= 1 << i
     size, verts = search.max_independent_set(adj)
     assert size == 2 and verts == [0, 2]
+
+
+def test_mis_witness_is_the_least_maximum_set_on_random_graphs():
+    rng = random.Random(1706)
+    for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for _ in range(12):
+            n = rng.randint(1, 14)
+            adj = [0] * n
+            for i, j in itertools.combinations(range(n), 2):
+                if rng.random() < density:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            size, verts = search.max_independent_set(adj)
+            assert verts == least_maximum_independent_set(adj)
+            assert size == len(verts)
+
+
+# ((n, offsets, power), nodes expanded, independence number, witness start)
+# for the confusability graph of the power of x -> {x + s mod n : s in offsets}
+CIRCULANT_SEARCHES = (
+    ((12, (0, 1), 2), 666, 36, [0, 2, 4, 6, 8, 10]),
+    ((6, (0, 1), 3), 1612, 27, [0, 2, 4, 12, 14, 16]),
+    ((16, (0, 1), 2), 2080, 64, [0, 2, 4, 6, 8, 10]),
+    ((11, (0, 2, 7), 2), 2625, 5, [0, 13, 30, 56, 93]),
+)
+
+
+@pytest.mark.parametrize("key, nodes, alpha, start", CIRCULANT_SEARCHES)
+def test_mis_node_count_is_pinned_on_circulant_powers(key, nodes, alpha, start):
+    """The branching order fixes the nodes a search expands, so a node
+    budget stops it at the same point on every version of the kernel."""
+    n, offsets, power = key
+    base = ch.explicit(range(n), range(n),
+                       {x: {(x + s) % n for s in offsets} for x in range(n)})
+    _, adj = ch.confusability_adjacency(ch.power(base, power))
+    size, verts = search.max_independent_set(adj, node_budget=nodes)
+    assert size == alpha and verts[:len(start)] == start
+    with pytest.raises(SearchLimitExceeded):
+        search.max_independent_set(adj, node_budget=nodes - 1)
 
 
 def test_clique_cover_upper_bounds_mis():

@@ -120,6 +120,70 @@ def test_order_choice_does_not_change_min_cut():
     assert min_cut(n1, [0], "T") == min_cut(n2, [0], "T") == 2
 
 
+def scanned_layout(vertices, edges, terminals):
+    """Oracle for a network's edge order and plan, by per-step scans: a
+    topological sort that re-sorts its ready list after every vertex, then
+    scans over every edge for each vertex's in- and out-edges and for each
+    step's kept ids."""
+    def natural(name):
+        parts = []
+        for digit, chunk in itertools.groupby(str(name), str.isdigit):
+            chunk = "".join(chunk)
+            parts.append(int(chunk) if digit else chunk)
+        return tuple(parts)
+
+    indeg = {v: sum(e.head == v for e in edges) for v in vertices}
+    ready = sorted((v for v in vertices if indeg[v] == 0), key=natural)
+    order = {}
+    while ready:
+        v = ready.pop(0)
+        order[v] = len(order)
+        for e in edges:
+            if e.tail == v:
+                indeg[e.head] -= 1
+                if indeg[e.head] == 0:
+                    ready = sorted(ready + [e.head], key=natural)
+    ordered = sorted(edges, key=lambda e: (order[e.tail], natural(e.id)))
+    ins = {v: [e.id for e in ordered if e.head == v] for v in vertices}
+    outs = {v: [e.id for e in ordered if e.tail == v] for v in vertices}
+    stepped = []
+    for e in ordered:
+        if e.tail not in stepped:
+            stepped.append(e.tail)
+    stepped += [v for v in vertices if ins[v] and not outs[v]]
+    at = {v: i for i, v in enumerate(stepped)}
+    plan = []
+    for i, v in enumerate(stepped):
+        kept = [e.id for e in ordered if at[e.tail] < i
+                and (at[e.head] >= i or e.head in terminals)]
+        plan.append((v, tuple(ins[v]), tuple(outs[v]), tuple(kept)))
+    return tuple(ordered), tuple(plan)
+
+
+NETLIB_NETWORKS = (
+    [netlib.parallel_path(w) for w in (1, 2, 4)]
+    + [getattr(netlib, name)() for name in (
+        "single_path", "chain_with_bypass", "two_source_hub", "two_source_grid",
+        "two_source_double_relay", "triple_path_bottleneck", "fan_bottleneck", "butterfly")]
+    + [netlib.two_source_shared_relay(widths, out) for widths, out in
+       (((1, 1), 1), ((2, 3), 2), ((3, 3), 4))])
+
+
+def test_edge_order_and_plan_match_the_per_step_scans():
+    rng = random.Random(11)
+    for net in NETLIB_NETWORKS:
+        # the same network given its vertices and edges in other orders
+        for _ in range(3):
+            vertices = rng.sample(net.vertices, len(net.vertices))
+            edges = rng.sample(net.edges, len(net.edges))
+            built = Network(vertices, edges, net.sources, net.terminals)
+            ordered, plan = scanned_layout(vertices, edges, net.terminals)
+            assert built.edges == ordered == net.edges
+            assert [(v, ins, outs, kept) for v, _, ins, outs, kept in built._plan] == list(plan)
+            assert [step[1] for step in built._plan] == [
+                net.sources.index(v) if v in net.sources else None for v, *_ in plan]
+
+
 # ---------------------------------------------------------------------------
 # cuts, flows, paths
 # ---------------------------------------------------------------------------
@@ -148,6 +212,21 @@ def test_double_relay_cut_membership():
     assert is_cut(net, cut, ["S1", "S2"], "T")
     cuts = enumerate_minimal_cuts(net, [0, 1], "T")
     assert cut in cuts
+
+
+def test_minimal_cuts_are_kept_per_network_and_returned_fresh(monkeypatch):
+    net = netlib.two_source_double_relay(A2)
+    first = enumerate_minimal_cuts(net, [0, 1], "T")
+    expected = [set(c) for c in first]
+    first[0].add("e1")
+    first.pop()
+    # the memo answers without enumerating bipartitions again
+    monkeypatch.setattr(network, "BIPARTITION_LIMIT", 0)
+    assert enumerate_minimal_cuts(net, ["S2", "S1"], "T") == expected
+    with pytest.raises(SearchLimitExceeded):
+        enumerate_minimal_cuts(net, [0], "T")
+    with pytest.raises(SearchLimitExceeded):
+        enumerate_minimal_cuts(netlib.two_source_double_relay(A2), [0, 1], "T")
 
 
 def test_min_cuts_double_relay():
