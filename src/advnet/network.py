@@ -59,7 +59,6 @@ class Edge:
     head: str
 
 
-@functools.lru_cache(maxsize=1 << 12, typed=True)
 def _natural_key(name):
     return tuple(int(part) if part.isdigit() else part
                  for part in re.split(r"(\d+)", str(name)) if part)
@@ -92,7 +91,6 @@ class Network:
         self._position = {e.id: i for i, e in enumerate(self.edges)}
         self._symbols = frozenset(self.alphabet) if alphabet is not None else None
         self._reads = {}    # see `adversarial_fanouts`
-        self._cuts = {}     # see `enumerate_minimal_cuts`
         ins = {v: [] for v in self.vertices}
         outs = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -304,28 +302,26 @@ BIPARTITION_LIMIT = 1 << 20
 
 def enumerate_minimal_cuts(net, source_subset, terminal):
     """All inclusion-minimal edge cuts between the sources and the terminal,
-    via the crossing sets of vertex bipartitions; kept per network, sources
-    and terminal, and returned as fresh sets."""
-    subset = frozenset(_as_sources(net, source_subset))
-    if (subset, terminal) not in net._cuts:
-        others = [v for v in net.vertices if v not in subset and v != terminal]
-        if 2 ** len(others) > BIPARTITION_LIMIT:
-            raise SearchLimitExceeded("too many vertex bipartitions")
-        crossings = set()
-        for mask in range(2 ** len(others)):
-            side = set(subset)
-            for i, v in enumerate(others):
-                if (mask >> i) & 1:
-                    side.add(v)
-            crossing = frozenset(e.id for e in net.edges
-                                 if e.tail in side and e.head not in side)
-            crossings.add(crossing)
-        minimal = []
-        for c in sorted(crossings, key=lambda c: (len(c), sorted(c))):
-            if not any(m <= c for m in minimal):
-                minimal.append(c)
-        net._cuts[subset, terminal] = minimal
-    return [set(c) for c in net._cuts[subset, terminal]]
+    via the crossing sets of vertex bipartitions."""
+    subset = set(_as_sources(net, source_subset))
+    others = [v for v in net.vertices if v not in subset and v != terminal]
+    if 2 ** len(others) > BIPARTITION_LIMIT:
+        raise SearchLimitExceeded("too many vertex bipartitions")
+    crossings = set()
+    for mask in range(2 ** len(others)):
+        side = set(subset)
+        for i, v in enumerate(others):
+            if (mask >> i) & 1:
+                side.add(v)
+        crossing = frozenset(e.id for e in net.edges
+                             if e.tail in side and e.head not in side)
+        crossings.add(crossing)
+    minimal = []
+    for c in sorted(crossings, key=lambda c: (len(c), sorted(c))):
+        if any(m <= c for m in minimal):
+            continue
+        minimal.append(c)
+    return [set(c) for c in minimal]
 
 
 def check_demands(net, demands, slack=0):

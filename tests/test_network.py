@@ -214,21 +214,6 @@ def test_double_relay_cut_membership():
     assert cut in cuts
 
 
-def test_minimal_cuts_are_kept_per_network_and_returned_fresh(monkeypatch):
-    net = netlib.two_source_double_relay(A2)
-    first = enumerate_minimal_cuts(net, [0, 1], "T")
-    expected = [set(c) for c in first]
-    first[0].add("e1")
-    first.pop()
-    # the memo answers without enumerating bipartitions again
-    monkeypatch.setattr(network, "BIPARTITION_LIMIT", 0)
-    assert enumerate_minimal_cuts(net, ["S2", "S1"], "T") == expected
-    with pytest.raises(SearchLimitExceeded):
-        enumerate_minimal_cuts(net, [0], "T")
-    with pytest.raises(SearchLimitExceeded):
-        enumerate_minimal_cuts(netlib.two_source_double_relay(A2), [0, 1], "T")
-
-
 def test_min_cuts_double_relay():
     net = netlib.two_source_double_relay(A2)
     assert min_cut(net, [0], "T") == 2
