@@ -437,13 +437,15 @@ def one_shot_capacity(ch, max_vertices=MAX_VERTICES, node_budget=None):
     """Exact one-shot capacity via maximum independent set of the
     confusability graph.  The witness is the lexicographically smallest
     maximum good code in the canonical input order.  If the node budget is
-    exhausted the result carries greedy lower/upper bounds instead."""
+    exhausted the result is inexact: its lower bound and witness are the
+    search's incumbent, the largest good code it had found, or the greedy
+    code when that is larger; its upper bound is a greedy clique cover."""
     inputs, adj = confusability_adjacency(ch, max_vertices=max_vertices)
     try:
         size, verts = max_independent_set(adj, node_budget=node_budget)
         return CapacityResult(size, (inputs[v] for v in verts), True)
-    except SearchLimitExceeded:
-        lower = greedy_independent_set(adj)
+    except SearchLimitExceeded as exc:
+        lower = max(greedy_independent_set(adj), exc.incumbent, key=len)
         upper = greedy_clique_cover_size(adj)
         return CapacityResult(len(lower), (inputs[v] for v in lower), False, upper)
 

@@ -119,8 +119,10 @@ def beta(a, u, d, node_budget=300_000):
     """beta(a, u, d): the largest size of a code of length u with minimum
     distance >= d over an alphabet of size a (1 when no two words fit).
     Exact via constructions matching the Singleton bound, or exhaustive
-    search when a**u is small; otherwise (or when the search budget runs
-    out) a (lower, Singleton-upper) bounded value.  Memoized per budget,
+    search when a**u is small; otherwise a (lower, Singleton-upper) bounded
+    value.  The inexact lower bound is the a constant words, or, when the
+    search budget runs out, the zero word plus the search's incumbent if
+    that code is larger.  Memoized per budget,
     since a larger budget may give the exact size where a smaller one ran out."""
     if a < 2:
         raise InvalidParams("alphabet size must be >= 2")
@@ -145,14 +147,15 @@ def _beta_compute(a, u, d, node_budget):
     if gf._factor_prime_power(a) is not None and u <= a + 1:
         # (extended) Reed-Solomon evaluation code is MDS
         return BetaValue(a, u, d, singleton, singleton, True)
+    # constructive floor: constant words are pairwise at distance u >= d
+    floor = a
     if a ** u <= EXHAUSTIVE_BETA_LIMIT:
         try:
             size = _beta_exhaustive(a, u, d, node_budget)
             return BetaValue(a, u, d, size, size, True)
-        except SearchLimitExceeded:
-            pass
-    # constructive floor: constant words are pairwise at distance u >= d
-    return BetaValue(a, u, d, a, singleton, False)
+        except SearchLimitExceeded as exc:
+            floor = max(a, 1 + len(exc.incumbent))
+    return BetaValue(a, u, d, floor, singleton, False)
 
 
 # -- MDS generators ----------------------------------------------------------

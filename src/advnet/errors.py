@@ -26,7 +26,13 @@ class EmptyFamily(AdvnetError):
 
 
 class SearchLimitExceeded(AdvnetError):
-    pass
+    """A search ran out of its limit.  `incumbent` holds what it had found
+    when it stopped: from `search.max_independent_set`, the vertices of the
+    largest independent set found, ascending; empty from other searches."""
+
+    def __init__(self, message, incumbent=()):
+        self.incumbent = incumbent
+        super().__init__(message)
 
 
 class InvalidParams(AdvnetError):

@@ -1,87 +1,28 @@
 """Exact maximum-independent-set search on small graphs.
 
 Graphs are given as a list of neighbor bitmasks (bit j of adj[i] set iff
-i and j are adjacent; self-bits must be clear).  The solver runs a
-branch-and-bound maximum-clique search on the complement graph.  Its bound
-is a greedy colouring whose colour classes are bitmasks, built with one
-`&=` per coloured vertex (bit-parallel, as in San Segundo et al.'s BBMC).
-The branching order, classes from the highest down and each class from
-its highest vertex down, fixes the tree and so the node count that a
-`node_budget` limits; it is part of the search's contract.  The solver
-reconstructs the lexicographically smallest maximum independent set
-deterministically.
+i and j are adjacent; a self-bit is ignored).  The solver runs a
+branch-and-bound maximum-clique search on the complement graph.  A node is
+one call of `expand`: it colours its candidate set and branches on it.
+The bound is a greedy colouring whose colour classes are bitmasks, built
+with one `&=` per coloured vertex (bit-parallel, as in San Segundo et al.'s
+BBMC).  The branching order, classes from the highest down and each class
+from its highest vertex down, fixes the tree and so the node count that a
+`node_budget` limits; it is part of the search's contract.
+
+The search keeps a maximum clique (the certificate) next to its size.  The
+solver then reconstructs the lexicographically smallest maximum
+independent set from it, diving again only where the certificate cannot
+decide a vertex.  The main search and these witness dives draw on one node
+budget; when it runs out, `SearchLimitExceeded.incumbent` holds the
+largest independent set found so far.
 """
 
 from .errors import SearchLimitExceeded
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, nodes):
-        self.left = nodes
-
-    def spend(self):
-        if self.left is not None:
-            self.left -= 1
-            if self.left < 0:
-                raise SearchLimitExceeded("search node budget exhausted")
-
-
-def _color_classes(block, p):
-    """Greedy colouring of candidate set p (bitmask) for the clique search.
-
-    Returns the colour classes as bitmasks, class k at index k-1: each
-    class takes the lowest uncoloured vertex, then the lowest one left
-    that is not its neighbour, and so on.  block[v] clears v and its
-    neighbours.  A vertex of class k bounds by k the clique that it and
-    the vertices of lower classes extend.  `_clique_search` branches on the
-    classes from the last down, each from its highest vertex down; that
-    order, and so the node count under a node budget, is part of the
-    search's contract.
-    """
-    classes = []
-    while p:
-        cls = 0
-        avail = p
-        while avail:
-            bit = avail & -avail
-            cls |= bit
-            avail &= block[bit.bit_length() - 1]
-        classes.append(cls)
-        p ^= cls
-    return classes
-
-
-def _clique_search(nbr, block, depth, p, best, budget, target):
-    """Expand a clique of `depth` vertices with candidates p (bitmask).
-
-    best is [size]; stops early once best reaches target.
-    """
-    budget.spend()
-    classes = _color_classes(block, p)
-    for k in range(len(classes), 0, -1):
-        cls = classes[k - 1]
-        while cls:
-            if best[0] >= target or depth + k <= best[0]:
-                return
-            v = cls.bit_length() - 1
-            bit = 1 << v
-            cls ^= bit
-            sub = p & nbr[v]
-            if sub:
-                _clique_search(nbr, block, depth + 1, sub, best, budget, target)
-            elif depth + 1 > best[0]:
-                best[0] = depth + 1
-            p ^= bit
-
-
-def _has_clique(nbr, block, p, k, budget):
-    if k <= 0:
-        return True
-    best = [k - 1]
-    _clique_search(nbr, block, 0, p, best, budget, target=k)
-    return best[0] >= k
+def _vertices(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def max_independent_set(adj, node_budget=None):
@@ -91,30 +32,82 @@ def max_independent_set(adj, node_budget=None):
     if n == 0:
         return 0, []
     full = (1 << n) - 1
-    comp = [full & ~adj[v] & ~(1 << v) for v in range(n)]
-    block = [~(comp[v] | 1 << v) for v in range(n)]
-    budget = _Budget(node_budget)
-    best = [0]
-    _clique_search(comp, block, 0, full, best, budget, n + 1)
-    alpha = best[0]
+    adj = [row & ~(1 << v) for v, row in enumerate(adj)]
+    comp = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
+    left = float("inf") if node_budget is None else node_budget
+    best, target = 0, n + 1
+    cert = taken = 0
 
-    # Lexicographically smallest witness: include each vertex in ascending
-    # order iff the prefix still extends to an optimum.
-    chosen = []
+    def expand(depth, members, p):
+        """Extend clique `members` (`depth` vertices) from candidates p.
+
+        Colour classes: each takes the lowest uncoloured vertex, then the
+        lowest one left that is not its neighbour in the complement, that
+        is, one adjacent to it in the graph.  A vertex of class k bounds
+        by k the clique that it and the vertices of lower classes extend.
+        Stops once best reaches target; records each new best in cert.
+        """
+        nonlocal left, best, cert
+        left -= 1
+        if left < 0:
+            raise SearchLimitExceeded("search node budget exhausted",
+                                      _vertices(taken | cert))
+        classes = []
+        q = p
+        while q:
+            cls = 0
+            avail = q
+            while avail:
+                bit = avail & -avail
+                cls |= bit
+                avail &= adj[bit.bit_length() - 1]
+            classes.append(cls)
+            q ^= cls
+        for k in range(len(classes), 0, -1):
+            cls = classes[k - 1]
+            while cls:
+                if best >= target or depth + k <= best:
+                    return
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls ^= bit
+                sub = p & comp[v]
+                if sub:
+                    expand(depth + 1, members | bit, sub)
+                elif depth + 1 > best:
+                    best = depth + 1
+                    cert = members | bit
+                p ^= bit
+
+    expand(0, 0, full)
+    alpha = best
+
+    # Lexicographically smallest witness: take each vertex v = min(p) in
+    # ascending order iff the prefix still extends to an optimum.  cert is
+    # a clique of the remaining size inside p, so v extends if it is in
+    # cert, or if it conflicts with one member only (swap them); otherwise
+    # a dive for one vertex fewer among v's candidates decides.
     p = full
-    for v in range(n):
-        if not (p >> v) & 1:
-            continue
-        if len(chosen) + 1 == alpha:
-            chosen.append(v)
-            break
-        sub = p & comp[v] & ~((1 << (v + 1)) - 1)
-        if _has_clique(comp, block, sub, alpha - len(chosen) - 1, budget):
-            chosen.append(v)
-            p = sub
+    while p:
+        bit = p & -p
+        v = bit.bit_length() - 1
+        sub = p & comp[v]
+        if cert & bit:
+            cert ^= bit
         else:
-            p &= ~(1 << v)
-    return alpha, chosen
+            conflicts = cert & adj[v]
+            if conflicts & (conflicts - 1):
+                best = cert.bit_count() - 2
+                target = best + 1
+                expand(0, 0, sub)
+                if best < target:
+                    p ^= bit
+                    continue
+            else:
+                cert ^= conflicts
+        taken |= bit
+        p = sub
+    return alpha, _vertices(taken)
 
 
 def greedy_independent_set(adj):

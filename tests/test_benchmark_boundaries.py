@@ -72,6 +72,28 @@ def test_every_hamming_job_checks():
         assert job.check(job.fn()), job.key
 
 
+def test_every_capacity_job_checks():
+    """A capacity value, witness or exactness flag that the capacity
+    workload would count as wrong fails here instead of in a benchmark run:
+    every circulant power and random table at the workload's node budget.
+    The seven circulants that finish inside that budget stay exact."""
+    workloads = _workloads()
+    refs = json.loads((PERFBENCH / "reference.json").read_text())
+    exact = set()
+    for family, entries, build in (
+            ("circulant", workloads.CIRCULANTS, workloads.circulant_channel),
+            ("random_table", workloads.RANDOM_TABLES, workloads.random_table)):
+        for entry in entries:
+            job = workloads._capacity_job(family, entry, build(*entry), refs[family][str(entry)])
+            res = job.fn()
+            assert job.check(res), job.key
+            if res.exact and family == "circulant":
+                exact.add(entry)
+    assert exact == {
+        (6, (0, 1), 3), (6, (0, 2), 3), (11, (0, 2, 7), 2), (12, (0, 1), 2),
+        (14, (0, 1), 2), (16, (0, 1), 2), (18, (0, 1), 2)}
+
+
 def test_every_verify_job_checks():
     """A fan-out, verification or impossibility answer that the verify
     workload would count as wrong fails here instead of in a benchmark run:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,17 @@ def word(bits):
     return tuple(int(b) for b in bits)
 
 
+def random_graph(rng, n, density):
+    """Adjacency bitmasks of a random graph: each pair an edge with
+    probability `density`."""
+    adj = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
 # ---------------------------------------------------------------------------
 # MIS solver vs oracle
 # ---------------------------------------------------------------------------
@@ -87,13 +99,7 @@ def word(bits):
 def test_mis_matches_brute_force_on_random_graphs():
     rng = random.Random(2024)
     for _ in range(40):
-        n = rng.randint(1, 12)
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.4:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+        adj = random_graph(rng, rng.randint(1, 12), 0.4)
         size, verts = search.max_independent_set(adj)
         assert size == brute_force_mis(adj)
         for a, b in itertools.combinations(verts, 2):
@@ -115,12 +121,7 @@ def test_mis_witness_is_the_least_maximum_set_on_random_graphs():
     rng = random.Random(1706)
     for density in (0.1, 0.3, 0.5, 0.7, 0.9):
         for _ in range(12):
-            n = rng.randint(1, 14)
-            adj = [0] * n
-            for i, j in itertools.combinations(range(n), 2):
-                if rng.random() < density:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+            adj = random_graph(rng, rng.randint(1, 14), density)
             size, verts = search.max_independent_set(adj)
             assert verts == least_maximum_independent_set(adj)
             assert size == len(verts)
@@ -129,17 +130,20 @@ def test_mis_witness_is_the_least_maximum_set_on_random_graphs():
 # ((n, offsets, power), nodes expanded, independence number, witness start)
 # for the confusability graph of the power of x -> {x + s mod n : s in offsets}
 CIRCULANT_SEARCHES = (
-    ((12, (0, 1), 2), 666, 36, [0, 2, 4, 6, 8, 10]),
-    ((6, (0, 1), 3), 1612, 27, [0, 2, 4, 12, 14, 16]),
-    ((16, (0, 1), 2), 2080, 64, [0, 2, 4, 6, 8, 10]),
-    ((11, (0, 2, 7), 2), 2625, 5, [0, 13, 30, 56, 93]),
+    ((12, (0, 1), 2), 316, 36, [0, 2, 4, 6, 8, 10]),
+    ((6, (0, 1), 3), 1560, 27, [0, 2, 4, 12, 14, 16]),
+    ((16, (0, 1), 2), 757, 64, [0, 2, 4, 6, 8, 10]),
+    ((11, (0, 2, 7), 2), 2618, 5, [0, 13, 30, 56, 93]),
+    ((18, (0, 1), 2), 1081, 81, [0, 2, 4, 6, 8, 10]),
 )
 
 
-@pytest.mark.parametrize("key, nodes, alpha, start", CIRCULANT_SEARCHES)
+@pytest.mark.parametrize("key, nodes, alpha, start", CIRCULANT_SEARCHES, ids=[
+    f"C{n}{{{','.join(map(str, offsets))}}}^{power}" for (n, offsets, power), *_ in CIRCULANT_SEARCHES])
 def test_mis_node_count_is_pinned_on_circulant_powers(key, nodes, alpha, start):
-    """The branching order fixes the nodes a search expands, so a node
-    budget stops it at the same point on every version of the kernel."""
+    """The branching order and the witness rule fix the nodes a search
+    expands, so a node budget stops it at the same point on every version
+    of the kernel.  The ids leave the counts out, so a re-pin keeps them."""
     n, offsets, power = key
     base = ch.explicit(range(n), range(n),
                        {x: {(x + s) % n for s in offsets} for x in range(n)})
@@ -150,16 +154,56 @@ def test_mis_node_count_is_pinned_on_circulant_powers(key, nodes, alpha, start):
         search.max_independent_set(adj, node_budget=nodes - 1)
 
 
+def test_exhausted_search_carries_an_independent_incumbent():
+    """At every budget short of the search's total the incumbent is
+    independent, and it never shrinks as the budget grows: once the main
+    search has finished, a witness dive that runs out still holds a
+    maximum set."""
+    rng = random.Random(1706)
+    maximum = 0
+    for density in (0.1, 0.3, 0.5):
+        for _ in range(5):
+            adj = random_graph(rng, rng.randint(10, 30), density)
+            alpha, _ = search.max_independent_set(adj)
+            last = 0
+            for budget in itertools.count(1):
+                try:
+                    search.max_independent_set(adj, node_budget=budget)
+                    break
+                except SearchLimitExceeded as exc:
+                    got = exc.incumbent
+                    assert got == sorted(set(got)) and last <= len(got) <= alpha
+                    assert all(not (adj[a] >> b) & 1
+                               for a, b in itertools.combinations(got, 2))
+                    last = len(got)
+                    maximum += last == alpha
+    assert maximum
+
+
+def test_mis_ignores_self_bits():
+    """A row with its own bit set answers as the cleared row does.  A
+    colouring that kept the bit would never finish: an alarm guards it."""
+    def stalled(signum, frame):
+        raise TimeoutError("search stalled on a self-bit")
+
+    rng = random.Random(7)
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(30)
+    try:
+        for _ in range(20):
+            adj = random_graph(rng, rng.randint(1, 16), 0.4)
+            looped = [row | (1 << v if rng.random() < 0.5 else 0)
+                      for v, row in enumerate(adj)]
+            assert search.max_independent_set(looped) == search.max_independent_set(adj)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_clique_cover_upper_bounds_mis():
     rng = random.Random(5)
     for _ in range(20):
-        n = rng.randint(2, 11)
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.5:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+        adj = random_graph(rng, rng.randint(2, 11), 0.5)
         assert search.greedy_clique_cover_size(adj) >= brute_force_mis(adj)
         assert len(search.greedy_independent_set(adj)) <= brute_force_mis(adj)
 
@@ -435,6 +479,20 @@ def test_benchmark_channel_graphs_are_pairwise_fanout_intersection():
                  + tables)
     for c in instances:
         assert_pairwise_graph(c)
+
+
+def test_exhausted_capacity_reports_the_search_incumbent():
+    """The pentagon cubed runs out of the benchmark's node budget.  Its
+    search had found alpha(C5^3) = 10 (Baumert et al., 1971), where the
+    greedy code has 8; the answer stays inexact, as nothing proved it."""
+    from test_benchmark_boundaries import _workloads
+    workloads = _workloads()
+    chan = workloads.circulant_channel(5, (0, 1), 3)
+    _, adj = ch.confusability_adjacency(chan)
+    assert len(search.greedy_independent_set(adj)) == 8
+    res = ch.one_shot_capacity(chan, node_budget=workloads.NODE_BUDGET)
+    assert (res.size, res.exact, round(2 ** res.upper_bits)) == (10, False, 27)
+    assert len(res.witness) == 10 and ch.is_good_code(chan, res.witness)
 
 
 def nested_table(rng, n_in, n_out):

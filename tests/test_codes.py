@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from advnet import codes, gf
 from advnet.channel import STAR
 from advnet.errors import (FieldTooSmall, InvalidParams, NoCodewordInRange,
-                           SingletonCode)
+                           SearchLimitExceeded, SingletonCode)
 
 F2 = gf.make_field(2)
 F3 = gf.make_field(3)
@@ -138,6 +138,23 @@ def test_beta_bounds_path_for_large_spaces():
     assert not b.exact
     assert b.size == 6
     assert b.upper_size == 6 ** 4
+
+
+def test_beta_6_4_3_reports_the_search_incumbent():
+    # 34, since no pair of orthogonal Latin squares of order 6 exists; the
+    # constant words alone gave 6
+    b = codes.beta(6, 4, 3)
+    assert (b.size, b.upper_size, b.exact) == (31, 36, False)
+
+
+def test_exhausted_beta_floor_is_a_code_from_the_incumbent():
+    with pytest.raises(SearchLimitExceeded) as info:
+        codes._beta_exhaustive(2, 8, 3, 2_000)
+    far = [w for w in gf.digit_tuples(2, 8) if sum(1 for c in w if c) >= 3]
+    code = [(0,) * 8] + [far[v] for v in info.value.incumbent]
+    assert len(code) > 2 and brute_min_distance(code) >= 3
+    b = codes.beta(2, 8, 3, node_budget=2_000)
+    assert (b.size, b.exact) == (len(code), False)
 
 
 def test_beta_memo_keeps_budgets_apart():
