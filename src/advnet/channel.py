@@ -14,10 +14,11 @@ Each class owns `confusable` (equal inputs, or meeting fan-outs).
 Composites answer it lazily, factor by factor, so powers of channels stay
 cheap even when their materialized fan-out sets would not;
 `_fanouts_intersect` only compares two different channels, such as union
-branches.  `confusable_pair` is the one pairwise scan of a code.
-`confusability_adjacency` builds the graph of a table, or of a symbolic
-channel without a predicate, from an output -> inputs index over the
-listed fan-outs; every other channel answers pair by pair.
+branches.  A table, or a symbolic channel without a predicate, lists its
+fan-outs (`_listed`), and is confusable exactly where they meet: on it
+`confusable_pair` scans a code in one pass over an output -> first
+position index, and `confusability_adjacency` builds the graph from an
+output -> inputs index.  Every other channel answers pair by pair.
 `BaseValue`, the log of an exact count, is the one value type.
 """
 
@@ -271,13 +272,44 @@ def union(channels):
 
 # -- codes and capacity ------------------------------------------------------
 
+def _listed(ch):
+    """Whether ch is confusable exactly where its listed fan-outs meet: a
+    table, or a symbolic channel without a predicate."""
+    return isinstance(ch, TableChannel) or (isinstance(ch, SymbolicChannel)
+                                            and ch._confusable_fn is None)
+
+
 def confusable_pair(ch, code):
-    """The first pair of confusable code elements in index order, or None."""
+    """The first pair of confusable code elements in index order, the
+    least (i, j) with i < j, or None.
+
+    On listed fan-outs (`_listed`) this is one pass over the code that
+    keeps an index from each output to the first position reaching it:
+    position j's earliest collision is the least index over its fan-out,
+    or, for an element met before, that element's first position.  It
+    stops at the first j colliding with position 0, and reads a fan-out
+    only where the pairwise scan would: element 0's once a later distinct
+    element is met, each other distinct element's on reaching it.  Other
+    channels take the pairwise scan."""
     code = tuple(code)
     if not code:
         raise EmptyCode("a code must be non-empty")
-    return next(((x, xp) for x, xp in itertools.combinations(code, 2)
-                 if ch.confusable(x, xp)), None)
+    if not _listed(ch):
+        return next(((x, xp) for x, xp in itertools.combinations(code, 2)
+                     if ch.confusable(x, xp)), None)
+    first, index, best = {code[0]: 0}, None, (len(code), None)
+    for j, x in enumerate(code[1:], 1):
+        i = first.setdefault(x, j)
+        if i == j:
+            if index is None:
+                index = dict.fromkeys(ch.fanout(code[0]), 0)
+            i = min((index.setdefault(y, j) for y in ch.fanout(x)), default=j)
+        if i < j and i < best[0]:
+            best = i, j
+            if i == 0:
+                break
+    i, j = best
+    return None if j is None else (code[i], code[j])
 
 
 def is_good_code(ch, code):
@@ -413,8 +445,7 @@ def confusability_adjacency(ch, max_vertices=MAX_VERTICES):
     inputs = ch.inputs_tuple()
     n = len(inputs)
     adj = [0] * n
-    if isinstance(ch, TableChannel) or (isinstance(ch, SymbolicChannel)
-                                        and ch._confusable_fn is None):
+    if _listed(ch):
         fans = [ch.fanout(x) for x in inputs]
         index = {}
         for i, fan in enumerate(fans):

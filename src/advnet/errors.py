@@ -28,7 +28,9 @@ class EmptyFamily(AdvnetError):
 class SearchLimitExceeded(AdvnetError):
     """A search ran out of its limit.  `incumbent` holds what it had found
     when it stopped: from `search.max_independent_set`, the vertices of the
-    largest independent set found, ascending; empty from other searches."""
+    largest independent set found, ascending; from
+    `hamming.brute_force_capacity`, the words of the inexact capacity's
+    witness, a good code; empty from other searches."""
 
     def __init__(self, message, incumbent=()):
         self.incumbent = incumbent

@@ -523,9 +523,11 @@ BRUTE_FORCE_LIMIT = 1 << 10
 
 def brute_force_capacity(spec, node_budget=None):
     """Exact one-shot capacity of a tiny spec by explicit search, as a
-    BaseValue in base a."""
+    BaseValue in base a.  When the node budget runs out it raises
+    SearchLimitExceeded whose incumbent is the witness of the inexact
+    result: the words of the largest good code found."""
     chan = explicit_channel(spec, BRUTE_FORCE_LIMIT)
     res = one_shot_capacity(chan, max_vertices=BRUTE_FORCE_LIMIT, node_budget=node_budget)
     if not res.exact:
-        raise SearchLimitExceeded("budget exhausted in brute-force capacity")
+        raise SearchLimitExceeded("budget exhausted in brute-force capacity", res.witness)
     return res.value_in_base(spec.alphabet_size)

@@ -28,7 +28,9 @@ of what the blocks may do, which retires each block after its last edge; a
 per-symbol adversary's one block, over sub-symbol positions, reads every
 edge value as its `ball` of the block's `hamming.actions`.  A network keeps
 each adversary's read, checked once, for all inputs.  `adversarial_channels`
-makes the terminals' channels, on which `regions` verifies codes.
+makes the terminals' channels, on which `regions` verifies codes; for a
+linear code under an error-only adversary it sweeps the zero input alone
+and translates its fan-outs by each input's clean observation.
 `AdversarySpec.clip` makes any adversary a `hamming` spec on a cut.
 `check_demands` is the one cut-set demand check.
 """
@@ -457,17 +459,18 @@ def _steps(net):
 def _forward(code, steps, x, read, spare=(), start=()):
     """The end states (edge values, spare budget) of one sweep over
     `steps` from the values in `start`.  Each step reads its in-edges, edge
-    eid with written value v as any (w, spare') in read(eid, v, spare), then
-    writes its out-edges: a source x[src], another vertex its function of
-    what it read.  Before each step, states that agree on the budget and on
-    every value still to be read or read by a terminal merge, so a vertex
-    function is called once per distinct state."""
+    eid with written value v as any (w, spare') in read(eid, v, spare), or
+    as v when read is None, then writes its out-edges: a source x[src],
+    another vertex its function of what it read.  Before each step, states
+    that agree on the budget and on every value still to be read or read by
+    a terminal merge, so a vertex function is called once per distinct
+    state."""
     states = [(dict(start), spare)]
     for vertex, src, ins, outs, kept in steps:
         if len(states) > 1:
             states = list({(left, *map(values.__getitem__, kept)): (values, left)
                            for values, left in states}.values())
-        for eid in ins:
+        for eid in ins if read else ():
             branched = []
             for values, spare in states:
                 choices = read(eid, values[eid], spare)
@@ -727,18 +730,65 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None):
     return {t: frozenset(obs[t] for obs in ends) for t in net.terminals}
 
 
+def _code_field(net, code, alphabet):
+    """The one field of a code whose intermediate vertices are all
+    `LinearVertex`es on field elements (m = None) over a field whose
+    elements are exactly `alphabet`; None for any other code."""
+    fields = {fn.field if isinstance(fn, LinearVertex) and fn.m is None else None
+              for fn in map(code.functions.get, net.intermediates)}
+    if len(fields) != 1 or None in fields:
+        return None
+    fld, = fields
+    return fld if set(alphabet) == set(range(fld.q)) else None
+
+
 def adversarial_channels(net, code, adv, alphabet=None, keep=None, frozen=None):
     """Per terminal, the channel from (selected) source inputs to the
-    terminal's observations under all admissible adversary actions.  The
-    channels share one `adversarial_fanouts` call per input.  keep/frozen
-    as for `transfer_channel`."""
+    terminal's observations under all admissible adversary actions.
+    keep/frozen as for `transfer_channel`.
+
+    A linear code under an error-only adversary (Yeung & Cai, "Network
+    error correction, part I/II", Comm. Inf. Syst. 2006): when every
+    intermediate vertex is a `LinearVertex` on field elements over one
+    field whose elements are the alphabet, and the adversary is Hamming
+    type (variant None) with no erasure budget, blocks disjoint or not,
+    an observation is T x + B e.  A corruption of an edge reads as any
+    other symbol whatever the edge carries, so the errors e it may inject
+    do not depend on x, and every input's fan-out is its clean observation
+    plus the fan-out of the zero input.  The channels then share one
+    `adversarial_fanouts` call, on the zero input and made on the first
+    fan-out read, and each input costs one clean sweep and a translate per
+    terminal.  Erasures are excluded: a vertex reads STAR as zero, so an
+    erasure's effect depends on the value it hides.  Every other code or
+    adversary shares one `adversarial_fanouts` call per input.
+    """
     keep = _kept_sources(net, keep, frozen)
     inputs = _input_space(net, alphabet, keep)
+    alphabet = net._alphabet(alphabet)
+    symbols = frozenset(alphabet)
+
+    @functools.cache
+    def shift():
+        """(field addition, zero input's fan-outs) when translation applies,
+        else None."""
+        fld = _code_field(net, code, alphabet)
+        if fld is None or adv.variant is not None or any(b.e for b in adv.blocks):
+            return None
+        zero = tuple((0,) * len(net.out_edges(s)) for s in net.sources)
+        # an addition table filled as used: extension-field adds go digit by digit
+        return functools.cache(fld.add), adversarial_fanouts(net, code, adv, zero, alphabet)
 
     @functools.cache
     def fanouts(xs):
         x = _assemble_global(net, keep, xs, frozen)
-        return adversarial_fanouts(net, code, adv, x, alphabet)
+        if shift() is None:
+            return adversarial_fanouts(net, code, adv, x, alphabet)
+        add, zero = shift()
+        _check_input(net, x, symbols)
+        (values, _), = _forward(code, _steps(net), x, None)
+        clean = _observe(net, values)
+        return {t: frozenset(tuple(map(add, clean[t], z)) for z in zero[t])
+                for t in net.terminals}
 
     return {t: SymbolicChannel(inputs, lambda xs, t=t: fanouts(xs)[t])
             for t in net.terminals}

@@ -17,7 +17,12 @@ Verification implements the three achievability notions, each as one
 terminal: one-shot on the terminal's adversarial channel, n-shot on the
 product over uses of those channels (a fresh network code and adversary
 action per use), and compound on the union, over the vulnerable edge sets
-the adversary may fix across all uses, of such products.
+the adversary may fix across all uses, of such products.  A one-shot
+channel lists its fan-outs, so its scan is one indexed pass over the
+messages; products and unions are scanned pair by pair.  The fan-outs
+come from `network.adversarial_channels`: one sweep per message, or, for
+a linear code under an error-only adversary, one sweep of the zero input
+that every message's clean observation translates.
 """
 
 import itertools

@@ -245,6 +245,51 @@ def test_confusable_pair_is_the_first_in_index_order():
         ch.confusable_pair(hh, [])
 
 
+def _pairwise_pair(c, code):
+    return next(((x, xp) for x, xp in itertools.combinations(code, 2)
+                 if c.confusable(x, xp)), None)
+
+
+def _read_log(table):
+    """A symbolic channel that lists the table's fan-outs, and the inputs
+    whose fan-outs it has computed."""
+    read = []
+    return ch.SymbolicChannel((table.input_count, table.iter_inputs),
+                              lambda x: read.append(x) or table.fanout(x)), read
+
+
+def test_index_scan_returns_the_pairwise_pair_on_random_tables():
+    # codes repeat elements; the scan reads no fan-out the pairwise scan skips
+    rng = random.Random(17)
+    found = 0
+    for _ in range(3000):
+        n_in = rng.randint(1, 8)
+        table = ch.random_table_channel(rng, range(n_in), range(rng.randint(1, 12)))
+        code = [rng.randrange(n_in) for _ in range(rng.randint(1, 9))]
+        want = _pairwise_pair(table, code)
+        indexed, read = _read_log(table)
+        pairwise, pair_read = _read_log(table)
+        assert ch.confusable_pair(table, code) == want == _pairwise_pair(pairwise, code)
+        assert ch.confusable_pair(indexed, code) == want, code
+        assert set(read) <= set(pair_read), code
+        found += want is not None
+    assert 1000 < found < 2900
+
+
+def test_confusable_pair_asks_a_predicate_pair_by_pair():
+    asked = []
+
+    def near(x, xp):
+        asked.append((x, xp))
+        return abs(x - xp) <= 1
+
+    c = ch.SymbolicChannel((20, lambda: iter(range(20))), lambda x: {x, x + 1}, near)
+    code = [0, 3, 6, 9, 7, 2]
+    pairs = list(itertools.combinations(code, 2))
+    assert ch.confusable_pair(c, code) == (3, 2)
+    assert asked == pairs[:pairs.index((3, 2)) + 1]
+
+
 def test_hh_capacity_is_one_bit():
     res = ch.one_shot_capacity(hh_channel())
     assert res.exact and res.size == 2 and res.bits == 1.0

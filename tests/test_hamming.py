@@ -8,7 +8,8 @@ import pytest
 from advnet import channel as ch
 from advnet import codes, gf, hamming, network
 from advnet.channel import STAR, BaseValue
-from advnet.errors import AlphabetMismatch, IndexOutOfRange, InvalidParams, UnsupportedVariant
+from advnet.errors import (AlphabetMismatch, IndexOutOfRange, InvalidParams,
+                           SearchLimitExceeded, UnsupportedVariant)
 
 
 def random_disjoint_spec(rng, max_len=4, max_alpha=3):
@@ -173,6 +174,14 @@ def test_capacity_single_block_formula():
 def test_single_block_capacity_equals_brute_force():
     spec = hamming.single_block(2, 3, {0, 1}, 0, 1)
     assert hamming.brute_force_capacity(spec).value == pytest.approx(2.0)
+
+
+def test_exhausted_brute_force_capacity_raises_with_its_lower_code():
+    spec = hamming.HammingSpec(2, 7, (hamming.Block((0, 1, 2), 1), hamming.Block((3, 4), 0, 1)))
+    with pytest.raises(SearchLimitExceeded) as info:
+        hamming.brute_force_capacity(spec, node_budget=1)
+    code = info.value.incumbent
+    assert code and ch.is_good_code(hamming.explicit_channel(spec), code)
 
 
 def test_prop_formula_matches_brute_force_randomized():

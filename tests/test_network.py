@@ -565,12 +565,57 @@ def test_adversarial_channel_agrees_with_restricted_middle():
 
 
 def test_adversarial_channel_computes_each_fanout_once(monkeypatch):
+    # a linear code under an error-only adversary sweeps the zero input
+    # alone; a table code, or an erasure block, sweeps each input once
     net = netlib.triple_path_bottleneck((0, 1, 2))
-    code = NetworkCode({"V": LinearVertex(gf.make_field(3), ((1,), (2,), (1,)))})
-    adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 0),))
+    linear = NetworkCode({"V": LinearVertex(gf.make_field(3), ((1,), (2,), (1,)))})
     inputs = list(network.global_inputs(net))
-    table = {x: adversarial_fanouts(net, code, adv, x)["T"] for x in inputs}
-    want = ch.one_shot_capacity(ch.explicit(inputs, set().union(*table.values()), table))
+    table = NetworkCode({"V": TableVertex({x: linear.fn("V")(x) for x, in inputs})})
+    errors = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 0),))
+    erasure = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 0, 1),))
+    for code, adv, swept in ((linear, errors, [((0, 0, 0),)]), (table, errors, inputs),
+                             (linear, erasure, inputs)):
+        fans = {x: adversarial_fanouts(net, code, adv, x)["T"] for x in inputs}
+        want = ch.one_shot_capacity(ch.explicit(inputs, set().union(*fans.values()), fans))
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return adversarial_fanouts(*args)
+
+        monkeypatch.setattr(network, "adversarial_fanouts", counted)
+        got = ch.one_shot_capacity(adversarial_channel(net, code, adv, "T"))
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(swept)
+        assert (got.size, got.witness, got.exact) == (want.size, want.witness, want.exact)
+
+
+def _random_linear_code(rng, net, fld):
+    return NetworkCode({v: LinearVertex(fld, tuple(
+        tuple(rng.randrange(fld.q) for _ in net.out_edges(v)) for _ in net.in_edges(v)))
+        for v in net.intermediates})
+
+
+def _random_error_adversary(rng, net, overlapping):
+    """One or two error-only blocks of one to three edges, t in {1, 2};
+    disjoint unless `overlapping`, which makes the second block share an
+    edge with the first."""
+    eids = [e.id for e in net.edges]
+    first = rng.sample(eids, rng.randint(1, 3))
+    blocks = [AdvBlock(first, rng.randint(1, 2))]
+    rest = [e for e in eids if e not in first]
+    if overlapping:
+        blocks.append(AdvBlock({rng.choice(first), *rng.sample(eids, 1)}, rng.randint(1, 2)))
+    elif rest and rng.random() < 0.7:
+        blocks.append(AdvBlock(rng.sample(rest, min(len(rest), rng.randint(1, 3))),
+                               rng.randint(1, 2)))
+    return AdversarySpec(blocks)
+
+
+def _channel_calls(monkeypatch, net, code, adv, xs, **kw):
+    """Each terminal's fan-out of each of the inputs xs through
+    `adversarial_channels`, and the inputs it swept with
+    `adversarial_fanouts`."""
     calls = []
 
     def counted(*args):
@@ -578,9 +623,78 @@ def test_adversarial_channel_computes_each_fanout_once(monkeypatch):
         return adversarial_fanouts(*args)
 
     monkeypatch.setattr(network, "adversarial_fanouts", counted)
-    got = ch.one_shot_capacity(adversarial_channel(net, code, adv, "T"))
-    assert sorted(calls) == sorted(inputs)
-    assert (got.size, got.witness, got.exact) == (want.size, want.witness, want.exact)
+    chans = network.adversarial_channels(net, code, adv, **kw)
+    fans = {x: {t: c.fanout(x) for t, c in chans.items()} for x in xs}
+    monkeypatch.undo()
+    return fans, calls
+
+
+def test_linear_error_only_fanouts_translate_the_zero_input(monkeypatch):
+    # every input's fan-out is its clean observation plus the zero input's
+    # fan-out, the only input swept
+    rng = random.Random(23)
+    cases = [(netlib.butterfly, (2, 3, 4)), (netlib.two_source_hub, (2, 3, 4)),
+             (netlib.two_source_grid, (2,)), (netlib.fan_bottleneck, (2, 3, 4)),
+             (netlib.triple_path_bottleneck, (2, 3, 4)),
+             (lambda a: netlib.parallel_path(3, a), (2, 3, 4))]
+    for make, qs in cases:
+        for q in qs:
+            net = make(tuple(range(q)))
+            zero = tuple((0,) * len(net.out_edges(s)) for s in net.sources)
+            inputs = list(network.global_inputs(net))
+            for overlapping in (False, True):
+                code = _random_linear_code(rng, net, gf.make_field(q))
+                adv = _random_error_adversary(rng, net, overlapping)
+                fans, calls = _channel_calls(monkeypatch, net, code, adv, inputs)
+                assert calls == [zero]
+                for x in inputs:
+                    assert fans[x] == adversarial_fanouts(net, code, adv, x), (q, adv, x)
+
+
+def test_linear_fanouts_translate_with_a_frozen_source(monkeypatch):
+    net = netlib.two_source_hub((0, 1, 2))
+    rng = random.Random(5)
+    code = _random_linear_code(rng, net, gf.make_field(3))
+    adv = AdversarySpec((AdvBlock({"e1", "e4"}, 1), AdvBlock({"e4", "e6", "e7"}, 1)))
+    for keep, frozen in (((0,), {1: (2,)}), ((1,), {0: (1, 2)})):
+        xs = list(network._input_space(net, None, keep)[1]())
+        fans, calls = _channel_calls(monkeypatch, net, code, adv, xs, keep=keep, frozen=frozen)
+        assert calls == [((0, 0), (0,))]
+        for x in xs:
+            full = network._assemble_global(net, keep, x, frozen)
+            assert fans[x] == adversarial_fanouts(net, code, adv, full)
+
+
+def test_adversarial_channels_sweep_each_input_outside_the_linear_case(monkeypatch):
+    # erasures, symbols that are tuples, a mixed code, a code over two
+    # fields and a field larger than the alphabet take one sweep per input,
+    # as adversarial_fanouts
+    F2, F3 = gf.make_field(2), gf.make_field(3)
+    rng = random.Random(8)
+    fan = netlib.fan_bottleneck((0, 1, 2))
+    butterfly = netlib.butterfly((0, 1))
+    mixed = _random_linear_code(rng, butterfly, F2)
+    mixed.functions["V2"] = TableVertex({(a,): (a, 1 - a) for a in (0, 1)})
+    two_fields = _random_linear_code(rng, butterfly, F2)
+    two_fields.functions["V3"] = LinearVertex(F3, ((1,), (2,)))
+    pairs = tuple(itertools.product((0, 1), repeat=2))
+    cases = [
+        (fan, _random_linear_code(rng, fan, F3), AdversarySpec((AdvBlock({"e1", "e3"}, 1, 1),))),
+        (netlib.triple_path_bottleneck(pairs),
+         NetworkCode({"V": LinearVertex(F2, ((1,), (1,), (1,)), m=2)}),
+         AdversarySpec((AdvBlock({"e1", "e2"}, 1),))),
+        (butterfly, mixed, AdversarySpec((AdvBlock({"e3", "e7"}, 1),))),
+        (butterfly, two_fields, AdversarySpec((AdvBlock({"e3", "e7"}, 1),))),
+        (netlib.triple_path_bottleneck((0, 1)),
+         NetworkCode({"V": LinearVertex(F3, ((1,), (1,), (1,)))}),
+         AdversarySpec((AdvBlock({"e1", "e2"}, 1),))),
+    ]
+    for net, code, adv in cases:
+        inputs = list(network.global_inputs(net))
+        fans, calls = _channel_calls(monkeypatch, net, code, adv, inputs)
+        assert sorted(calls) == sorted(inputs)
+        for x in inputs:
+            assert fans[x] == adversarial_fanouts(net, code, adv, x)
 
 
 def test_double_relay_fanouts_merge_states_of_spent_blocks(monkeypatch):

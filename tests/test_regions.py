@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from advnet import codes, gf, hamming, netlib, network, regions, schemes
-from advnet.channel import STAR, BaseValue, one_shot_capacity
-from advnet.errors import (AlphabetMismatch, EmptyCode, IndexOutOfRange, InvalidParams,
-                           UnsupportedVariant)
+from advnet.channel import STAR, BaseValue, confusable_pair, one_shot_capacity
+from advnet.errors import (AlphabetMismatch, DrawsExhausted, EmptyCode, IndexOutOfRange,
+                           InvalidParams, UnsupportedVariant)
 from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, TableVertex,
                             adversarial_channel, adversarial_fanouts,
                             enumerate_minimal_cuts)
 from advnet.search import max_independent_set
+from test_benchmark_boundaries import _workloads
 from test_network import TYPO_ADVERSARIES, random_small_network, random_table_code
 
 A2 = (0, 1)
@@ -716,19 +717,62 @@ def test_n_shot_and_compound_agree_with_the_fanout_table(case):
 
 
 def test_verify_computes_each_message_fanout_once_for_all_terminals(monkeypatch):
+    # the linear code sweeps the zero input once for both terminals; the
+    # same functions as FuncVertexes sweep each message once
     net = netlib.butterfly(A2)
     scheme = schemes.build_adversary_free(net, (2,), 2, seed=0)
-    calls = []
+    funcs = NetworkCode({v: network.FuncVertex(lambda *vals, f=f: f(vals))
+                         for v, f in scheme.network_code.functions.items()})
+    messages = list(itertools.product(*scheme.source_codes))
+    for code, swept in ((scheme.network_code, [((0, 0),)]), (funcs, messages)):
+        calls = []
 
-    def counted(*args):
-        calls.append(args[3])
-        return adversarial_fanouts(*args)
+        def counted(*args):
+            calls.append(args[3])
+            return adversarial_fanouts(*args)
 
-    monkeypatch.setattr(network, "adversarial_fanouts", counted)
-    res = regions.verify_one_shot(net, scheme.network_code, scheme.source_codes,
-                                  network.adversary_free(), A2)
-    assert res.ok
-    assert sorted(calls) == sorted(itertools.product(*scheme.source_codes))
+        monkeypatch.setattr(network, "adversarial_fanouts", counted)
+        res = regions.verify_one_shot(net, code, scheme.source_codes,
+                                      network.adversary_free(), A2)
+        monkeypatch.undo()
+        assert res.ok
+        assert sorted(calls) == sorted(swept)
+
+
+def test_index_scan_returns_the_pairwise_pair_on_the_verify_catalogue():
+    """On every channel the verify workload scans (the double-relay code,
+    the product-alphabet schemes, each adversary-free code with and without
+    its refuting error, and each linear relay over all its inputs) the
+    one-pass scan returns the pairwise scan's pair."""
+    workloads = _workloads()
+    fixtures = workloads.setup("verify")
+    dr = fixtures["double_relay"]
+    cases = [(dr.meta["network"], dr.network_code, dr.source_codes, dr.meta["adversary"],
+              dr.alphabet)]
+    cases += [(net, s.network_code, s.source_codes, s.meta["adversary"], s.alphabet)
+              for net, s in fixtures["product_alphabet"].values()]
+    for name, demands, q, seed, edge in workloads.AF_BUILDS:
+        net = workloads.make_network(name, tuple(range(q)))
+        try:
+            s = schemes.build_adversary_free(net, demands, q, seed=seed)
+        except DrawsExhausted:
+            continue
+        cases += [(net, s.network_code, s.source_codes, adv, s.alphabet)
+                  for adv in (network.adversary_free(), AdversarySpec((AdvBlock({edge}, 1),)))]
+    for name, q, seed, edges in workloads.LINEAR_RELAYS:
+        net, code = workloads.relay_code(name, q, seed)
+        cases.append((net, code, [[x for x, in network.global_inputs(net)]],
+                      AdversarySpec((AdvBlock(set(edges), 1),)), net.alphabet))
+    refuted = 0
+    for net, code, source_codes, adv, alphabet in cases:
+        messages = list(itertools.product(*source_codes))
+        fresh = network.adversarial_channels(net, code, adv, alphabet)
+        for t, c in network.adversarial_channels(net, code, adv, alphabet).items():
+            want = next(((x, xp) for x, xp in itertools.combinations(messages, 2)
+                         if fresh[t].confusable(x, xp)), None)
+            assert confusable_pair(c, messages) == want, (net.terminals, t, adv)
+            refuted += want is not None
+    assert refuted > 50
 
 
 # ---------------------------------------------------------------------------

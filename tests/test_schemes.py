@@ -623,6 +623,18 @@ def test_linear_impossibility_on_bottleneck():
     assert res.ok and res.rate == (1.0,)
 
 
+def test_linear_impossibility_sweeps_once_per_relay_map(monkeypatch):
+    # each of the 2^8 relay maps sweeps the zero input alone, not its 4 inputs
+    net = netlib.fan_bottleneck(A2)
+    adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 0),))
+    calls, sweep = [], network.adversarial_fanouts
+    monkeypatch.setattr(network, "adversarial_fanouts",
+                        lambda *args: calls.append(args[3]) or sweep(*args))
+    out = schemes.linear_impossibility(net, adv, 2, target=1.0)
+    assert len(out["results"]) == len(calls) == 256
+    assert set(calls) == {((0, 0),)}
+
+
 def test_linear_impossibility_without_adversary():
     net = netlib.triple_path_bottleneck(A2)
     adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2", "e3"}, 0, 0),))
