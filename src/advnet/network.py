@@ -14,10 +14,16 @@ source index, its in- and out-edge ids and the ids it or a later step
 reads or an earlier terminal read.  One sweep, `_forward`, walks a plan:
 before each step, states equal on the budget and on those ids merge; the
 step reads its in-edges through read(eid, v, spare), the values an edge
-may read as with the budget each leaves, then writes its out-edges.
-`evaluate` and `cut_to_sink_channel` (on the part of the plan that feeds
-the terminal) read each edge as its override, if any.  Cyclic networks
-have no plan; evaluating one raises CyclicGraph.
+may read as with the budget each leaves, then writes its out-edges.  A
+relay's in-edges are read by no later step, so a relay branches once per
+vertex, not per in-edge: it lists the joint reads of its in-edges once
+per distinct (budget, in-values), calls its function once per distinct
+in-tuple and keeps one state per distinct (budget left, output).  A
+terminal keeps every read, as those are the observations.  `evaluate` and
+`cut_to_sink_channel` (on the part of the plan that feeds the terminal)
+sweep without reads from a start that holds the overrides: an edge in it
+keeps its start value whatever its tail writes.  Cyclic networks have no
+plan; evaluating one raises CyclicGraph.
 
 An adversary is a set of `hamming.Block`s whose coordinates are edge ids;
 as in `hamming`, blocks may share edges only when none of them carries
@@ -82,6 +88,8 @@ class Network:
         for e in raw:
             if e.tail not in vs or e.head not in vs:
                 raise InvalidParams(f"edge {e.id} touches an unknown vertex")
+        if not vs.issuperset(self.sources + self.terminals):
+            raise InvalidParams("a source or terminal is not a vertex")
         self._cyclic = False
         try:
             order = self._topological_vertex_index(raw)
@@ -100,6 +108,7 @@ class Network:
             outs[e.tail].append(e)
         self._in = {v: tuple(es) for v, es in ins.items()}
         self._out = {v: tuple(es) for v, es in outs.items()}
+        self._observed = tuple((t, tuple(e.id for e in ins[t])) for t in self.terminals)
         # the plan (see the module docstring); step i keeps the ids written
         # before it that it, a later step or an earlier terminal reads: edge
         # e from step at[tail] + 1 through step at[head], or to the end
@@ -370,13 +379,17 @@ def _decompose_paths(net, flow, caps, terminal):
 # -- network codes -----------------------------------------------------------
 
 class TableVertex:
-    """Explicit vertex function as a mapping from in-tuples to out-tuples."""
+    """Explicit vertex function as a mapping from in-tuples to out-tuples;
+    an in-tuple the table lacks raises MissingCodeFunction."""
 
     def __init__(self, table):
         self.table = dict(table)
 
     def __call__(self, values):
-        return self.table[tuple(values)]
+        try:
+            return self.table[tuple(values)]
+        except KeyError:
+            raise MissingCodeFunction(f"no table entry for in-tuple {tuple(values)}") from None
 
 
 class LinearVertex:
@@ -458,18 +471,57 @@ def _steps(net):
 
 def _forward(code, steps, x, read, spare=(), start=()):
     """The end states (edge values, spare budget) of one sweep over
-    `steps` from the values in `start`.  Each step reads its in-edges, edge
-    eid with written value v as any (w, spare') in read(eid, v, spare), or
-    as v when read is None, then writes its out-edges: a source x[src],
-    another vertex its function of what it read.  Before each step, states
-    that agree on the budget and on every value still to be read or read by
-    a terminal merge, so a vertex function is called once per distinct
-    state."""
+    `steps`.  Each edge in `start` holds its start value: before each step
+    it takes that value again, whatever its tail wrote.  A step reads its
+    in-edges, edge eid with value v as any (w, spare') in read(eid, v,
+    spare), or as v when read is None, then writes its out-edges: a source
+    x[src], another vertex its function of what it read.  Before each step,
+    states that agree on the budget and on every value still to be read or
+    read by a terminal merge.
+
+    A relay, a vertex other than a source with out-edges whose in-edges no
+    later step reads (the last step keeps every edge a terminal reads),
+    branches once: it lists the joint reads of its in-edges once per
+    distinct (budget, in-values) among its states, calls its function once
+    per distinct in-tuple, and keeps of each state one successor per
+    distinct (budget left, output), the merge the next step would make,
+    before any state is copied; its in-edges keep their written values.
+    Any other step, a terminal above all, branches edge by edge and keeps
+    every read, writing it into the state.  A sweep without branches (read
+    None) ends in one state."""
     states = [(dict(start), spare)]
     for vertex, src, ins, outs, kept in steps:
         if len(states) > 1:
             states = list({(left, *map(values.__getitem__, kept)): (values, left)
                            for values, left in states}.values())
+        if start:
+            for values, _ in states:
+                values.update(start)
+        if read and src is None and outs and ins and ins[0] not in steps[-1][4]:
+            fn = code.fn(vertex)
+            entering = {}
+            for values, spare in states:
+                entering.setdefault((spare, *map(values.__getitem__, ins)), []).append(values)
+            reads = [(key, (), key[0]) for key in entering]
+            for j, eid in enumerate(ins, 1):
+                reads = [(key, got + (w,), left) for key, got, s in reads
+                         for w, left in read(eid, key[j], s)]
+            made, ends = {}, {}
+            for key, got, left in reads:
+                out = made.get(got)
+                if out is None:
+                    out = made[got] = fn(got)
+                ends.setdefault((key, left, *out), (key, out, left))
+            # an entering state's first successor reuses its dict
+            states, previous = [], None
+            for key, out, left in ends.values():
+                for values in entering[key]:
+                    if key is previous:
+                        values = values.copy()
+                    values.update(zip(outs, out))
+                    states.append((values, left))
+                previous = key
+            continue
         for eid in ins if read else ():
             branched = []
             for values, spare in states:
@@ -488,7 +540,7 @@ def _forward(code, steps, x, read, spare=(), start=()):
 
 
 def _observe(net, values):
-    return {t: tuple(values[e.id] for e in net.in_edges(t)) for t in net.terminals}
+    return {t: tuple(map(values.__getitem__, ids)) for t, ids in net._observed}
 
 
 def _check_input(net, x, symbols):
@@ -508,7 +560,7 @@ def evaluate(net, code, x, action=None):
     action = action or {}
     net.edge_positions(action)
     _check_input(net, x, net._symbols)
-    (values, _), = _forward(code, _steps(net), x, lambda eid, v, s: ((action.get(eid, v), s),))
+    (values, _), = _forward(code, _steps(net), x, None, start=action)
     return EvalResult(values, _observe(net, values))
 
 
@@ -619,8 +671,7 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
     def fanout_fn(vals):
         start = dict(zip(cut_list, vals))
         start.update(frozen_values)
-        (values, _), = _forward(code, steps, None, lambda eid, v, s: ((start.get(eid, v), s),),
-                                start=start)
+        (values, _), = _forward(code, steps, None, None, start=start)
         return (tuple(values[eid] for eid in in_ids),)
 
     return SymbolicChannel((count, factory), fanout_fn)

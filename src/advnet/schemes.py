@@ -103,7 +103,7 @@ def linear_transfer_matrices(net, code, fld):
     coeff_code = NetworkCode({v: LinearVertex(fld, code.fn(v).matrix, m=total)
                               for v in net.intermediates})
     # unit vectors lie outside the alphabet that `evaluate` holds sources to
-    (values, _), = network._forward(coeff_code, network._steps(net), x, lambda e, v, s: ((v, s),))
+    (values, _), = network._forward(coeff_code, network._steps(net), x, None)
     out = {}
     for t in net.terminals:
         per_source = {}

@@ -4,6 +4,7 @@ on the object the tracer names, or the benchmark fails at start-up."""
 import importlib.util
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -98,10 +99,11 @@ def test_every_verify_job_checks():
     """A fan-out, verification or impossibility answer that the verify
     workload would count as wrong fails here instead of in a benchmark run:
     every linear-relay, adversary-free, impossibility and product-alphabet
-    job (the double-relay jobs draw random sub-codes)."""
+    job, and double-relay jobs whose sub-codes a fixed seed draws."""
     workloads = _workloads()
     refs = json.loads((PERFBENCH / "reference.json").read_text())
-    schemes = workloads.setup("verify")["product_alphabet"]
+    fixtures = workloads.setup("verify")
+    schemes = fixtures["product_alphabet"]
     jobs = [workloads._relay_job(e, refs["linear_relay"][str(e)])
             for e in workloads.LINEAR_RELAYS]
     jobs += [workloads._af_job(e, refs["adversary_free"][str(e)]) for e in workloads.AF_BUILDS]
@@ -109,6 +111,8 @@ def test_every_verify_job_checks():
              for e in workloads.IMPOSSIBILITY]
     jobs += [workloads._product_alphabet_job(key, *schemes[key])
              for key in workloads.PRODUCT_ALPHABET]
+    rng = random.Random(1706)
+    jobs += [workloads._double_relay_job(rng, fixtures["double_relay"]) for _ in range(4)]
     for job in jobs:
         assert job.check(job.fn()), job.key
 

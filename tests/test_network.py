@@ -87,6 +87,12 @@ def test_duplicate_vertex_names_and_edge_ids_are_rejected(vertices, edges):
         Network(vertices, edges, ("S",), ("T",))
 
 
+@pytest.mark.parametrize("sources, terminals", [(("X",), ("T",)), (("S",), ("T", "X"))])
+def test_sources_and_terminals_outside_the_vertices_are_rejected(sources, terminals):
+    with pytest.raises(InvalidParams):
+        Network(("S", "T"), [Edge("e1", "S", "T")], sources, terminals)
+
+
 def test_validate_chain_with_bypass_and_path_order():
     net = netlib.chain_with_bypass(A2)
     assert validate(net) == []
@@ -324,6 +330,18 @@ def chain_code():
                      | {(a, b): (0, 0) for a in (0, 1, STAR) for b in (0, 1, STAR)
                         if a == STAR or b == STAR})
     return NetworkCode({"V1": v1, "V2": v2, "V3": v3})
+
+
+def test_a_table_without_the_in_tuple_read_raises_naming_it():
+    # the table covers {0, 1}^3 only; an erasure on e1 reads ('*', 0, 0)
+    net = netlib.triple_path_bottleneck(A2)
+    code = NetworkCode({"V": TableVertex({vals: (vals[0],)
+                                          for vals in itertools.product(A2, repeat=3)})})
+    erase = AdversarySpec((AdvBlock({"e1"}, 0, 1),))
+    with pytest.raises(MissingCodeFunction, match=r"\('\*', 0, 0\)"):
+        adversarial_fanouts(net, code, erase, ((0, 0, 0),))
+    with pytest.raises(MissingCodeFunction, match=r"\('\*', 0, 0\)"):
+        evaluate(net, code, ((0, 0, 0),), action={"e1": STAR})
 
 
 def test_evaluate_without_a_vertex_function_raises():
@@ -788,6 +806,69 @@ def _block_actions(edges, t, e, symbols):
                     for vals in itertools.product(symbols, repeat=i):
                         out.append(dict(zip(err, vals)) | {eid: STAR for eid in stars})
     return out
+
+
+def test_double_relay_sweep_calls_each_relay_once_per_in_tuple(monkeypatch):
+    # V2's five entering states hold two distinct (budget, in-values): its
+    # step lists their joint reads twice, calls f_v2 once for each of the 13
+    # in-tuples and, the majority vote correcting every read, passes on one
+    # state per entering state, so T's step starts from five
+    scheme = schemes.double_relay_scheme()
+    net, adv, code = scheme.meta["network"], scheme.meta["adversary"], scheme.network_code
+    calls = {"V1": [], "V2": []}
+    counted = NetworkCode({v: FuncVertex(lambda *vals, v=v: calls[v].append(vals)
+                                         or code.fn(v)(vals)) for v in calls})
+    reads = []
+
+    def counting_reader(*args):
+        read, spare = hamming.reader(*args)
+        return (lambda eid, v, s: reads.append(eid) or read(eid, v, s)), spare
+
+    monkeypatch.setattr(network, "reader", counting_reader)
+    x = tuple(c[1] for c in scheme.source_codes)
+    fans = adversarial_fanouts(net, counted, adv, x, scheme.alphabet)
+    assert len(calls["V1"]) == len(set(calls["V1"])) == 5
+    assert len(calls["V2"]) == len(set(calls["V2"])) == 13
+    assert reads.count("e2") == 2    # V2's first in-edge: once per joint read
+    assert reads.count("e8") == 5    # T's first in-edge: once per state
+    monkeypatch.undo()
+    assert fans == adversarial_fanouts(net, code, adv, x, scheme.alphabet)
+
+
+def test_double_relay_fanouts_match_explicit_actions():
+    # 16 x 31 explicit actions of the two blocks (an edge may be "set" to
+    # its own value), budget left in both blocks at each relay: codewords
+    # and arbitrary inputs, whose relay reads are many to one
+    scheme = schemes.double_relay_scheme()
+    net, adv, code = scheme.meta["network"], scheme.meta["adversary"], scheme.network_code
+    first, second = adv.blocks
+    actions = [a | b for a in _block_actions(first.coords, first.t, first.e, scheme.alphabet)
+               for b in _block_actions(second.coords, second.t, second.e, scheme.alphabet)]
+    assert len(actions) == 16 * 31
+    rng = random.Random(24)
+    inputs = [tuple(rng.choice(c) for c in scheme.source_codes) for _ in range(2)]
+    inputs += [(tuple(rng.choices(scheme.alphabet, k=2)), tuple(rng.choices(scheme.alphabet, k=5)))
+               for _ in range(2)]
+    for x in inputs:
+        want = {evaluate(net, code, x, action=act).observations["T"] for act in actions}
+        assert adversarial_fanouts(net, code, adv, x, scheme.alphabet) == {"T": want}
+
+
+def test_a_terminal_that_relays_keeps_every_read():
+    # T is a terminal with an out-edge (`validate` reports it) whose
+    # function is constant: its step keeps each read of e1, which T
+    # observes, instead of one state per output
+    net = Network(("S", "T", "U"), [Edge("e1", "S", "T"), Edge("e2", "T", "U")],
+                  ("S",), ("T", "U"), A2)
+    code = NetworkCode({"T": FuncVertex(lambda a: (0,))})
+    adv = AdversarySpec((AdvBlock({"e1", "e2"}, 1),))
+    for x in network.global_inputs(net):
+        want = {"T": set(), "U": set()}
+        for act in _block_actions({"e1", "e2"}, 1, 0, A2):
+            for term, obs in evaluate(net, code, x, action=act).observations.items():
+                want[term].add(obs)
+        assert adversarial_fanouts(net, code, adv, x) == want == {
+            "T": {(0,), (1,)}, "U": {(0,), (1,)}}
 
 
 @pytest.mark.parametrize("t,e", [(1, 0), (0, 1), (1, 1)])
