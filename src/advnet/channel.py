@@ -18,8 +18,12 @@ branches.  A table, or a symbolic channel without a predicate, lists its
 fan-outs (`_listed`), and is confusable exactly where they meet: on it
 `confusable_pair` scans a code in one pass over an output -> first
 position index, and `confusability_adjacency` builds the graph from an
-output -> inputs index.  Every other channel answers pair by pair.
-`BaseValue`, the log of an exact count, is the one value type.
+output -> inputs index.  A product is confusable exactly where every
+factor is, so `confusability_adjacency` builds its graph as the strong
+product of the factors' graphs, asking each distinct factor's own
+`confusable` once per unordered pair of its inputs.  Every other channel
+answers pair by pair.  `BaseValue`, the log of an exact count, is the one
+value type.
 """
 
 import functools
@@ -433,11 +437,19 @@ def confusability_adjacency(ch, max_vertices=MAX_VERTICES):
     A table, or a symbolic channel without a predicate, is confusable
     exactly where listed fan-outs meet: its fan-outs are taken once, in
     input order, into an index from each output to the bitmask of the
-    inputs reaching it, and row i ORs the index over fan-out(i).  Products
-    and concatenations would materialize fan-outs that their `confusable`
-    answers factor by factor, unions compare branches, and an analytic
-    predicate is cheaper than the fan-outs it stands for, so these stay
-    pairwise.
+    inputs reaching it, and row i ORs the index over fan-out(i).
+
+    A product is confusable exactly where every factor is, so its graph is
+    the strong product of the factors' graphs (Lovasz 1979): each distinct
+    factor object answers its own `confusable` on every unordered pair of
+    its inputs, the diagonal included (m(m+1)/2 calls for m inputs), and a
+    product input's closed row is the tensor product of its factors' rows
+    in `itertools.product` order, one big-int multiply per factor.  The
+    self-bits are dropped at the end.
+
+    Concatenations would materialize fan-outs, unions compare branches, and
+    an analytic predicate is cheaper than the fan-outs it stands for, so
+    these stay pairwise.
     """
     if ch.input_count > max_vertices:
         raise SearchLimitExceeded(
@@ -457,11 +469,34 @@ def confusability_adjacency(ch, max_vertices=MAX_VERTICES):
                 row |= index[y]
             adj[i] = row & ~(1 << i)
         return inputs, adj
+    if isinstance(ch, ProductChannel):
+        rows = {f: _closed_rows(f) for f in dict.fromkeys(ch.factors)}
+        # right to left: f's row spread to bits q*size, times a row of the
+        # later factors (fewer than size bits), adds no carries
+        graph, size = [1], 1
+        for f in reversed(ch.factors):
+            spread = [sum(1 << q * size for q in range(row.bit_length()) if row >> q & 1)
+                      for row in rows[f]]
+            graph = [s * rest for s in spread for rest in graph]
+            size *= len(spread)
+        return inputs, [row & ~(1 << i) for i, row in enumerate(graph)]
     for i, j in itertools.combinations(range(n), 2):
         if ch.confusable(inputs[i], inputs[j]):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return inputs, adj
+
+
+def _closed_rows(ch):
+    """Closed-neighbourhood bitmasks of ch, self-bits included as ch's own
+    `confusable` answers them: one call per unordered pair of inputs."""
+    inputs = ch.inputs_tuple()
+    rows = [0] * len(inputs)
+    for i, j in itertools.combinations_with_replacement(range(len(inputs)), 2):
+        if ch.confusable(inputs[i], inputs[j]):
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
 
 
 def one_shot_capacity(ch, max_vertices=MAX_VERTICES, node_budget=None):

@@ -134,11 +134,12 @@ def reader(blocks, alphabet, order):
     as: v itself, then each other symbol and STAR that a block holding
     coord, with budget of that kind left, can pay for from a budget in
     spare, each paired with the budgets then left (one per choice of budget
-    and paying block; memoized), where the blocks coord ends in order have
-    t = e = 0.  A budget lists each block's remaining t and e in turn;
-    spare, a frozenset of budgets, starts as the blocks' full budgets."""
+    and paying block), where the blocks coord ends in order have t = e = 0.
+    The tuple read returns is memoized per (coord, v, spare).  A budget
+    lists each block's remaining t and e in turn; spare, a frozenset of
+    budgets, starts as the blocks' full budgets."""
     last = [max(b.coords, key=order.index, default=None) for b in blocks]
-    paid = {}
+    paid, listed = {}, {}
 
     def pay(spare, coord, erase):
         return frozenset(left[:j] + (left[j] - 1,) + left[j + 1:] for left in spare
@@ -150,14 +151,16 @@ def reader(blocks, alphabet, order):
                          for left in budgets)
 
     def read(coord, v, spare):
-        if (coord, spare) not in paid:
-            paid[coord, spare] = tuple(retire(s, coord) for s in (
-                spare, pay(spare, coord, False), pay(spare, coord, True)))
-        keep, errs, stars = paid[coord, spare]
-        if not (errs or stars):
-            return ((v, keep),)
-        return ([(v, keep)] + [(w, errs) for w in (alphabet if errs else ()) if w != v]
-                + ([(STAR, stars)] if stars else []))
+        choices = listed.get((coord, v, spare))
+        if choices is None:
+            if (coord, spare) not in paid:
+                paid[coord, spare] = tuple(retire(s, coord) for s in (
+                    spare, pay(spare, coord, False), pay(spare, coord, True)))
+            keep, errs, stars = paid[coord, spare]
+            choices = listed[coord, v, spare] = (
+                ((v, keep),) + tuple((w, errs) for w in (alphabet if errs else ()) if w != v)
+                + (((STAR, stars),) if stars else ()))
+        return choices
 
     return read, frozenset({tuple(n for b in blocks for n in (b.t, b.e))})
 

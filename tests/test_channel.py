@@ -579,16 +579,69 @@ def test_adversarial_channel_graphs_are_pairwise():
             assert_pairwise_graph(c)
 
 
-def test_composite_graphs_stay_pairwise():
+def count_confusable(c, calls):
+    """Log each `confusable` call on the object c into calls[c]; `del
+    c.confusable` undoes it."""
+    answer = c.confusable
+    calls[c] = 0
+
+    def logged(x, xp):
+        calls[c] += 1
+        return answer(x, xp)
+
+    c.confusable = logged
+
+
+def test_concat_and_union_graphs_stay_pairwise():
     rng = random.Random(170605)
     for _ in range(3):
         for c in random_composites(rng)[1:]:
-            calls = []
-            answer = c.confusable
-            c.confusable = lambda x, xp: calls.append((x, xp)) or answer(x, xp)
+            if isinstance(c, ch.ProductChannel):
+                continue
+            calls = {}
+            count_confusable(c, calls)
             assert_pairwise_graph(c)
             n = c.input_count
-            assert len(calls) == n * (n - 1) // 2
+            assert calls[c] == n * (n - 1) // 2
+
+
+def test_product_graphs_ask_each_distinct_factor_once_per_pair():
+    """A product's graph is the strong product of its factors' graphs: each
+    distinct factor object answers every unordered pair of its inputs, the
+    diagonal included, and the product itself is asked nothing."""
+    rng = random.Random(170605)
+    products = 0
+    for _ in range(3):
+        for c in random_composites(rng)[1:]:
+            if not isinstance(c, ch.ProductChannel):
+                continue
+            products += 1
+            calls = {}
+            factors = dict.fromkeys(c.factors)
+            for f in (c, *factors):
+                count_confusable(f, calls)
+            try:
+                assert_pairwise_graph(c)
+            finally:
+                for f in (c, *factors):
+                    del f.confusable
+            assert calls.pop(c) == 0
+            assert calls == {f: f.input_count * (f.input_count + 1) // 2 for f in factors}
+    # product(a, b), power(a, 3) and a product of a union and a concat
+    assert products == 9
+
+
+def test_strong_product_rows_with_predicates_unions_and_unequal_tables():
+    rng = random.Random(2517)
+    spec = hamming.HammingSpec(2, 3, (hamming.Block({0, 1}, 1, 0), hamming.Block({2}, 0, 1)))
+    sym = hamming.symbolic_channel(spec)
+    assert sym._confusable_fn is not None
+    small, large = (ch.random_table_channel(rng, range(n), range(4)) for n in (3, 7))
+    mixed = ch.union([ch.random_table_channel(rng, range(4), range(3)) for _ in range(2)])
+    table = ch.random_table_channel(rng, range(4), range(5))
+    for c in (ch.power(sym, 2), ch.product(small, large), ch.product(large, small),
+              ch.ProductChannel([mixed, table, mixed])):
+        assert_pairwise_graph(c)
 
 
 def test_symbolic_predicate_answers_its_graph():
@@ -664,6 +717,14 @@ def test_zero_error_pentagon_lower():
     assert (lower.base, lower.count, lower.uses) == (2, 5, 2)
     assert lower > ch.BaseValue(0, 2, count=2)
     assert (upper.base, upper.count, upper.uses) == (2, 5, 1)
+
+
+def test_zero_error_pentagon_is_five_words_over_two_uses_exactly():
+    # alpha(C5 x C5) = 5 (Lovasz 1979), found on the strong product's graph
+    pentagon = pentagon_channel()
+    assert_pairwise_graph(ch.power(pentagon, 2))
+    lower, _ = ch.zero_error_bounds(pentagon, 2)
+    assert (lower.count, lower.uses, lower.exact) == (5, 2, True)
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
