@@ -78,6 +78,16 @@ def butterfly(alphabet=None):
                      ("S",), ("T1", "T2"), alphabet)
 
 
+def diamond(alphabet=None):
+    """S -> V1 (e1), S -> V2 (e2, e3), V1 -> T (e4), V2 -> T (e5).  Under
+    one error confined to {e1, e2, e3} no code reaches the ported cut-set
+    bound: the smallest such example of Beemer, Kilic & Ravagnani,
+    "Network decoding" (IEEE T-IT 2023)."""
+    return _numbered(("S", "V1", "V2", "T"),
+                     [("S", "V1"), ("S", "V2"), ("S", "V2"), ("V1", "T"), ("V2", "T")],
+                     ("S",), ("T",), alphabet)
+
+
 def two_source_shared_relay(widths, out_width, alphabet=None):
     """N sources with the given edge multiplicities into one relay, which
     fans out `out_width` parallel edges to the sink."""

@@ -25,6 +25,13 @@ sweep without reads from a start that holds the overrides: an edge in it
 keeps its start value whatever its tail writes.  Cyclic networks have no
 plan; evaluating one raises CyclicGraph.
 
+The relay step is two helpers, its read phase `_relay_reads` and its
+write phase `_relay_writes`.  `one_vertex_sweep` builds from them a sweep
+for codes that differ at one relay only, such as the relay maps of
+`schemes.linear_impossibility`: each input runs up to the relay and reads
+its in-edges once, each code runs the write phase, and the rest of the
+plan runs once per distinct state after the relay, for all codes.
+
 An adversary is a set of `hamming.Block`s whose coordinates are edge ids;
 as in `hamming`, blocks may share edges only when none of them carries
 erasures, and a result that needs disjoint blocks checks
@@ -100,7 +107,7 @@ class Network:
         self.edge_by_id = {e.id: e for e in self.edges}
         self._position = {e.id: i for i, e in enumerate(self.edges)}
         self._symbols = frozenset(self.alphabet) if alphabet is not None else None
-        self._reads = {}    # see `adversarial_fanouts`
+        self._reads = {}    # see `_adversary_read`
         ins = {v: [] for v in self.vertices}
         outs = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -469,15 +476,51 @@ def _steps(net):
     return net._plan
 
 
-def _forward(code, steps, x, read, spare=(), start=()):
+def _merge(states, kept):
+    """One state per distinct (budget, values of the `kept` ids)."""
+    return list({(left, *map(values.__getitem__, kept)): (values, left)
+                 for values, left in states}.values())
+
+
+def _relay_reads(states, ins, read):
+    """A relay's read phase: its states grouped by (budget, in-values),
+    and the joint reads (group key, in-tuple read, budget left) of each
+    group's in-edges, listed group by group."""
+    entering = {}
+    for values, spare in states:
+        entering.setdefault((spare, *map(values.__getitem__, ins)), []).append(values)
+    reads = [(key, (), key[0]) for key in entering]
+    for j, eid in enumerate(ins, 1):
+        reads = [(key, got + (w,), left) for key, got, s in reads
+                 for w, left in read(eid, key[j], s)]
+    return entering, reads
+
+
+def _relay_writes(fn, reads, made):
+    """A relay's write phase: a dict from (group key, budget left, *output)
+    to (group key, output, budget left), one entry per distinct triple of
+    `reads`, in their order.  `made` maps in-tuples to outputs; fn runs
+    once per in-tuple it lacks."""
+    ends = {}
+    for key, got, left in reads:
+        out = made.get(got)
+        if out is None:
+            out = made[got] = fn(got)
+        ends.setdefault((key, left, *out), (key, out, left))
+    return ends
+
+
+def _forward(code, steps, x, read, spare=(), start=(), states=None, stop=None):
     """The end states (edge values, spare budget) of one sweep over
-    `steps`.  Each edge in `start` holds its start value: before each step
-    it takes that value again, whatever its tail wrote.  A step reads its
-    in-edges, edge eid with value v as any (w, spare') in read(eid, v,
-    spare), or as v when read is None, then writes its out-edges: a source
-    x[src], another vertex its function of what it read.  Before each step,
-    states that agree on the budget and on every value still to be read or
-    read by a terminal merge.
+    `steps`, or over its first `stop` steps, from `states` or else from
+    one state that holds `start`.
+    Each edge in `start` holds its start value: before each step it takes
+    that value again, whatever its tail wrote.  A step reads its in-edges,
+    edge eid with value v as any (w, spare') in read(eid, v, spare), or as
+    v when read is None, then writes its out-edges: a source x[src],
+    another vertex its function of what it read.  Before each step, states
+    that agree on the budget and on every value still to be read or read
+    by a terminal merge.
 
     A relay, a vertex other than a source with out-edges whose in-edges no
     later step reads (the last step keeps every edge a terminal reads),
@@ -489,32 +532,21 @@ def _forward(code, steps, x, read, spare=(), start=()):
     Any other step, a terminal above all, branches edge by edge and keeps
     every read, writing it into the state.  A sweep without branches (read
     None) ends in one state."""
-    states = [(dict(start), spare)]
-    for vertex, src, ins, outs, kept in steps:
+    last = steps[-1][4]
+    if states is None:
+        states = [(dict(start), spare)]
+    for vertex, src, ins, outs, kept in steps if stop is None else steps[:stop]:
         if len(states) > 1:
-            states = list({(left, *map(values.__getitem__, kept)): (values, left)
-                           for values, left in states}.values())
+            states = _merge(states, kept)
         if start:
             for values, _ in states:
                 values.update(start)
-        if read and src is None and outs and ins and ins[0] not in steps[-1][4]:
+        if read and src is None and outs and ins and ins[0] not in last:
             fn = code.fn(vertex)
-            entering = {}
-            for values, spare in states:
-                entering.setdefault((spare, *map(values.__getitem__, ins)), []).append(values)
-            reads = [(key, (), key[0]) for key in entering]
-            for j, eid in enumerate(ins, 1):
-                reads = [(key, got + (w,), left) for key, got, s in reads
-                         for w, left in read(eid, key[j], s)]
-            made, ends = {}, {}
-            for key, got, left in reads:
-                out = made.get(got)
-                if out is None:
-                    out = made[got] = fn(got)
-                ends.setdefault((key, left, *out), (key, out, left))
+            entering, reads = _relay_reads(states, ins, read)
             # an entering state's first successor reuses its dict
             states, previous = [], None
-            for key, out, left in ends.values():
+            for key, out, left in _relay_writes(fn, reads, {}).values():
                 for values in entering[key]:
                     if key is previous:
                         values = values.copy()
@@ -756,11 +788,11 @@ def _count_actions(net, adv, alphabet):
 ACTION_LIMIT = 10 ** 6
 
 
-def adversarial_fanouts(net, code, adv, x, alphabet=None):
-    """Fan-out sets at every terminal for global input x: the observations
-    of all admissible adversary actions, from one sweep.  The network keeps
-    the read per adversary and alphabet, once its checks pass."""
-    alphabet = net._alphabet(alphabet)
+def _adversary_read(net, adv, alphabet):
+    """(read, spare, symbols) of an adversary over a tuple alphabet: the
+    read and start budget of a sweep and the alphabet's set.  The network
+    keeps them per adversary and alphabet, once the edge and action-limit
+    checks pass."""
     if (adv, alphabet) not in net._reads:
         adv.check_edges(net)
         if _count_actions(net, adv, alphabet) > ACTION_LIMIT:
@@ -775,10 +807,85 @@ def adversarial_fanouts(net, code, adv, x, alphabet=None):
             read = lambda eid, v, spare: [(w, spare) for w in symbol_ball(v)]
             spare = ()
         net._reads[adv, alphabet] = read, spare, frozenset(alphabet)
-    read, spare, symbols = net._reads[adv, alphabet]
+    return net._reads[adv, alphabet]
+
+
+def _fanouts(net, states):
+    """Per terminal, the set of its observations over the end states."""
+    return {t: frozenset(tuple(map(values.__getitem__, ids)) for values, _ in states)
+            for t, ids in net._observed}
+
+
+def adversarial_fanouts(net, code, adv, x, alphabet=None):
+    """Fan-out sets at every terminal for global input x: the observations
+    of all admissible adversary actions, from one sweep.  The network keeps
+    the read per adversary and alphabet, once its checks pass."""
+    alphabet = net._alphabet(alphabet)
+    read, spare, symbols = _adversary_read(net, adv, alphabet)
     _check_input(net, x, symbols)
-    ends = [_observe(net, values) for values, _ in _forward(code, _steps(net), x, read, spare)]
-    return {t: frozenset(obs[t] for obs in ends) for t in net.terminals}
+    return _fanouts(net, _forward(code, _steps(net), x, read, spare))
+
+
+def one_vertex_sweep(net, code, vertex, adv, alphabet=None):
+    """Every input's fan-outs for the codes that differ only at `vertex`.
+
+    Returns sweep(fn) -> {terminal: {x: fan-out}}, the `adversarial_fanouts`
+    of every global input x, in input order, for `code` with the function
+    of `vertex`, a relay (an intermediate vertex with in- and out-edges),
+    replaced by fn.  The work shared across codes is done once:
+    - per input, when the sweep is made: the plan up to the relay's step,
+      the states entering it, merged, and the joint reads of its in-edges;
+    - across every fn: the end observations of the rest of the plan from
+      each state after the step, memoized by the merge key the next step
+      makes (the budget left and its kept ids: the relay's outputs and
+      every bypass edge or earlier terminal read), shared across inputs
+      unless a source steps after the relay;
+    - within one fn: one call per distinct in-tuple over all inputs.
+    The relay's read and write phases are `_forward`'s own.  The
+    adversary's read is checked as `adversarial_fanouts` checks it.
+    """
+    alphabet = net._alphabet(alphabet)
+    read, spare, _ = _adversary_read(net, adv, alphabet)
+    steps = _steps(net)
+    k = next((i for i, step in enumerate(steps) if step[0] == vertex), None)
+    if vertex not in net.intermediates or k is None or not all(steps[k][2:4]):
+        raise InvalidParams(f"{vertex} is not a relay with in- and out-edges")
+    _, _, ins, outs, kept = steps[k]
+    rest = steps[k + 1:]
+    others = [eid for eid in rest[0][4] if eid not in outs]
+    shared = None if any(src is not None for _, src, *_ in rest) else {}
+    prefix = []
+    for x in global_inputs(net, alphabet):
+        states = _forward(code, steps, x, read, spare, stop=k)
+        entering, reads = _relay_reads(_merge(states, kept), ins, read)
+        # states that agree on the ids kept past the relay share its rest,
+        # so a read enters it once per such agreement in its group
+        firsts, writes = {}, {}
+        for key, got, left in reads:
+            for values in entering[key]:
+                other = tuple(map(values.__getitem__, others))
+                firsts.setdefault(other, values)
+                writes[other, got, left] = None
+        prefix.append((x, list(writes), firsts, {} if shared is None else shared))
+
+    def sweep(fn):
+        made = {}
+        fans = {t: {} for t in net.terminals}
+        for x, reads, firsts, memo in prefix:
+            ends = []
+            for after, (other, out, left) in _relay_writes(fn, reads, made).items():
+                end = memo.get(after)
+                if end is None:
+                    values = firsts[other].copy()
+                    values.update(zip(outs, out))
+                    end = memo[after] = _fanouts(
+                        net, _forward(code, rest, x, read, states=[(values, left)]))
+                ends.append(end)
+            for t, fan in fans.items():
+                fan[x] = ends[0][t] if len(ends) == 1 else frozenset().union(*(e[t] for e in ends))
+        return fans
+
+    return sweep
 
 
 def _code_field(net, code, alphabet):

@@ -513,11 +513,22 @@ ASSIGNMENT_LIMIT = 1 << 16
 
 
 def linear_impossibility(net, adv, q, target):
-    """For a single-relay network, enumerate every linear vertex assignment
-    and compute the exact one-shot capacity of the induced adversarial
-    channel.  Returns the per-assignment capacities (all below `target`
-    proves linear coding insufficient) and a nonlinear majority scheme
-    achieving `target` when the relay has at least three inputs."""
+    """For a single-relay network with one terminal, enumerate every
+    linear vertex assignment and compute the exact one-shot capacity of
+    the induced adversarial channel.  Returns the per-assignment
+    capacities (all below `target` proves linear coding insufficient) and
+    a nonlinear majority scheme achieving `target` when the relay has at
+    least three inputs.  A network with more than one terminal or relay
+    raises InvalidParams.
+
+    One `network.one_vertex_sweep` serves every assignment: each input's
+    source writes and the adversary's reads of the relay's in-edges are
+    made once, the terminal's reads once per distinct relay output and
+    budget left, and each relay matrix multiplies each distinct in-tuple
+    once.  Its fan-outs feed `channel.one_shot_capacity` through a
+    predicate-free `SymbolicChannel`, as `adversarial_channel` would."""
+    if len(net.terminals) != 1:
+        raise InvalidParams("exhaustive search covers single-terminal networks")
     relays = net.intermediates
     if len(relays) != 1:
         raise InvalidParams("exhaustive search covers single-relay networks")
@@ -528,12 +539,14 @@ def linear_impossibility(net, adv, q, target):
     if q ** (r * s) > ASSIGNMENT_LIMIT:
         raise InvalidParams("too many linear assignments to enumerate")
     alphabet = tuple(range(q))
+    sweep = network.one_vertex_sweep(net, NetworkCode({}), relay, adv, alphabet)
+    terminal, = net.terminals
     results, all_below = [], True
     for combo in itertools.product(range(q), repeat=r * s):
         rows = tuple(tuple(combo[i * s + j] for j in range(s)) for i in range(r))
-        code = NetworkCode({relay: LinearVertex(fld, rows)})
-        cap = channel.one_shot_capacity(network.adversarial_channel(
-            net, code, adv, net.terminals[0], alphabet))
+        fans = sweep(LinearVertex(fld, rows))[terminal]
+        cap = channel.one_shot_capacity(
+            channel.SymbolicChannel((len(fans), fans.__iter__), fans.__getitem__))
         value = cap.value_in_base(q)
         results.append((rows, value.value))
         all_below = all_below and value < target

@@ -988,6 +988,162 @@ def test_count_actions_matches_enumerated_actions(a):
 
 
 # ---------------------------------------------------------------------------
+# one-vertex sweeps
+# ---------------------------------------------------------------------------
+
+
+def _listed_channel(fans):
+    """The predicate-free channel of one terminal's fan-outs, in input order."""
+    return ch.SymbolicChannel((len(fans), fans.__iter__), fans.__getitem__)
+
+
+def _assert_sweep_matches(net, code, vertex, adv, functions):
+    """For each function of `vertex`, the sweep gives every terminal the
+    fan-out of every input that `adversarial_channels` gives, in input
+    order, and the same capacity and witness."""
+    sweep = network.one_vertex_sweep(net, code, vertex, adv)
+    for fn in functions:
+        chans = network.adversarial_channels(
+            net, NetworkCode({**code.functions, vertex: fn}), adv)
+        fans = sweep(fn)
+        assert list(fans) == list(chans)
+        for t, chan in chans.items():
+            assert list(fans[t]) == list(chan.iter_inputs())
+            assert fans[t] == {x: chan.fanout(x) for x in fans[t]}, (t, vars(fn))
+            want, got = ch.one_shot_capacity(chan), ch.one_shot_capacity(_listed_channel(fans[t]))
+            assert (got.size, got.witness, got.exact) == (want.size, want.witness, want.exact)
+
+
+def _relay_maps(fld, r, s):
+    return [LinearVertex(fld, tuple(combo[i * s:(i + 1) * s] for i in range(r)))
+            for combo in itertools.product(range(fld.q), repeat=r * s)]
+
+
+# the verify benchmark's four linear-impossibility networks, and
+# parallel_path(2) with every edge vulnerable
+@pytest.mark.parametrize("make, q, edges", [
+    (netlib.triple_path_bottleneck, 2, {"e1", "e2", "e3"}),
+    (netlib.triple_path_bottleneck, 2, {"e1", "e2"}),
+    (netlib.triple_path_bottleneck, 3, {"e1", "e2"}),
+    (netlib.fan_bottleneck, 2, {"e1", "e2"}),
+    (lambda a: netlib.parallel_path(2, a), 3, {"e1", "e2", "e3", "e4"})])
+@pytest.mark.parametrize("t, e", [(1, 0), (1, 1)])
+def test_one_vertex_sweep_equals_adversarial_channels_on_every_relay_map(make, q, edges, t, e):
+    net = make(tuple(range(q)))
+    maps = _relay_maps(gf.make_field(q), len(net.in_edges("V")), len(net.out_edges("V")))
+    _assert_sweep_matches(net, NetworkCode({}), "V", AdversarySpec((AdvBlock(edges, t, e),)),
+                          maps)
+
+
+def _fan_out(a):
+    return a, a
+
+
+@pytest.mark.parametrize("adv", [
+    AdversarySpec((AdvBlock({"e7"}, 1),)),
+    AdversarySpec((AdvBlock({"e4", "e7", "e9"}, 1),)),
+    AdversarySpec((AdvBlock({"e1", "e7"}, 1), AdvBlock({"e7", "e8"}, 1))),
+    AdversarySpec((AdvBlock({"e5"}, 1), AdvBlock({"e7", "e8"}, 1, 1)))])
+def test_one_vertex_sweep_on_the_butterfly_branches_after_the_relay(adv):
+    # V3's out-edge e7 is vulnerable, so the rest of the plan branches, and
+    # two terminals observe it; e3 and e6 bypass V3
+    code = NetworkCode({v: FuncVertex(_fan_out) for v in ("V1", "V2", "V4")})
+    net = netlib.butterfly(A2)
+    symbols = A2 + ((STAR,) if any(b.e for b in adv.blocks) else ())
+    pairs = list(itertools.product(symbols, repeat=2))
+    tables = [TableVertex({p: (v,) for p, v in zip(pairs, vals)})
+              for vals in itertools.product(A2, repeat=len(pairs))]
+    if len(tables) > 64:
+        tables = random.Random(3).sample(tables, 64)
+    _assert_sweep_matches(net, code, "V3", adv, tables)
+    net3 = netlib.butterfly((0, 1, 2))
+    _assert_sweep_matches(net3, code, "V3", adv, _relay_maps(gf.make_field(3), 2, 1))
+
+
+@pytest.mark.parametrize("adv", [
+    network.full_edge_adversary(netlib.chain_with_bypass(), 1),
+    AdversarySpec((AdvBlock({"e1", "e2"}, 1, 1),)),
+    AdversarySpec((AdvBlock({"e1"}, 1), AdvBlock({"e4", "e6"}, 1)))])
+def test_one_vertex_sweep_keeps_a_bypass_edge_written_before_the_relay(adv):
+    # S writes e1 before V1's step and V2 reads it after, so e1 is part of
+    # the state that the rest of the plan is memoized by
+    net = netlib.chain_with_bypass(A2)
+    F2 = gf.make_field(2)
+    code = NetworkCode({"V2": LinearVertex(F2, ((1,), (1,))),
+                        "V3": LinearVertex(F2, ((1, 0), (0, 1)))})
+    symbols = A2 + ((STAR,) if any(b.e for b in adv.blocks) else ())
+    tables = [TableVertex({(a,): out for a, out in zip(symbols, outs)})
+              for outs in itertools.product(itertools.product(A2, repeat=2),
+                                            repeat=len(symbols))]
+    _assert_sweep_matches(net, code, "V1", adv, tables)
+
+
+def test_one_vertex_sweep_with_a_source_stepped_after_the_relay():
+    # A is ready, and stepped, before S2: the rest of the plan reads S2's
+    # input, so its observations are not shared across inputs
+    net = Network(("S1", "S2", "A", "T"),
+                  [Edge("e1", "S1", "A"), Edge("e2", "A", "T"), Edge("e3", "S2", "T")],
+                  ("S1", "S2"), ("T",), A2)
+    assert [step[0] for step in net._plan] == ["S1", "A", "S2", "T"]
+    adv = AdversarySpec((AdvBlock({"e1", "e3"}, 1),))
+    _assert_sweep_matches(net, NetworkCode({}), "A", adv, _relay_maps(gf.make_field(2), 1, 1))
+
+
+def _first_occurrence(q, n):
+    """Every list of n values in range(q) in which each new value is the
+    least one unused: one map per partition of n in-tuples into at most q
+    classes, the maps that differ only by renaming outputs."""
+    lists = [()]
+    for _ in range(n):
+        lists = [vals + (v,) for vals in lists for v in range(min(q, max(vals, default=-1) + 2))]
+    return lists
+
+
+def test_diamond_all_codes_through_one_vertex_sweep():
+    # V1 forwards e1; every V2 table, up to renaming its outputs, under one
+    # error on {e1, e2, e3}: the best code has q - 1 words at q = 2 and 3
+    for q, count in ((2, 8), (3, 3281)):
+        symbols = tuple(range(q))
+        net = netlib.diamond(symbols)
+        adv = AdversarySpec((AdvBlock({"e1", "e2", "e3"}, 1),))
+        code = NetworkCode({"V1": FuncVertex(lambda a: (a,))})
+        pairs = list(itertools.product(symbols, repeat=2))
+        tables = [TableVertex({p: (v,) for p, v in zip(pairs, vals)})
+                  for vals in _first_occurrence(q, len(pairs))]
+        assert len(tables) == count
+        sweep = network.one_vertex_sweep(net, code, "V2", adv)
+        sizes = [ch.one_shot_capacity(_listed_channel(sweep(table)["T"])).size
+                 for table in tables]
+        assert max(sizes) == q - 1
+        for i in range(0, count, max(1, count // 6)):
+            full = NetworkCode({**code.functions, "V2": tables[i]})
+            assert ch.one_shot_capacity(adversarial_channel(net, full, adv, "T")).size == sizes[i]
+        _assert_sweep_matches(net, code, "V2", adv, tables[::max(1, count // 6)])
+
+
+def test_one_vertex_sweep_runs_the_relay_before_it_as_a_relay(monkeypatch):
+    # on the Diamond, V1 steps just before V2: each input's prefix reads e1
+    # at V1's relay step, then V2's in-edges e2, e3 at V2's
+    calls, relay_reads = [], network._relay_reads
+    monkeypatch.setattr(network, "_relay_reads",
+                        lambda states, ins, read: calls.append(ins) or relay_reads(states, ins, read))
+    net = netlib.diamond(A2)
+    network.one_vertex_sweep(net, NetworkCode({"V1": FuncVertex(lambda a: (a,))}), "V2",
+                             AdversarySpec((AdvBlock({"e1", "e2", "e3"}, 1),)))
+    assert calls == [("e1",), ("e2", "e3")] * 8
+
+
+def test_one_vertex_sweep_rejects_a_vertex_that_is_not_a_relay():
+    net = netlib.butterfly(A2)
+    adv = AdversarySpec((AdvBlock({"e7"}, 1),))
+    for vertex in ("S", "T1", "V9"):
+        with pytest.raises(InvalidParams):
+            network.one_vertex_sweep(net, NetworkCode({}), vertex, adv)
+    with pytest.raises(IndexOutOfRange):
+        network.one_vertex_sweep(net, NetworkCode({}), "V3", AdversarySpec((AdvBlock({"e99"}, 1),)))
+
+
+# ---------------------------------------------------------------------------
 # size guards
 # ---------------------------------------------------------------------------
 
@@ -1061,7 +1217,7 @@ SIZE_GUARDS = {
         lambda: same_fanout_map(*[ch.identity_channel(range(2 ** 14 + 1))] * 2),
         SearchLimitExceeded, [(ch.TableChannel, "fanout")]),
     "linear_impossibility": (_impossibility_past_limit, InvalidParams,
-                             [(network, "adversarial_fanouts")]),
+                             [(network, "adversarial_fanouts"), (network, "one_vertex_sweep")]),
     "achievability_code": (   # the [1, 1] code over GF(2053), a prime
         lambda: hamming.achievability_code(_no_blocks(2053, 1), gf.make_field(2053)),
         SearchLimitExceeded, [(hamming, "confusable_analytic")]),

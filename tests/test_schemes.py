@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from advnet import gf, netlib, network, regions, schemes
+from advnet import gf, hamming, netlib, network, regions, schemes
 from advnet.channel import STAR
 from advnet.errors import (DrawsExhausted, Infeasible, InvalidParams,
                            NoCodewordInRange, UnsupportedSources)
-from advnet.network import (AdvBlock, AdversarySpec, NetworkCode, evaluate,
-                            full_edge_adversary)
+from advnet.network import (AdvBlock, AdversarySpec, LinearVertex, NetworkCode,
+                            evaluate, full_edge_adversary)
 
 A2 = (0, 1)
 
@@ -623,16 +623,54 @@ def test_linear_impossibility_on_bottleneck():
     assert res.ok and res.rate == (1.0,)
 
 
-def test_linear_impossibility_sweeps_once_per_relay_map(monkeypatch):
-    # each of the 2^8 relay maps sweeps the zero input alone, not its 4 inputs
+def test_linear_impossibility_shares_each_input_across_relay_maps(monkeypatch):
+    # one sweep serves all 2^8 relay maps: each of the 4 inputs reads the
+    # relay's in-edges once for the whole call, each map multiplies each
+    # distinct in-tuple at most once, and no map sweeps an input itself
     net = netlib.fan_bottleneck(A2)
     adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 0),))
-    calls, sweep = [], network.adversarial_fanouts
-    monkeypatch.setattr(network, "adversarial_fanouts",
-                        lambda *args: calls.append(args[3]) or sweep(*args))
+    prefixes, products = [], {}
+    relay_reads = network._relay_reads
+
+    class Counted(LinearVertex):
+        def __call__(self, values):
+            products.setdefault(self, []).append(tuple(values))
+            return super().__call__(values)
+
+    def swept(*args):
+        raise AssertionError("a relay map swept an input")
+
+    monkeypatch.setattr(network, "_relay_reads",
+                        lambda *args: prefixes.append(args) or relay_reads(*args))
+    monkeypatch.setattr(schemes, "LinearVertex", Counted)
+    monkeypatch.setattr(network, "adversarial_fanouts", swept)
     out = schemes.linear_impossibility(net, adv, 2, target=1.0)
-    assert len(out["results"]) == len(calls) == 256
-    assert set(calls) == {((0, 0),)}
+    assert len(out["results"]) == len(products) == 256
+    assert len(prefixes) == 4
+    assert all(len(calls) == len(set(calls)) for calls in products.values())
+
+
+def test_linear_impossibility_rejects_more_than_one_terminal():
+    net = network.Network(("S", "V", "T1", "T2"),
+                          [("e1", "S", "V"), ("e2", "S", "V"), ("e3", "V", "T1"),
+                           ("e4", "V", "T2")], ("S",), ("T1", "T2"), A2)
+    adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 0),))
+    with pytest.raises(InvalidParams, match="terminal"):
+        schemes.linear_impossibility(net, adv, 2, target=1.0)
+
+
+@pytest.mark.parametrize("make, q, edges", [
+    (netlib.triple_path_bottleneck, 2, {"e1", "e2", "e3"}),
+    (netlib.triple_path_bottleneck, 2, {"e1", "e2"}),
+    (netlib.triple_path_bottleneck, 3, {"e1", "e2"}),
+    (netlib.fan_bottleneck, 2, {"e1", "e2"})])
+def test_no_relay_map_exceeds_the_ported_one_shot_bound(make, q, edges):
+    # brute force never exceeds a bound ported across the network's cuts
+    net = make(tuple(range(q)))
+    adv = AdversarySpec(blocks=(AdvBlock(edges, 1, 0),))
+    bound = regions.port(net, adv, q, hamming.brute_force_capacity).bound_for({0}).bound
+    out = schemes.linear_impossibility(net, adv, q, target=1.0)
+    assert max(value for _, value in out["results"]) <= bound
 
 
 def test_linear_impossibility_without_adversary():
