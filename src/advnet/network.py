@@ -8,29 +8,32 @@ replaced by the erasure symbol.  Network codes assign to each intermediate
 vertex a total function from incoming to outgoing values; adversaries
 change an edge's value as its head reads it, before any downstream use.
 
-Each acyclic network compiles a plan once: one step per vertex that emits
-(in edge order) or only reads, such as a terminal, holding the vertex, its
-source index, its in- and out-edge ids and the ids it or a later step
-reads or an earlier terminal read.  One sweep, `_forward`, walks a plan:
-before each step, states equal on the budget and on those ids merge; the
-step reads its in-edges through read(eid, v, spare), the values an edge
-may read as with the budget each leaves, then writes its out-edges.  A
-relay's in-edges are read by no later step, so a relay branches once per
-vertex, not per in-edge: it lists the joint reads of its in-edges once
-per distinct (budget, in-values), calls its function once per distinct
-in-tuple and keeps one state per distinct (budget left, output).  A
-terminal keeps every read, as those are the observations.  `evaluate` and
-`cut_to_sink_channel` (on the part of the plan that feeds the terminal)
-sweep without reads from a start that holds the overrides: an edge in it
-keeps its start value whatever its tail writes.  Cyclic networks have no
-plan; evaluating one raises CyclicGraph.
-
-The relay step is two helpers, its read phase `_relay_reads` and its
-write phase `_relay_writes`.  `one_vertex_sweep` builds from them a sweep
+Each acyclic network compiles a plan once, on edge positions: one step
+per vertex that emits (in edge order) or only reads, such as a terminal,
+holding the vertex, its source index, its in-edges, its out-edges as one
+slice (edges sort by their tail first) and the positions it or a later
+step reads or an earlier terminal read.  One sweep, `_forward`, walks a
+plan over states that hold edge values in a list by position, so a write
+is one slice assignment and a branch one list copy: before each step,
+states equal on the budget and on those positions merge; the step reads
+its in-edges through read(p, v, spare), the values an edge may read as
+with the budget each leaves, then writes its out-edges.  A relay's
+in-edges are read by no later step, so a relay branches once per vertex,
+not per in-edge: per distinct (budget, in-values) it lists the joint reads
+of its in-edges (`_relay_reads`) and keeps the distinct (output, budget
+left) they give (`_relay_writes`), calling its function once per distinct
+in-tuple; sweeps that share one dict share that work.  An earlier
+terminal keeps every read in the states, as those are its observations;
+the joint reads of a last terminal without out-edges are its fan-out, so
+no end state is built.  `evaluate` and `cut_to_sink_channel` (on the part
+of the plan that feeds the terminal) sweep without reads from a start
+that holds the overrides: an edge in it keeps its start value whatever
+its tail writes.  Cyclic networks have no plan; evaluating one raises
+CyclicGraph.  `one_vertex_sweep` builds from the relay helpers a sweep
 for codes that differ at one relay only, such as the relay maps of
-`schemes.linear_impossibility`: each input runs up to the relay and reads
-its in-edges once, each code runs the write phase, and the rest of the
-plan runs once per distinct state after the relay, for all codes.
+`schemes.linear_impossibility`: each input runs up to the relay once, each
+code runs the write phase, and the rest of the plan runs once per
+distinct state after the relay, for all codes.
 
 An adversary is a set of `hamming.Block`s whose coordinates are edge ids;
 as in `hamming`, blocks may share edges only when none of them carries
@@ -41,9 +44,10 @@ of what the blocks may do, which retires each block after its last edge; a
 per-symbol adversary's one block, over sub-symbol positions, reads every
 edge value as its `ball` of the block's `hamming.actions`.  A network keeps
 each adversary's read, checked once, for all inputs.  `adversarial_channels`
-makes the terminals' channels, on which `regions` verifies codes; for a
-linear code under an error-only adversary it sweeps the zero input alone
-and translates its fan-outs by each input's clean observation.
+makes the terminals' channels, on which `regions` verifies codes; their
+inputs share one dict of relay work, and for a linear code under an
+error-only adversary they sweep the zero input alone and translate its
+fan-outs by each input's clean observation.
 `AdversarySpec.clip` makes any adversary a `hamming` spec on a cut.
 `check_demands` is the one cut-set demand check.
 """
@@ -53,6 +57,7 @@ import heapq
 import itertools
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import gf
@@ -115,22 +120,25 @@ class Network:
             outs[e.tail].append(e)
         self._in = {v: tuple(es) for v, es in ins.items()}
         self._out = {v: tuple(es) for v, es in outs.items()}
-        self._observed = tuple((t, tuple(e.id for e in ins[t])) for t in self.terminals)
-        # the plan (see the module docstring); step i keeps the ids written
-        # before it that it, a later step or an earlier terminal reads: edge
-        # e from step at[tail] + 1 through step at[head], or to the end
-        # when its head is a terminal
+        pos = self._position
+        self._observed = tuple((t, tuple(pos[e.id] for e in ins[t])) for t in self.terminals)
+        # the plan (see the module docstring); step i keeps the positions
+        # written before it that it, a later step or an earlier terminal
+        # reads: edge e from step at[tail] + 1 through step at[head], or to
+        # the end when its head is a terminal
         stepped = [*dict.fromkeys(e.tail for e in self.edges),
                    *(v for v in self.vertices if ins[v] and not outs[v])]
         at = {v: i for i, v in enumerate(stepped)}
         kept = [[] for _ in stepped]
-        for e in self.edges:
+        for p, e in enumerate(self.edges):
             end = len(stepped) if e.head in self.terminals else at[e.head] + 1
             for i in range(at[e.tail] + 1, end):
-                kept[i].append(e.id)
+                kept[i].append(p)
         self._plan = None if self._cyclic else tuple(
             (v, self.sources.index(v) if v in self.sources else None,
-             tuple(e.id for e in ins[v]), tuple(e.id for e in outs[v]), tuple(kept[i]))
+             tuple(pos[e.id] for e in ins[v]),
+             slice(pos[outs[v][0].id], pos[outs[v][-1].id] + 1) if outs[v] else None,
+             tuple(kept[i]))
             for i, v in enumerate(stepped))
 
     def _topological_vertex_index(self, edges):
@@ -477,102 +485,107 @@ def _steps(net):
 
 
 def _merge(states, kept):
-    """One state per distinct (budget, values of the `kept` ids)."""
+    """One state per distinct (budget, values at the `kept` positions)."""
     return list({(left, *map(values.__getitem__, kept)): (values, left)
                  for values, left in states}.values())
 
 
-def _relay_reads(states, ins, read):
-    """A relay's read phase: its states grouped by (budget, in-values),
-    and the joint reads (group key, in-tuple read, budget left) of each
-    group's in-edges, listed group by group."""
-    entering = {}
-    for values, spare in states:
-        entering.setdefault((spare, *map(values.__getitem__, ins)), []).append(values)
-    reads = [(key, (), key[0]) for key in entering]
-    for j, eid in enumerate(ins, 1):
+def _relay_reads(keys, ins, read):
+    """The joint reads (key, in-tuple read, budget left) of the in-edges at
+    positions `ins`, for each key (budget, *values the edges hold) in turn."""
+    reads = [(key, (), key[0]) for key in keys]
+    for j, p in enumerate(ins, 1):
         reads = [(key, got + (w,), left) for key, got, s in reads
-                 for w, left in read(eid, key[j], s)]
-    return entering, reads
+                 for w, left in read(p, key[j], s)]
+    return reads
 
 
-def _relay_writes(fn, reads, made):
-    """A relay's write phase: a dict from (group key, budget left, *output)
-    to (group key, output, budget left), one entry per distinct triple of
-    `reads`, in their order.  `made` maps in-tuples to outputs; fn runs
-    once per in-tuple it lacks."""
-    ends = {}
+def _fit(out, outs):
+    """A vertex function's output, if it fills the out-edge slice `outs`."""
+    if len(out) != outs.stop - outs.start:
+        raise InvalidParams(f"{len(out)} output values for {outs.stop - outs.start} out-edges")
+    return out
+
+
+def _relay_writes(fn, outs, reads, made, ends):
+    """Into `ends`, a `defaultdict(dict)`, per key of the joint `reads`, a
+    dict whose values are the distinct (output, budget left) they give.
+    `made` maps in-tuples to outputs; fn runs once per in-tuple it lacks."""
     for key, got, left in reads:
         out = made.get(got)
         if out is None:
-            out = made[got] = fn(got)
-        ends.setdefault((key, left, *out), (key, out, left))
-    return ends
+            out = made[got] = _fit(fn(got), outs)
+        ends[key].setdefault((left, *out), (out, left))
 
 
-def _forward(code, steps, x, read, spare=(), start=(), states=None, stop=None):
-    """The end states (edge values, spare budget) of one sweep over
-    `steps`, or over its first `stop` steps, from `states` or else from
-    one state that holds `start`.
-    Each edge in `start` holds its start value: before each step it takes
-    that value again, whatever its tail wrote.  A step reads its in-edges,
-    edge eid with value v as any (w, spare') in read(eid, v, spare), or as
-    v when read is None, then writes its out-edges: a source x[src],
-    another vertex its function of what it read.  Before each step, states
-    that agree on the budget and on every value still to be read or read
-    by a terminal merge.
+def _forward(net, code, steps, x, read, spare=(), start=(), states=None, stop=None,
+             shared=None):
+    """The end states (edge values by position, spare budget) of one sweep
+    over `steps`, or over its first `stop` steps, from `states` or else
+    from one state that holds `start`, (position, value) pairs that hold
+    again before each step, whatever their tails wrote.  A step reads its
+    in-edges, the edge at position p holding v as any (w, spare') in
+    read(p, v, spare), or as v when read is None, then writes its out-edge
+    slice: a source x[src], another vertex its function of what it read.
+    Before each step, states that agree on the budget and on every value
+    still to be read or read by a terminal merge.
 
     A relay, a vertex other than a source with out-edges whose in-edges no
     later step reads (the last step keeps every edge a terminal reads),
-    branches once: it lists the joint reads of its in-edges once per
-    distinct (budget, in-values) among its states, calls its function once
-    per distinct in-tuple, and keeps of each state one successor per
-    distinct (budget left, output), the merge the next step would make,
-    before any state is copied; its in-edges keep their written values.
-    Any other step, a terminal above all, branches edge by edge and keeps
-    every read, writing it into the state.  A sweep without branches (read
-    None) ends in one state."""
+    branches once: each state takes one successor per distinct (output,
+    budget left) of the joint reads of its (budget, in-values), and its
+    in-edges keep their written values.  `shared` keeps per relay its
+    function, its output per in-tuple and those pairs per (budget,
+    in-values).  Any other step, a terminal above all, branches edge by
+    edge and keeps every read.  A sweep without branches (read None) ends
+    in one state."""
     last = steps[-1][4]
     if states is None:
-        states = [(dict(start), spare)]
-    for vertex, src, ins, outs, kept in steps if stop is None else steps[:stop]:
+        states = [([None] * len(net.edges), spare)]
+    for vertex, src, ins, outs, kept in steps[:stop]:
         if len(states) > 1:
             states = _merge(states, kept)
-        if start:
+        for p, v in start:
             for values, _ in states:
-                values.update(start)
+                values[p] = v
         if read and src is None and outs and ins and ins[0] not in last:
-            fn = code.fn(vertex)
-            entering, reads = _relay_reads(states, ins, read)
-            # an entering state's first successor reuses its dict
-            states, previous = [], None
-            for key, out, left in _relay_writes(fn, reads, {}).values():
-                for values in entering[key]:
-                    if key is previous:
-                        values = values.copy()
-                    values.update(zip(outs, out))
-                    states.append((values, left))
-                previous = key
+            fn, made, ends = shared.get(vertex) or shared.setdefault(
+                vertex, (code.fn(vertex), {}, defaultdict(dict)))
+            entering = {}
+            for values, left in states:
+                entering.setdefault((left, *map(values.__getitem__, ins)), []).append(values)
+            _relay_writes(fn, outs, _relay_reads([key for key in entering if key not in ends],
+                                                 ins, read), made, ends)
+            states = []
+            for key, group in entering.items():
+                pairs = ends[key].values()
+                # a state's first successor reuses its list
+                for values in group:
+                    for j, (out, left) in enumerate(pairs):
+                        if j:
+                            values = values.copy()
+                        values[outs] = out
+                        states.append((values, left))
             continue
-        for eid in ins if read else ():
+        for p in ins if read else ():
             branched = []
             for values, spare in states:
-                choices = read(eid, values[eid], spare)
+                choices = read(p, values[p], spare)
                 for w, left in choices[1:]:
-                    branched.append((values | {eid: w}, left))
-                values[eid], left = choices[0]
+                    branched.append((values[:p] + [w] + values[p + 1:], left))
+                values[p], left = choices[0]
                 branched.append((values, left))
             states = branched
         if outs:
             fn = code.fn(vertex) if src is None else None
             for values, _ in states:
-                values.update(zip(outs, x[src] if fn is None
-                                  else fn(tuple(map(values.__getitem__, ins)))))
+                values[outs] = x[src] if fn is None else _fit(
+                    fn(tuple(map(values.__getitem__, ins))), outs)
     return states
 
 
 def _observe(net, values):
-    return {t: tuple(map(values.__getitem__, ids)) for t, ids in net._observed}
+    return {t: tuple(map(values.__getitem__, at)) for t, at in net._observed}
 
 
 def _check_input(net, x, symbols):
@@ -592,8 +605,9 @@ def evaluate(net, code, x, action=None):
     action = action or {}
     net.edge_positions(action)
     _check_input(net, x, net._symbols)
-    (values, _), = _forward(code, _steps(net), x, None, start=action)
-    return EvalResult(values, _observe(net, values))
+    (values, _), = _forward(net, code, _steps(net), x, None,
+                            start=[(net._position[eid], v) for eid, v in action.items()])
+    return EvalResult(dict(zip(net._position, values)), _observe(net, values))
 
 
 # -- deterministic channels ----------------------------------------------------
@@ -684,15 +698,15 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
     if not is_cut(net, cut_set, watched, terminal):
         raise NotACut(f"{sorted(cut_set)} does not separate {watched} from {terminal}")
 
-    frozen_values = {}
+    at = net._position
+    frozen_values = []
     if keep is not None:
         for i, x in frozen.items():
-            s = net.sources[i]
-            for pos, e in enumerate(net.out_edges(s)):
-                frozen_values[e.id] = tuple(x)[pos]
-    resolved = cut_set | set(frozen_values)
-    steps = _cone(net, terminal, resolved)
-    in_ids = [e.id for e in net.in_edges(terminal)]
+            for pos, e in enumerate(net.out_edges(net.sources[i])):
+                frozen_values.append((at[e.id], tuple(x)[pos]))
+    steps = _cone(net, terminal, cut_set.union(net.edges[p].id for p, _ in frozen_values))
+    cut_at = [at[eid] for eid in cut_list]
+    in_at = [at[e.id] for e in net.in_edges(terminal)]
 
     ext = tuple(alphabet_t) + (STAR,)
     count = len(ext) ** len(cut_list)
@@ -701,10 +715,9 @@ def cut_to_sink_channel(net, code, cut_ids, terminal, alphabet=None,
         return itertools.product(ext, repeat=len(cut_list))
 
     def fanout_fn(vals):
-        start = dict(zip(cut_list, vals))
-        start.update(frozen_values)
-        (values, _), = _forward(code, steps, None, None, start=start)
-        return (tuple(values[eid] for eid in in_ids),)
+        (values, _), = _forward(net, code, steps, None, None,
+                                start=[*zip(cut_at, vals), *frozen_values])
+        return (tuple(map(values.__getitem__, in_at)),)
 
     return SymbolicChannel((count, factory), fanout_fn)
 
@@ -790,40 +803,51 @@ ACTION_LIMIT = 10 ** 6
 
 def _adversary_read(net, adv, alphabet):
     """(read, spare, symbols) of an adversary over a tuple alphabet: the
-    read and start budget of a sweep and the alphabet's set.  The network
-    keeps them per adversary and alphabet, once the edge and action-limit
-    checks pass."""
+    read of edge positions and start budget of a sweep and the alphabet's
+    set.  The network keeps them per adversary and alphabet, once the edge
+    and action-limit checks pass."""
     if (adv, alphabet) not in net._reads:
         adv.check_edges(net)
         if _count_actions(net, adv, alphabet) > ACTION_LIMIT:
             raise SearchLimitExceeded("adversary action space exceeds the limit")
         if adv.variant is None:
-            order = tuple(eid for _, _, ins, _, _ in _steps(net) for eid in ins)
-            read, spare = reader(adv.blocks, alphabet, order)
+            order = tuple(p for _, _, ins, _, _ in _steps(net) for p in ins)
+            blocks = tuple(AdvBlock(map(net._position.get, b.coords), b.t, b.e) for b in adv.blocks)
+            read, spare = reader(blocks, alphabet, order)
         else:   # per-symbol: _count_actions has rejected every other variant
             acts = actions(adv.blocks)
             base = sorted({v for sym in alphabet for v in sym})
             symbol_ball = functools.cache(lambda v: ball(v, acts, base))
-            read = lambda eid, v, spare: [(w, spare) for w in symbol_ball(v)]
+            read = lambda p, v, spare: [(w, spare) for w in symbol_ball(v)]
             spare = ()
         net._reads[adv, alphabet] = read, spare, frozenset(alphabet)
     return net._reads[adv, alphabet]
 
 
-def _fanouts(net, states):
-    """Per terminal, the set of its observations over the end states."""
-    return {t: frozenset(tuple(map(values.__getitem__, ids)) for values, _ in states)
-            for t, ids in net._observed}
+def _fanouts(net, code, steps, x, read, shared, spare=(), states=None):
+    """Per terminal, its fan-out over the sweep of `steps` (as `_forward`).
+    A last step without out-edges is not swept: the joint reads of its
+    in-edges from each distinct (budget, in-values) are its fan-out."""
+    vertex, _, ins, outs, _ = steps[-1]
+    states = _forward(net, code, steps, x, read, spare, states=states,
+                      stop=len(steps) - (outs is None), shared=shared)
+    if outs is None:
+        joint = frozenset(got for _, got, _ in _relay_reads(
+            {(left, *map(values.__getitem__, ins)) for values, left in states}, ins, read))
+    return {t: joint if t == vertex and outs is None
+            else frozenset(tuple(map(values.__getitem__, at)) for values, _ in states)
+            for t, at in net._observed}
 
 
-def adversarial_fanouts(net, code, adv, x, alphabet=None):
+def adversarial_fanouts(net, code, adv, x, alphabet=None, shared=None):
     """Fan-out sets at every terminal for global input x: the observations
     of all admissible adversary actions, from one sweep.  The network keeps
-    the read per adversary and alphabet, once its checks pass."""
+    the read per adversary and alphabet, once its checks pass; calls on one
+    code, adversary and alphabet may share one dict of relay work."""
     alphabet = net._alphabet(alphabet)
     read, spare, symbols = _adversary_read(net, adv, alphabet)
     _check_input(net, x, symbols)
-    return _fanouts(net, _forward(code, _steps(net), x, read, spare))
+    return _fanouts(net, code, _steps(net), x, read, {} if shared is None else shared, spare)
 
 
 def one_vertex_sweep(net, code, vertex, adv, alphabet=None):
@@ -833,16 +857,17 @@ def one_vertex_sweep(net, code, vertex, adv, alphabet=None):
     of every global input x, in input order, for `code` with the function
     of `vertex`, a relay (an intermediate vertex with in- and out-edges),
     replaced by fn.  The work shared across codes is done once:
-    - per input, when the sweep is made: the plan up to the relay's step,
-      the states entering it, merged, and the joint reads of its in-edges;
+    - per input, when the sweep is made: the plan up to the relay's step
+      and the states entering it, and per distinct (budget, in-values) the
+      joint reads of its in-edges;
     - across every fn: the end observations of the rest of the plan from
       each state after the step, memoized by the merge key the next step
-      makes (the budget left and its kept ids: the relay's outputs and
-      every bypass edge or earlier terminal read), shared across inputs
+      makes (the budget left and its kept positions: the relay's outputs
+      and every bypass edge or earlier terminal read), shared across inputs
       unless a source steps after the relay;
     - within one fn: one call per distinct in-tuple over all inputs.
-    The relay's read and write phases are `_forward`'s own.  The
-    adversary's read is checked as `adversarial_fanouts` checks it.
+    Other relays share their work as in `_forward`.  The adversary's read
+    is checked as `adversarial_fanouts` checks it.
     """
     alphabet = net._alphabet(alphabet)
     read, spare, _ = _adversary_read(net, adv, alphabet)
@@ -850,39 +875,40 @@ def one_vertex_sweep(net, code, vertex, adv, alphabet=None):
     k = next((i for i, step in enumerate(steps) if step[0] == vertex), None)
     if vertex not in net.intermediates or k is None or not all(steps[k][2:4]):
         raise InvalidParams(f"{vertex} is not a relay with in- and out-edges")
-    _, _, ins, outs, kept = steps[k]
+    _, _, ins, outs, _ = steps[k]
     rest = steps[k + 1:]
-    others = [eid for eid in rest[0][4] if eid not in outs]
-    shared = None if any(src is not None for _, src, *_ in rest) else {}
-    prefix = []
+    others = [p for p in rest[0][4] if not outs.start <= p < outs.stop]
+    shared, keys, prefix = {}, {}, []
+    memo = None if any(src is not None for _, src, *_ in rest) else {}
     for x in global_inputs(net, alphabet):
-        states = _forward(code, steps, x, read, spare, stop=k)
-        entering, reads = _relay_reads(_merge(states, kept), ins, read)
-        # states that agree on the ids kept past the relay share its rest,
-        # so a read enters it once per such agreement in its group
-        firsts, writes = {}, {}
-        for key, got, left in reads:
-            for values in entering[key]:
-                other = tuple(map(values.__getitem__, others))
-                firsts.setdefault(other, values)
-                writes[other, got, left] = None
-        prefix.append((x, list(writes), firsts, {} if shared is None else shared))
+        # states that agree on the positions kept past the relay share its
+        # rest, so a group enters it once per such agreement
+        firsts, groups = {}, {}
+        for values, left in _forward(net, code, steps, x, read, spare, stop=k, shared=shared):
+            key = (left, *map(values.__getitem__, ins))
+            other = tuple(map(values.__getitem__, others))
+            firsts.setdefault(other, values)
+            groups[key, other] = keys[key] = None
+        prefix.append((x, list(groups), firsts, {} if memo is None else memo))
+    reads = _relay_reads(keys, ins, read)
 
     def sweep(fn):
-        made = {}
+        ends = defaultdict(dict)
+        _relay_writes(fn, outs, reads, {}, ends)
         fans = {t: {} for t in net.terminals}
-        for x, reads, firsts, memo in prefix:
-            ends = []
-            for after, (other, out, left) in _relay_writes(fn, reads, made).items():
-                end = memo.get(after)
-                if end is None:
-                    values = firsts[other].copy()
-                    values.update(zip(outs, out))
-                    end = memo[after] = _fanouts(
-                        net, _forward(code, rest, x, read, states=[(values, left)]))
-                ends.append(end)
+        for x, groups, firsts, rests in prefix:
+            got = []
+            for key, other in groups:
+                for after, (out, left) in ends[key].items():
+                    end = rests.get((other, after))
+                    if end is None:
+                        values = firsts[other].copy()
+                        values[outs] = out
+                        end = rests[other, after] = _fanouts(
+                            net, code, rest, x, read, shared, states=[(values, left)])
+                    got.append(end)
             for t, fan in fans.items():
-                fan[x] = ends[0][t] if len(ends) == 1 else frozenset().union(*(e[t] for e in ends))
+                fan[x] = got[0][t] if len(got) == 1 else frozenset().union(*(e[t] for e in got))
         return fans
 
     return sweep
@@ -905,6 +931,10 @@ def adversarial_channels(net, code, adv, alphabet=None, keep=None, frozen=None):
     terminal's observations under all admissible adversary actions.
     keep/frozen as for `transfer_channel`.
 
+    Each input's fan-outs come from one `adversarial_fanouts` call; the
+    calls share one dict of relay work (see `_forward`), which lives, as
+    the fan-outs and the translation below do, only in this call.
+
     A linear code under an error-only adversary (Yeung & Cai, "Network
     error correction, part I/II", Comm. Inf. Syst. 2006): when every
     intermediate vertex is a `LinearVertex` on field elements over one
@@ -917,36 +947,40 @@ def adversarial_channels(net, code, adv, alphabet=None, keep=None, frozen=None):
     `adversarial_fanouts` call, on the zero input and made on the first
     fan-out read, and each input costs one clean sweep and a translate per
     terminal.  Erasures are excluded: a vertex reads STAR as zero, so an
-    erasure's effect depends on the value it hides.  Every other code or
-    adversary shares one `adversarial_fanouts` call per input.
+    erasure's effect depends on the value it hides.
     """
     keep = _kept_sources(net, keep, frozen)
     inputs = _input_space(net, alphabet, keep)
     alphabet = net._alphabet(alphabet)
     symbols = frozenset(alphabet)
+    # relay work, fan-outs, the field's addition table filled as used, and
+    # from the first fan-out read on the translation or None
+    shared, fans, sums, shift = {}, {}, {}, []
 
-    @functools.cache
-    def shift():
-        """(field addition, zero input's fan-outs) when translation applies,
-        else None."""
+    def translation():
         fld = _code_field(net, code, alphabet)
         if fld is None or adv.variant is not None or any(b.e for b in adv.blocks):
             return None
         zero = tuple((0,) * len(net.out_edges(s)) for s in net.sources)
-        # an addition table filled as used: extension-field adds go digit by digit
-        return functools.cache(fld.add), adversarial_fanouts(net, code, adv, zero, alphabet)
+        return fld, adversarial_fanouts(net, code, adv, zero, alphabet, shared)
 
-    @functools.cache
     def fanouts(xs):
+        if xs in fans:
+            return fans[xs]
         x = _assemble_global(net, keep, xs, frozen)
-        if shift() is None:
-            return adversarial_fanouts(net, code, adv, x, alphabet)
-        add, zero = shift()
+        if not shift:
+            shift.append(translation())
+        if shift[0] is None:
+            fans[xs] = adversarial_fanouts(net, code, adv, x, alphabet, shared)
+            return fans[xs]
+        fld, zero = shift[0]
         _check_input(net, x, symbols)
-        (values, _), = _forward(code, _steps(net), x, None)
+        (values, _), = _forward(net, code, _steps(net), x, None)
         clean = _observe(net, values)
-        return {t: frozenset(tuple(map(add, clean[t], z)) for z in zero[t])
-                for t in net.terminals}
+        fans[xs] = {t: frozenset(tuple(sums[ab] if ab in sums else sums.setdefault(ab, fld.add(*ab))
+                                       for ab in zip(clean[t], z)) for z in zero[t])
+                    for t in net.terminals}
+        return fans[xs]
 
     return {t: SymbolicChannel(inputs, lambda xs, t=t: fanouts(xs)[t])
             for t in net.terminals}

@@ -103,7 +103,8 @@ def linear_transfer_matrices(net, code, fld):
     coeff_code = NetworkCode({v: LinearVertex(fld, code.fn(v).matrix, m=total)
                               for v in net.intermediates})
     # unit vectors lie outside the alphabet that `evaluate` holds sources to
-    (values, _), = network._forward(coeff_code, network._steps(net), x, None)
+    (values, _), = network._forward(net, coeff_code, network._steps(net), x, None)
+    observed = network._observe(net, values)
     out = {}
     for t in net.terminals:
         per_source = {}
@@ -111,7 +112,7 @@ def linear_transfer_matrices(net, code, fld):
             b = len(net.out_edges(s))
             rows = []
             for r in range(offsets[s], offsets[s] + b):
-                rows.append(tuple(values[e.id][r] for e in net.in_edges(t)))
+                rows.append(tuple(v[r] for v in observed[t]))
             per_source[i] = gf.Matrix(fld, tuple(rows))
         out[t] = per_source
     return out
@@ -525,8 +526,9 @@ def linear_impossibility(net, adv, q, target):
     source writes and the adversary's reads of the relay's in-edges are
     made once, the terminal's reads once per distinct relay output and
     budget left, and each relay matrix multiplies each distinct in-tuple
-    once.  Its fan-outs feed `channel.one_shot_capacity` through a
-    predicate-free `SymbolicChannel`, as `adversarial_channel` would."""
+    once.  Its fan-outs give each assignment's confusability graph through
+    a predicate-free `SymbolicChannel`, as `adversarial_channel` would; the
+    maps share few graphs, and each distinct one is searched once."""
     if len(net.terminals) != 1:
         raise InvalidParams("exhaustive search covers single-terminal networks")
     relays = net.intermediates
@@ -541,13 +543,15 @@ def linear_impossibility(net, adv, q, target):
     alphabet = tuple(range(q))
     sweep = network.one_vertex_sweep(net, NetworkCode({}), relay, adv, alphabet)
     terminal, = net.terminals
-    results, all_below = [], True
+    results, all_below, sizes = [], True, {}
     for combo in itertools.product(range(q), repeat=r * s):
         rows = tuple(tuple(combo[i * s + j] for j in range(s)) for i in range(r))
         fans = sweep(LinearVertex(fld, rows))[terminal]
-        cap = channel.one_shot_capacity(
+        _, adj = channel.confusability_adjacency(
             channel.SymbolicChannel((len(fans), fans.__iter__), fans.__getitem__))
-        value = cap.value_in_base(q)
+        if tuple(adj) not in sizes:
+            sizes[tuple(adj)] = max(channel.max_independent_set(adj)[0], 1)
+        value = channel.BaseValue(0, q, count=sizes[tuple(adj)])
         results.append((rows, value.value))
         all_below = all_below and value < target
 

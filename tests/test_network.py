@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -185,7 +186,11 @@ def test_edge_order_and_plan_match_the_per_step_scans():
             built = Network(vertices, edges, net.sources, net.terminals)
             ordered, plan = scanned_layout(vertices, edges, net.terminals)
             assert built.edges == ordered == net.edges
-            assert [(v, ins, outs, kept) for v, _, ins, outs, kept in built._plan] == list(plan)
+            # the plan holds edge positions, a vertex's out-edges as one slice
+            ids = [e.id for e in built.edges]
+            assert [(v, tuple(map(ids.__getitem__, ins)), tuple(ids[outs or slice(0)]),
+                     tuple(map(ids.__getitem__, kept)))
+                    for v, _, ins, outs, kept in built._plan] == list(plan)
             assert [step[1] for step in built._plan] == [
                 net.sources.index(v) if v in net.sources else None for v, *_ in plan]
 
@@ -717,14 +722,127 @@ def test_adversarial_channels_sweep_each_input_outside_the_linear_case(monkeypat
 
 def test_double_relay_fanouts_merge_states_of_spent_blocks(monkeypatch):
     # each block retires after its last edge is read, so states that differ
-    # only in a spent block's leftover budget merge: 25 end states, not 50
+    # only in a spent block's leftover budget merge: five distinct (budget,
+    # in-values) enter T, which lists 25 joint reads of its in-edges; kept
+    # apart, the first block's leftover budget would make ten and 50
     scheme = schemes.double_relay_scheme()
     net, adv = scheme.meta["network"], scheme.meta["adversary"]
     x = tuple(code[1] for code in scheme.source_codes)
-    observe, ends = network._observe, []
-    monkeypatch.setattr(network, "_observe", lambda *args: ends.append(args) or observe(*args))
-    adversarial_fanouts(net, scheme.network_code, adv, x, scheme.alphabet)
-    assert len(ends) <= 25
+    at_t = tuple(net._position[e.id] for e in net.in_edges("T"))
+    relay_reads, entering, listed = network._relay_reads, [], []
+
+    def counted(keys, ins, read):
+        reads = relay_reads(keys, ins, read)
+        if ins == at_t:
+            entering.extend(keys)
+            listed.extend(reads)
+        return reads
+
+    monkeypatch.setattr(network, "_relay_reads", counted)
+    fans = adversarial_fanouts(net, scheme.network_code, adv, x, scheme.alphabet)
+    assert (len(entering), len(listed)) == (5, 25)
+    assert fans["T"] == {got for _, got, _ in listed}
+
+
+def test_adversarial_channels_share_relay_work_within_one_call():
+    # over the double relay's 125 inputs, V1 runs once per distinct in-tuple
+    # (125) and V2 once per distinct in-tuple (325, 13 per distinct (e2,
+    # e5..e7)) for the whole channel; a second call starts from empty memos
+    scheme = schemes.double_relay_scheme()
+    net, adv, code = scheme.meta["network"], scheme.meta["adversary"], scheme.network_code
+    inputs = list(itertools.product(*scheme.source_codes))
+    assert len(inputs) == 125
+    want = {x: adversarial_fanouts(net, code, adv, x, scheme.alphabet)["T"] for x in inputs}
+    for _ in range(2):
+        calls = {"V1": [], "V2": []}
+        counted = NetworkCode({v: FuncVertex(lambda *vals, v=v: calls[v].append(vals)
+                                             or code.fn(v)(vals)) for v in calls})
+        chan = network.adversarial_channels(net, counted, adv, scheme.alphabet)["T"]
+        assert {x: chan.fanout(x) for x in inputs} == want
+        assert [len(calls[v]) for v in calls] == [len(set(calls[v])) for v in calls] == [125, 325]
+
+
+def test_adversarial_channels_wrap_no_function(monkeypatch):
+    # the per-call state is plain dicts: making channels and reading their
+    # fan-outs, through the linear translation or not, wraps no function
+    wrapped = []
+    monkeypatch.setattr(functools, "update_wrapper",
+                        lambda wrapper, *args, **kw: wrapped.append(wrapper) or wrapper)
+    net = netlib.butterfly((0, 1, 2, 3))
+    adv = AdversarySpec((AdvBlock({"e3", "e7"}, 1),))
+    linear = _random_linear_code(random.Random(4), net, gf.make_field(4))
+    table = random_table_code(random.Random(4), net, (0, 1, 2, 3))
+    for code in (linear, table):
+        for chan in network.adversarial_channels(net, code, adv).values():
+            ch.one_shot_capacity(chan)
+    assert wrapped == []
+
+
+def random_dag(rng, n_terminals):
+    """A valid random network over A2 with the given number of terminals:
+    1-2 sources, 1-3 relays of in-degree at most 3, edges from each vertex
+    to later ones; None when invalid."""
+    sources = [f"S{i + 1}" for i in range(rng.randint(1, 2))]
+    mids = [f"V{i + 1}" for i in range(rng.randint(1, 3))]
+    terminals = [f"T{i + 1}" for i in range(n_terminals)]
+    later = mids + terminals
+    edges = []
+    for i, v in enumerate(sources + mids):
+        heads = later[max(0, i - len(sources) + 1):]
+        for _ in range(rng.randint(1, 2)):
+            edges.append(Edge(f"e{len(edges) + 1}", v, rng.choice(heads)))
+    net = Network(sources + mids + terminals, edges, sources, terminals, A2)
+    if validate(net) or any(len(net.in_edges(v)) > 3 for v in mids):
+        return None
+    return net
+
+
+def test_fanouts_match_explicit_actions_on_random_dags():
+    # fan-outs from one sweep per input, and from channels whose inputs
+    # share their relay work, equal the union of the explicit actions'
+    # observations: disjoint blocks with erasures, overlapping blocks
+    # without, on DAGs with one terminal or two
+    rng = random.Random(27)
+    checked = 0
+    while checked < 16:
+        net = random_dag(rng, 1 + checked % 2)
+        if net is None:
+            continue
+        overlapping = checked // 2 % 2
+        code = random_table_code(rng, net, A2, erasures=not overlapping)
+        eids = [e.id for e in net.edges]
+        first = rng.sample(eids, rng.randint(1, min(3, len(eids))))
+        rest = [e for e in eids if e not in first] if not overlapping else eids
+        if not rest:
+            continue
+        second = rng.sample(rest, rng.randint(1, min(3, len(rest))))
+        if overlapping:
+            second = list({*second, rng.choice(first)})
+        e = 0 if overlapping else 1
+        blocks = [(first, rng.randint(0 if e else 1, 1), e), (second, 1, rng.randint(0, e))]
+        adv = AdversarySpec(tuple(AdvBlock(*b) for b in blocks))
+        actions = [a | b for a in _block_actions(*blocks[0], A2)
+                   for b in _block_actions(*blocks[1], A2)]
+        chans = network.adversarial_channels(net, code, adv)
+        for x in network.global_inputs(net):
+            want = {t: set() for t in net.terminals}
+            for act in actions:
+                for t, obs in evaluate(net, code, x, action=act).observations.items():
+                    want[t].add(obs)
+            assert adversarial_fanouts(net, code, adv, x) == want, (net.edges, adv, x)
+            assert {t: c.fanout(x) for t, c in chans.items()} == want
+        checked += 1
+
+
+def test_a_vertex_output_that_does_not_fit_its_out_edges_raises():
+    net = netlib.butterfly(A2)
+    for width in (1, 3):
+        code = NetworkCode({v: FuncVertex(lambda *vals: (vals[0],) * width)
+                            for v in ("V1", "V2", "V3", "V4")})
+        with pytest.raises(InvalidParams, match="out-edges"):
+            evaluate(net, code, ((0, 1),))
+        with pytest.raises(InvalidParams, match="out-edges"):
+            adversarial_fanouts(net, code, AdversarySpec((AdvBlock({"e7"}, 1),)), ((0, 1),))
 
 
 def test_adversary_checks_run_once_per_network_and_adversary(monkeypatch):
@@ -812,7 +930,8 @@ def test_double_relay_sweep_calls_each_relay_once_per_in_tuple(monkeypatch):
     # V2's five entering states hold two distinct (budget, in-values): its
     # step lists their joint reads twice, calls f_v2 once for each of the 13
     # in-tuples and, the majority vote correcting every read, passes on one
-    # state per entering state, so T's step starts from five
+    # state per entering state, so T's step starts from five, which differ
+    # in (budget, in-values) and which T reads jointly
     scheme = schemes.double_relay_scheme()
     net, adv, code = scheme.meta["network"], scheme.meta["adversary"], scheme.network_code
     calls = {"V1": [], "V2": []}
@@ -829,8 +948,9 @@ def test_double_relay_sweep_calls_each_relay_once_per_in_tuple(monkeypatch):
     fans = adversarial_fanouts(net, counted, adv, x, scheme.alphabet)
     assert len(calls["V1"]) == len(set(calls["V1"])) == 5
     assert len(calls["V2"]) == len(set(calls["V2"])) == 13
-    assert reads.count("e2") == 2    # V2's first in-edge: once per joint read
-    assert reads.count("e8") == 5    # T's first in-edge: once per state
+    at = net._position               # the sweep reads edges by position
+    assert reads.count(at["e2"]) == 2    # V2's first in-edge: once per joint read
+    assert reads.count(at["e8"]) == 5    # T's first in-edge: once per state
     monkeypatch.undo()
     assert fans == adversarial_fanouts(net, code, adv, x, scheme.alphabet)
 
@@ -1122,15 +1242,20 @@ def test_diamond_all_codes_through_one_vertex_sweep():
 
 
 def test_one_vertex_sweep_runs_the_relay_before_it_as_a_relay(monkeypatch):
-    # on the Diamond, V1 steps just before V2: each input's prefix reads e1
-    # at V1's relay step, then V2's in-edges e2, e3 at V2's
+    # on the Diamond, V1 steps just before V2: each input's prefix lists
+    # the reads of e1 at V1's relay step, for the (budget, in-values) no
+    # earlier input listed: e1 = 0 at input (0, 0, 0), e1 = 1 at (1, 0, 0);
+    # then V2's in-edges e2, e3 are listed once, for the 8 distinct
+    # (budget, in-values) over all inputs
     calls, relay_reads = [], network._relay_reads
-    monkeypatch.setattr(network, "_relay_reads",
-                        lambda states, ins, read: calls.append(ins) or relay_reads(states, ins, read))
+    monkeypatch.setattr(network, "_relay_reads", lambda keys, ins, read:
+                        calls.append((ins, len(keys))) or relay_reads(keys, ins, read))
     net = netlib.diamond(A2)
     network.one_vertex_sweep(net, NetworkCode({"V1": FuncVertex(lambda a: (a,))}), "V2",
                              AdversarySpec((AdvBlock({"e1", "e2", "e3"}, 1),)))
-    assert calls == [("e1",), ("e2", "e3")] * 8
+    e1, e2, e3 = (net._position[eid] for eid in ("e1", "e2", "e3"))
+    assert calls == [((e1,), 1), *[((e1,), 0)] * 3, ((e1,), 1), *[((e1,), 0)] * 3,
+                     ((e2, e3), 8)]
 
 
 def test_one_vertex_sweep_rejects_a_vertex_that_is_not_a_relay():

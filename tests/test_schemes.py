@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from advnet import gf, hamming, netlib, network, regions, schemes
+from advnet import channel, gf, hamming, netlib, network, regions, schemes
 from advnet.channel import STAR
 from advnet.errors import (DrawsExhausted, Infeasible, InvalidParams,
                            NoCodewordInRange, UnsupportedSources)
@@ -625,8 +625,10 @@ def test_linear_impossibility_on_bottleneck():
 
 def test_linear_impossibility_shares_each_input_across_relay_maps(monkeypatch):
     # one sweep serves all 2^8 relay maps: each of the 4 inputs reads the
-    # relay's in-edges once for the whole call, each map multiplies each
-    # distinct in-tuple at most once, and no map sweeps an input itself
+    # relay's in-edges once for the whole call, T reads its in-edges once
+    # per distinct (budget, in-values) for the whole call, each map
+    # multiplies each distinct in-tuple at most once, and no map sweeps an
+    # input itself
     net = netlib.fan_bottleneck(A2)
     adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 0),))
     prefixes, products = [], {}
@@ -646,8 +648,30 @@ def test_linear_impossibility_shares_each_input_across_relay_maps(monkeypatch):
     monkeypatch.setattr(network, "adversarial_fanouts", swept)
     out = schemes.linear_impossibility(net, adv, 2, target=1.0)
     assert len(out["results"]) == len(products) == 256
-    assert len(prefixes) == 4
+    relay = tuple(net._position[e.id] for e in net.in_edges("V"))
+    assert [len(keys) for keys, ins, _ in prefixes if ins == relay] == [4]
+    keys = [key for keys, ins, _ in prefixes if ins != relay for key in keys]
+    assert len(keys) == len(set(keys)) > 0
     assert all(len(calls) == len(set(calls)) for calls in products.values())
+
+
+@pytest.mark.parametrize("make, q, graphs", [(netlib.fan_bottleneck, 2, 1),
+                                             (netlib.triple_path_bottleneck, 3, 2)])
+def test_linear_impossibility_searches_each_distinct_graph_once(make, q, graphs, monkeypatch):
+    # the relay maps share few confusability graphs (256 maps, one graph;
+    # 27 maps, two); every value equals the map's own capacity search
+    net = make(tuple(range(q)))
+    adv = AdversarySpec(blocks=(AdvBlock({"e1", "e2"}, 1, 0),))
+    searched, search = [], channel.max_independent_set
+    monkeypatch.setattr(channel, "max_independent_set",
+                        lambda adj, **kw: searched.append(tuple(adj)) or search(adj, **kw))
+    out = schemes.linear_impossibility(net, adv, q, target=1.0)
+    monkeypatch.undo()
+    assert len(searched) == len(set(searched)) == graphs
+    for rows, value in out["results"]:
+        code = NetworkCode({"V": LinearVertex(gf.make_field(q), rows)})
+        cap = channel.one_shot_capacity(network.adversarial_channel(net, code, adv, "T"))
+        assert value == cap.value_in_base(q).value
 
 
 def test_linear_impossibility_rejects_more_than_one_terminal():
