@@ -8,7 +8,9 @@ come in three representations:
 * symbolic channels (fan-out by rule, with an optional analytic
   confusability predicate; each input's fan-out is computed once and
   kept),
-* composites (product / concatenation / union trees over children).
+* composites (product / concatenation / union trees over children, and
+  coordinate products: words whose coordinates split into parts, each
+  read by its own channel).
 
 Each class owns `confusable` (equal inputs, or meeting fan-outs).
 Composites answer it lazily, factor by factor, so powers of channels stay
@@ -21,9 +23,10 @@ position index, and `confusability_adjacency` builds the graph from an
 output -> inputs index.  A product is confusable exactly where every
 factor is, so `confusability_adjacency` builds its graph as the strong
 product of the factors' graphs, asking each distinct factor's own
-`confusable` once per unordered pair of its inputs.  Every other channel
-answers pair by pair.  `BaseValue`, the log of an exact count, is the one
-value type.
+`confusable` once per unordered pair of its inputs.  A coordinate
+product's graph is the strong product of its parts' graphs too, lifted to
+word order.  Every other channel answers pair by pair.  `BaseValue`, the
+log of an exact count, is the one value type.
 """
 
 import functools
@@ -153,6 +156,50 @@ class ProductChannel(Channel):
 
     def confusable(self, x, xp):
         return all(f.confusable(a, b) for f, a, b in zip(self.factors, x, xp))
+
+
+class CoordinateProduct(Channel):
+    """Channel on the words of length `length` over range(alphabet_size),
+    in lexicographic order, that is a product over disjoint sets of
+    coordinates.  Each part (coords, ch) reads a word's projection to
+    coords, in increasing coordinate order, through ch, whose inputs are
+    those sub-words in lexicographic order and whose outputs are sub-words
+    on coords as well; the coordinates no part holds read as sent.  A
+    fan-out is the product of the parts' fan-outs, so two words are
+    confusable iff they agree off the parts and every part finds their
+    projections confusable."""
+
+    def __init__(self, alphabet_size, length, parts):
+        self.alphabet_size, self.length = alphabet_size, length
+        self.parts = tuple((tuple(sorted(coords)), ch) for coords, ch in parts)
+        held = [c for coords, _ in self.parts for c in coords]
+        if len(set(held)) != len(held) or not set(held) <= set(range(length)):
+            raise InvalidParams("parts need disjoint coordinates inside the word")
+        self.free = tuple(sorted(set(range(length)) - set(held)))
+
+    def iter_inputs(self):
+        return itertools.product(range(self.alphabet_size), repeat=self.length)
+
+    @property
+    def input_count(self):
+        return self.alphabet_size ** self.length
+
+    def fanout(self, x):
+        fans = [ch.fanout(tuple(x[c] for c in coords)) for coords, ch in self.parts]
+        if math.prod(len(s) for s in fans) > _MATERIALIZE_LIMIT:
+            raise SearchLimitExceeded("coordinate product fan-out too large to materialize")
+        made, y = set(), list(x)
+        for subs in itertools.product(*fans):
+            for (coords, _), sub in zip(self.parts, subs):
+                for c, v in zip(coords, sub):
+                    y[c] = v
+            made.add(tuple(y))
+        return frozenset(made)
+
+    def confusable(self, x, xp):
+        return (all(x[c] == xp[c] for c in self.free)
+                and all(ch.confusable(tuple(x[c] for c in coords), tuple(xp[c] for c in coords))
+                        for coords, ch in self.parts))
 
 
 class ConcatChannel(Channel):
@@ -447,6 +494,16 @@ def confusability_adjacency(ch, max_vertices=MAX_VERTICES):
     in `itertools.product` order, one big-int multiply per factor.  The
     self-bits are dropped at the end.
 
+    A `CoordinateProduct` is confusable exactly where its free coordinates
+    agree and every part is, so its graph is the strong product of the
+    parts' graphs with vertices in word order.  Each part's graph comes
+    from this function on the part's own channel, its self-bits added back;
+    a sub-word's closed row lifts to the mask of the words that project
+    into it, an OR of one mask per neighbour (the lift is the identity when
+    the part holds every coordinate), and a word's row ANDs its
+    projections' lifted rows, the free coordinates' being their agreement
+    masks.  No fan-out of a whole word is listed.
+
     Concatenations would materialize fan-outs, unions compare branches, and
     an analytic predicate is cheaper than the fan-outs it stands for, so
     these stay pairwise.
@@ -480,6 +537,9 @@ def confusability_adjacency(ch, max_vertices=MAX_VERTICES):
             graph = [s * rest for s in spread for rest in graph]
             size *= len(spread)
         return inputs, [row & ~(1 << i) for i, row in enumerate(graph)]
+    if isinstance(ch, CoordinateProduct):
+        graph = _coordinate_rows(ch, max_vertices)
+        return inputs, [row & ~(1 << i) for i, row in enumerate(graph)]
     for i, j in itertools.combinations(range(n), 2):
         if ch.confusable(inputs[i], inputs[j]):
             adj[i] |= 1 << j
@@ -497,6 +557,56 @@ def _closed_rows(ch):
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return rows
+
+
+def _coordinate_rows(ch, max_vertices):
+    """Closed rows of a `CoordinateProduct`, one per word in order: per
+    part, the rows of its channel's graph with the self-bits (identity
+    rows for the free coordinates), each lifted to the words whose
+    projection it holds; a word's row ANDs its projections' lifted rows."""
+    a, s = ch.alphabet_size, ch.length
+    every = (1 << a ** s) - 1
+    graph = [every] * a ** s
+    for coords, part in ch.parts + (((ch.free, None),) if ch.free else ()):
+        if part is None:
+            rows = [1 << j for j in range(a ** len(coords))]
+        else:
+            got, adj = confusability_adjacency(part, max_vertices)
+            if got != tuple(itertools.product(range(a), repeat=len(coords))):
+                raise AlphabetMismatch("a part's inputs must be its sub-words in order")
+            rows = [row | 1 << j for j, row in enumerate(adj)]
+        # a part holding every coordinate reads the words themselves; else
+        # a sub-word lifts to the mask of the words projecting to it
+        if len(coords) < s:
+            masks = [every]
+            for c in coords:
+                masks = [m & w for m in masks for w in _symbol_masks(a, s, c)]
+            rows = [_union(masks, row) for row in rows]
+        # per word, the index of its projection
+        weights = {c: a ** k for k, c in enumerate(reversed(coords))}
+        index = [0]
+        for c in range(s):
+            index = [i + v * weights.get(c, 0) for i in index for v in range(a)]
+        graph = [g & rows[j] for g, j in zip(graph, index)]
+    return graph
+
+
+def _symbol_masks(a, s, c):
+    """Per symbol v, the mask of the words of length s over range(a), in
+    lexicographic order, whose coordinate c holds v."""
+    step = a ** (s - 1 - c)
+    ones = ((1 << step) - 1) * (((1 << a ** s) - 1) // ((1 << a * step) - 1))
+    return [ones << v * step for v in range(a)]
+
+
+def _union(masks, row):
+    """The OR of masks[j] over the set bits j of row."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= masks[low.bit_length() - 1]
+        row ^= low
+    return out
 
 
 def one_shot_capacity(ch, max_vertices=MAX_VERTICES, node_budget=None):

@@ -20,6 +20,14 @@ applies to a word for word fan-outs, `adversarial_strength` and a per-symbol
 adversary's symbol ball.  `chosen_subsets` lists the compound model's fixed
 vulnerable sets and `restrict` narrows blocks to them.
 
+Blocks that share no coordinate, directly or through other blocks, act
+independently, so a spec is the product of its `components` (Shannon 1956;
+Lovasz, IEEE T-IT 1979): `component_channel` lists each component's
+fan-outs on its own a^|C| words, and the coordinates no block holds read
+as sent.  `brute_force_capacity` searches that product's graph, which is
+the explicit table's graph bit for bit, in word order; `explicit_channel`
+lists every word's fan-out for the callers that need the table itself.
+
 A product alphabet B^m is a spec over B with one block per symbol, over
 its m sub-symbols.  Capacity values in this module are `BaseValue`s built
 from integers: e + log_a(count)/uses, with the base a recorded.  Bounds
@@ -34,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import codes, gf
-from .channel import (STAR, BaseValue, SymbolicChannel, TableChannel, UnionChannel,
-                      is_good_code, one_shot_capacity, power)
+from .channel import (STAR, BaseValue, CoordinateProduct, SymbolicChannel, TableChannel,
+                      UnionChannel, is_good_code, one_shot_capacity, power)
 from .errors import (AlphabetMismatch, FieldTooSmall, IndexOutOfRange,
                      InvalidParams, SearchLimitExceeded, UnsupportedVariant)
 
@@ -255,9 +263,9 @@ def confusable_analytic(spec, x, xp):
 TABLE_LIMIT = 1 << 12
 
 
-def explicit_channel(spec, limit=TABLE_LIMIT):
+def explicit_channel(spec):
     a, s = spec.alphabet_size, spec.length
-    if a ** s > limit:
+    if a ** s > TABLE_LIMIT:
         raise SearchLimitExceeded("alphabet too large for an explicit table")
     inputs = list(words(a, s))
     table = {x: fanout(spec, x) for x in inputs}
@@ -524,13 +532,50 @@ def rank_achievability(q, m, s, t):
 BRUTE_FORCE_LIMIT = 1 << 10
 
 
+def components(spec):
+    """The spec split where its blocks do not meet: blocks that share a
+    coordinate, directly or through other blocks, form one component.  Per
+    component, by least coordinate, (coords, sub-spec): its coordinates in
+    increasing order and its blocks renumbered onto them.  Blocks with no
+    coordinates act on nothing and join none."""
+    groups = []
+    for b in spec.blocks:
+        if b.coords:
+            linked = [g for g in groups if not g.isdisjoint(b.coords)]
+            groups = [g for g in groups if g not in linked] + [b.coords.union(*linked)]
+    parts = []
+    for group in sorted(groups, key=min):
+        coords = tuple(sorted(group))
+        pos = {c: k for k, c in enumerate(coords)}
+        blocks = tuple(Block(map(pos.get, b.coords), b.t, b.e)
+                       for b in spec.blocks if b.coords and b.coords <= group)
+        parts.append((coords, HammingSpec(spec.alphabet_size, len(coords), blocks)))
+    return parts
+
+
+def component_channel(spec):
+    """The spec's channel as a `CoordinateProduct` of its components'
+    explicit tables.  No block reaches outside its component, so a word's
+    fan-out is the product of its projections' fan-outs, and the
+    coordinates no block holds read as sent."""
+    return CoordinateProduct(spec.alphabet_size, spec.length,
+                             [(coords, explicit_channel(sub)) for coords, sub in components(spec)])
+
+
 def brute_force_capacity(spec, node_budget=None):
     """Exact one-shot capacity of a tiny spec by explicit search, as a
-    BaseValue in base a.  When the node budget runs out it raises
-    SearchLimitExceeded whose incumbent is the witness of the inexact
-    result: the words of the largest good code found."""
-    chan = explicit_channel(spec, BRUTE_FORCE_LIMIT)
-    res = one_shot_capacity(chan, max_vertices=BRUTE_FORCE_LIMIT, node_budget=node_budget)
+    BaseValue in base a; a spec of more than BRUTE_FORCE_LIMIT words raises
+    SearchLimitExceeded before any word is listed.  The graph is the strong
+    product of the components' graphs (`component_channel`), each from its
+    own table on a^|C| words, with vertices in word order: it equals the
+    graph of `explicit_channel(spec)` bit for bit, so the search, its
+    witness and its incumbents are the table's.  When the node budget runs
+    out it raises SearchLimitExceeded whose incumbent is the witness of the
+    inexact result: the words of the largest good code found."""
+    if spec.alphabet_size ** spec.length > BRUTE_FORCE_LIMIT:
+        raise SearchLimitExceeded("too many words for a brute-force capacity")
+    res = one_shot_capacity(component_channel(spec), max_vertices=BRUTE_FORCE_LIMIT,
+                            node_budget=node_budget)
     if not res.exact:
         raise SearchLimitExceeded("budget exhausted in brute-force capacity", res.witness)
     return res.value_in_base(spec.alphabet_size)

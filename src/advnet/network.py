@@ -47,7 +47,8 @@ each adversary's read, checked once, for all inputs.  `adversarial_channels`
 makes the terminals' channels, on which `regions` verifies codes; their
 inputs share one dict of relay work, and for a linear code under an
 error-only adversary they sweep the zero input alone and translate its
-fan-outs by each input's clean observation.
+fan-outs by each input's clean observation, read from the code's
+`linear_transfer_matrices` with no sweep.
 `AdversarySpec.clip` makes any adversary a `hamming` spec on a cut.
 `check_demands` is the one cut-set demand check.
 """
@@ -914,6 +915,38 @@ def one_vertex_sweep(net, code, vertex, adv, alphabet=None):
     return sweep
 
 
+def linear_transfer_matrices(net, code, fld):
+    """Per-terminal transfer matrices of a linear network code: for each
+    source i a matrix of shape |out(S_i)| x |in(T)| over the field, mapping
+    emitted packets (as coefficients) to terminal observations.
+
+    The code's matrices are evaluated on unit coefficient vectors."""
+    offsets = {}
+    total = 0
+    for s in net.sources:
+        offsets[s] = total
+        total += len(net.out_edges(s))
+    units = [(0,) * r + (1,) + (0,) * (total - r - 1) for r in range(total)]
+    x = tuple(tuple(units[offsets[s]:offsets[s] + len(net.out_edges(s))])
+              for s in net.sources)
+    coeff_code = NetworkCode({v: LinearVertex(fld, code.fn(v).matrix, m=total)
+                              for v in net.intermediates})
+    # unit vectors lie outside the alphabet that `evaluate` holds sources to
+    (values, _), = _forward(net, coeff_code, _steps(net), x, None)
+    observed = _observe(net, values)
+    out = {}
+    for t in net.terminals:
+        per_source = {}
+        for i, s in enumerate(net.sources):
+            b = len(net.out_edges(s))
+            rows = []
+            for r in range(offsets[s], offsets[s] + b):
+                rows.append(tuple(v[r] for v in observed[t]))
+            per_source[i] = gf.Matrix(fld, tuple(rows))
+        out[t] = per_source
+    return out
+
+
 def _code_field(net, code, alphabet):
     """The one field of a code whose intermediate vertices are all
     `LinearVertex`es on field elements (m = None) over a field whose
@@ -945,24 +978,46 @@ def adversarial_channels(net, code, adv, alphabet=None, keep=None, frozen=None):
     do not depend on x, and every input's fan-out is its clean observation
     plus the fan-out of the zero input.  The channels then share one
     `adversarial_fanouts` call, on the zero input and made on the first
-    fan-out read, and each input costs one clean sweep and a translate per
-    terminal.  Erasures are excluded: a vertex reads STAR as zero, so an
+    fan-out read.  The clean observation at terminal t is the sum over
+    sources i of x_i T[t][i], T the code's `linear_transfer_matrices`
+    (computed once per call), so an input costs no sweep: each product
+    x_i T[t][i] is made once per (t, i, x_i), and products add, as the
+    translate does, through the call's addition table.  Erasures are
+    excluded and sweep each input: a vertex reads STAR as zero, so an
     erasure's effect depends on the value it hides.
     """
     keep = _kept_sources(net, keep, frozen)
     inputs = _input_space(net, alphabet, keep)
     alphabet = net._alphabet(alphabet)
     symbols = frozenset(alphabet)
-    # relay work, fan-outs, the field's addition table filled as used, and
-    # from the first fan-out read on the translation or None
-    shared, fans, sums, shift = {}, {}, {}, []
+    # relay work, fan-outs, the field's addition table and each source's
+    # part of a terminal's clean observation, filled as used, and from the
+    # first fan-out read on the translation or None
+    shared, fans, sums, parts, shift = {}, {}, {}, {}, []
 
     def translation():
         fld = _code_field(net, code, alphabet)
         if fld is None or adv.variant is not None or any(b.e for b in adv.blocks):
             return None
         zero = tuple((0,) * len(net.out_edges(s)) for s in net.sources)
-        return fld, adversarial_fanouts(net, code, adv, zero, alphabet, shared)
+        return (fld, linear_transfer_matrices(net, code, fld),
+                adversarial_fanouts(net, code, adv, zero, alphabet, shared))
+
+    def plus(fld, u, v):
+        return tuple(sums[ab] if ab in sums else sums.setdefault(ab, fld.add(*ab))
+                     for ab in zip(u, v))
+
+    def clean(fld, transfer, t, x):
+        """Terminal t's clean observation: per source i with out-edges, x_i
+        times its transfer matrix, added up."""
+        obs = None
+        for i, xi in enumerate(x):
+            if xi:
+                part = parts.get((t, i, xi))
+                if part is None:
+                    part = parts[t, i, xi] = gf.mat_vec_row(fld, xi, transfer[t][i])
+                obs = part if obs is None else plus(fld, obs, part)
+        return (0,) * len(net.in_edges(t)) if obs is None else obs
 
     def fanouts(xs):
         if xs in fans:
@@ -973,13 +1028,10 @@ def adversarial_channels(net, code, adv, alphabet=None, keep=None, frozen=None):
         if shift[0] is None:
             fans[xs] = adversarial_fanouts(net, code, adv, x, alphabet, shared)
             return fans[xs]
-        fld, zero = shift[0]
+        fld, transfer, zero = shift[0]
         _check_input(net, x, symbols)
-        (values, _), = _forward(net, code, _steps(net), x, None)
-        clean = _observe(net, values)
-        fans[xs] = {t: frozenset(tuple(sums[ab] if ab in sums else sums.setdefault(ab, fld.add(*ab))
-                                       for ab in zip(clean[t], z)) for z in zero[t])
-                    for t in net.terminals}
+        obs = {t: clean(fld, transfer, t, x) for t in net.terminals}
+        fans[xs] = {t: frozenset(plus(fld, obs[t], z) for z in zero[t]) for t in net.terminals}
         return fans[xs]
 
     return {t: SymbolicChannel(inputs, lambda xs, t=t: fanouts(xs)[t])

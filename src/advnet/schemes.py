@@ -37,7 +37,7 @@ from .channel import STAR
 from .errors import DrawsExhausted, InvalidParams, UnsupportedSources
 from .network import (AdvBlock, AdversarySpec, FuncVertex, LinearVertex,
                       NetworkCode, PER_SYMBOL, TableVertex, check_demands,
-                      edge_disjoint_paths)
+                      edge_disjoint_paths, linear_transfer_matrices)
 # bound here too: perfbench/spans.py traces it under this module's name
 from .network import min_cut  # noqa: F401
 
@@ -84,38 +84,6 @@ def _check_positive(net, demands):
         raise InvalidParams(f"{len(demands)} demands for {len(net.sources)} sources")
     if any(a < 1 for a in demands):
         raise InvalidParams("demands must be positive integers")
-
-
-def linear_transfer_matrices(net, code, fld):
-    """Per-terminal transfer matrices of a linear network code: for each
-    source i a matrix of shape |out(S_i)| x |in(T)| over the field, mapping
-    emitted packets (as coefficients) to terminal observations.
-
-    The code's matrices are evaluated on unit coefficient vectors."""
-    offsets = {}
-    total = 0
-    for s in net.sources:
-        offsets[s] = total
-        total += len(net.out_edges(s))
-    units = [(0,) * r + (1,) + (0,) * (total - r - 1) for r in range(total)]
-    x = tuple(tuple(units[offsets[s]:offsets[s] + len(net.out_edges(s))])
-              for s in net.sources)
-    coeff_code = NetworkCode({v: LinearVertex(fld, code.fn(v).matrix, m=total)
-                              for v in net.intermediates})
-    # unit vectors lie outside the alphabet that `evaluate` holds sources to
-    (values, _), = network._forward(net, coeff_code, network._steps(net), x, None)
-    observed = network._observe(net, values)
-    out = {}
-    for t in net.terminals:
-        per_source = {}
-        for i, s in enumerate(net.sources):
-            b = len(net.out_edges(s))
-            rows = []
-            for r in range(offsets[s], offsets[s] + b):
-                rows.append(tuple(v[r] for v in observed[t]))
-            per_source[i] = gf.Matrix(fld, tuple(rows))
-        out[t] = per_source
-    return out
 
 
 def _draw_linear_code(rng, net, fld, m=None):

@@ -644,6 +644,43 @@ def test_strong_product_rows_with_predicates_unions_and_unequal_tables():
         assert_pairwise_graph(c)
 
 
+def _subword_table(rng, a, k, n_out):
+    """A random table on the words of length k over range(a), in order,
+    with n_out outputs, each a word of length k too."""
+    outputs = rng.sample(list(itertools.product(range(a + 1), repeat=k)), n_out)
+    return ch.random_table_channel(rng, itertools.product(range(a), repeat=k), outputs)
+
+
+def test_coordinate_product_rows_are_pairwise_fanout_intersection():
+    # scattered parts: tables, a strong power (its inputs are pairs of
+    # symbols) and a predicate; the coordinates no part holds read as sent
+    rng = random.Random(2805)
+    power = ch.power(ch.random_table_channel(rng, range(3), range(4)), 2)
+    sym = hamming.symbolic_channel(hamming.single_block(3, 2, {0, 1}, 1))
+    for parts in ([((4, 1), _subword_table(rng, 3, 2, 5))],
+                  [((0, 3), _subword_table(rng, 3, 2, 4)), ((2,), _subword_table(rng, 3, 1, 2))],
+                  [((3, 0), power), ((1, 4), sym)],
+                  []):
+        c = ch.CoordinateProduct(3, 5, parts)
+        assert_pairwise_graph(c)
+        inputs = c.inputs_tuple()
+        for x, xp in zip(inputs, rng.sample(inputs, len(inputs))):
+            assert c.confusable(x, xp) == ch.Channel.confusable(c, x, xp), (x, xp)
+
+
+def test_coordinate_product_checks_its_parts():
+    rng = random.Random(3)
+    table = _subword_table(rng, 2, 2, 3)
+    with pytest.raises(InvalidParams):
+        ch.CoordinateProduct(2, 3, [((0, 1), table), ((1, 2), table)])
+    with pytest.raises(InvalidParams):
+        ch.CoordinateProduct(2, 3, [((2, 3), table)])
+    # inputs out of lexicographic order
+    shuffled = ch.TableChannel(reversed(table.inputs_tuple()), table.outputs, table.table)
+    with pytest.raises(AlphabetMismatch):
+        ch.confusability_adjacency(ch.CoordinateProduct(2, 3, [((0, 2), shuffled)]))
+
+
 def test_symbolic_predicate_answers_its_graph():
     def fan(x):
         fan_calls.append(x)

@@ -184,6 +184,99 @@ def test_exhausted_brute_force_capacity_raises_with_its_lower_code():
     assert code and ch.is_good_code(hamming.explicit_channel(spec), code)
 
 
+def random_component_spec(rng, a, n_blocks, overlapping):
+    """A spec over range(a) with n_blocks blocks on scattered coordinates:
+    disjoint ones with erasure budgets, or, when `overlapping`, erasure-free
+    ones on random subsets; some coordinates may stay free."""
+    s = rng.randint(1, {2: 8, 3: 5, 4: 4}[a])
+    coords = list(range(s))
+    rng.shuffle(coords)
+    blocks = []
+    for _ in range(n_blocks):
+        if overlapping:
+            chosen = rng.sample(range(s), rng.randint(1, s))
+            blocks.append(hamming.Block(chosen, rng.randint(0, 2)))
+        else:
+            size = rng.randint(0, len(coords))
+            blocks.append(hamming.Block(coords[:size], rng.randint(0, 2), rng.randint(0, 1)))
+            coords = coords[size:]
+    return hamming.HammingSpec(a, s, tuple(blocks))
+
+
+def test_component_rows_equal_the_explicit_rows_randomized():
+    # the graph built from the components' tables is the table's graph,
+    # bit for bit, in word order
+    rng = random.Random(28)
+    seen = set()
+    for a in (2, 3, 4):
+        for n_blocks in range(4):
+            for overlapping in (False, True):
+                for _ in range(4):
+                    spec = random_component_spec(rng, a, n_blocks, overlapping)
+                    parts = hamming.components(spec)
+                    chan = hamming.component_channel(spec)
+                    want = ch.confusability_adjacency(hamming.explicit_channel(spec), 1024)
+                    assert ch.confusability_adjacency(chan, 1024) == want, spec
+                    if spec.alphabet_size ** spec.length <= 256:
+                        assert ch.same_fanout_map(chan, hamming.explicit_channel(spec)), spec
+                    seen.update(name for name, holds in (
+                        ("erasures", any(b.e for b in spec.blocks)),
+                        ("overlapping", not hamming.disjoint(spec.blocks)),
+                        ("scattered", any(c[-1] - c[0] >= len(c) for c, _ in parts)),
+                        ("free", hamming.covered(spec.blocks) != set(range(spec.length))))
+                        if holds)
+    assert seen == {"erasures", "overlapping", "scattered", "free"}
+
+
+def test_components_group_blocks_that_share_coordinates():
+    # {1, 6} joins {1, 5} and {4, 6}; the empty block joins nothing
+    spec = hamming.HammingSpec(2, 7, (hamming.Block({5, 1}, 1), hamming.Block({3}, 2),
+                                      hamming.Block({6, 4}, 1), hamming.Block({1, 6}, 1),
+                                      hamming.Block((), 2)))
+    assert hamming.components(spec) == [
+        ((1, 4, 5, 6), hamming.HammingSpec(2, 4, (hamming.Block({2, 0}, 1),
+                                                  hamming.Block({3, 1}, 1),
+                                                  hamming.Block({0, 3}, 1)))),
+        ((3,), hamming.single_block(2, 1, {0}, 2))]
+    # coordinates 0 and 2 read as sent
+    assert hamming.component_channel(spec).free == (0, 2)
+
+
+def _benchmark_hamming_specs():
+    from test_benchmark_boundaries import _workloads
+    workloads = _workloads()
+    return [workloads.hamming_spec(*entry) for entry in workloads.HAMMING_SPECS]
+
+
+@pytest.mark.parametrize("budget", [1, 10, 100, 20_000, None])
+def test_brute_force_capacity_matches_the_table_search_on_the_benchmark(budget):
+    # the same graph gives the same search: equal values, or equal incumbents
+    for spec in _benchmark_hamming_specs():
+        res = ch.one_shot_capacity(hamming.explicit_channel(spec),
+                                   max_vertices=hamming.BRUTE_FORCE_LIMIT, node_budget=budget)
+        if res.exact:
+            got = hamming.brute_force_capacity(spec, node_budget=budget)
+            assert got == res.value_in_base(spec.alphabet_size) and got.exact, spec
+        else:
+            with pytest.raises(SearchLimitExceeded) as info:
+                hamming.brute_force_capacity(spec, node_budget=budget)
+            assert info.value.incumbent == res.witness, spec
+
+
+def test_brute_force_capacity_lists_only_the_components_fanouts(monkeypatch):
+    # (2, 7): blocks on {0, 1, 2} and {3, 4} list 8 + 4 fan-outs, not 2**7;
+    # a spec with no blocks lists none
+    fanout, calls = hamming.fanout, []
+    monkeypatch.setattr(hamming, "fanout", lambda spec, x: calls.append(x) or fanout(spec, x))
+    spec = _benchmark_hamming_specs()[0]
+    assert spec.length == 7
+    assert hamming.brute_force_capacity(spec).value == pytest.approx(4.0)
+    assert len(calls) == 12
+    calls.clear()
+    assert hamming.brute_force_capacity(hamming.HammingSpec(3, 4, ())).value == pytest.approx(4.0)
+    assert calls == []
+
+
 def test_prop_formula_matches_brute_force_randomized():
     rng = random.Random(99)
     done = 0

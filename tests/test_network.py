@@ -688,6 +688,28 @@ def test_linear_fanouts_translate_with_a_frozen_source(monkeypatch):
             assert fans[x] == adversarial_fanouts(net, code, adv, full)
 
 
+def test_linear_fanouts_sweep_no_input_clean(monkeypatch):
+    # clean observations come from the transfer matrices: reading every
+    # input's fan-outs sweeps as often as reading one input's
+    net = netlib.butterfly((0, 1, 2))
+    code = _random_linear_code(random.Random(6), net, gf.make_field(3))
+    adv = AdversarySpec((AdvBlock({"e3", "e7"}, 1),))
+    inputs = list(network.global_inputs(net))
+    forward, sweeps = network._forward, []
+    monkeypatch.setattr(network, "_forward", lambda *args, **kw: sweeps.append(args[3])
+                        or forward(*args, **kw))
+    counts = []
+    for xs in (inputs[:1], inputs):
+        sweeps.clear()
+        chans = network.adversarial_channels(net, code, adv)
+        for x in xs:
+            for c in chans.values():
+                c.fanout(x)
+        counts.append(len(sweeps))
+    assert counts[0] == counts[1] and len(inputs) == 9
+    assert schemes.linear_transfer_matrices is network.linear_transfer_matrices
+
+
 def test_adversarial_channels_sweep_each_input_outside_the_linear_case(monkeypatch):
     # erasures, symbols that are tuples, a mixed code, a code over two
     # fields and a field larger than the alphabet take one sweep per input,
@@ -1333,8 +1355,9 @@ SIZE_GUARDS = {
     "rank_explicit_channel": (   # 4099 is the least prime power past 2**12
         lambda: hamming.rank_explicit_channel(hamming.RankMetricSpec(4099, 1, 1, (), 0)),
         SearchLimitExceeded, [(hamming, "rank_in_fanout")]),
-    "brute_force_capacity": (lambda: hamming.brute_force_capacity(_no_blocks(2 ** 10 + 1, 1)),
-                             SearchLimitExceeded, [(hamming, "fanout")]),
+    "brute_force_capacity": (   # one block, so past the guard its table would list words
+        lambda: hamming.brute_force_capacity(hamming.single_block(2 ** 10 + 1, 1, (0,), 1)),
+        SearchLimitExceeded, [(hamming, "fanout"), (hamming, "words")]),
     "confusability_adjacency": (
         lambda: ch.confusability_adjacency(ch.identity_channel(range(513))),
         SearchLimitExceeded, [(ch.Channel, "confusable"), (ch.TableChannel, "fanout")]),
