@@ -13,12 +13,16 @@ positions or network edge ids, so `network.AdversarySpec` holds the same
 blocks, checked by `check_blocks`.  `reader` is the one statement of what the
 blocks may do, one coordinate at a time in a given order, cached per blocks,
 alphabet and order; it memoizes the budgets each read leaves and retires a
-block once its last coordinate is read.  `in_fanout` and the reads of
-`network.adversarial_fanouts` walk words through it, and `actions` lists,
-once per blocks, the (corrupted, erased) choices it allows, which `ball`
-applies to a word for word fan-outs, `adversarial_strength` and a per-symbol
-adversary's symbol ball.  `chosen_subsets` lists the compound model's fixed
-vulnerable sets and `restrict` narrows blocks to them.
+block once its last coordinate is read.  Its joint form reads several
+coordinates at once from the action patterns memoized per (coordinates,
+budget): which keep their value, take another symbol or read STAR.
+`in_fanout` walks words through the per-coordinate read; the sweeps of
+`network.adversarial_fanouts` read each vertex's in-edges jointly, and
+`actions` lists, once per blocks, the (corrupted, erased) choices of a
+joint read, which `ball` applies to a word for word fan-outs,
+`adversarial_strength` and a per-symbol adversary's symbol ball.
+`chosen_subsets` lists the compound model's fixed vulnerable sets and
+`restrict` narrows blocks to them.
 
 Blocks that share no coordinate, directly or through other blocks, act
 independently, so a spec is the product of its `components` (Shannon 1956;
@@ -145,9 +149,20 @@ def reader(blocks, alphabet, order):
     and paying block), where the blocks coord ends in order have t = e = 0.
     The tuple read returns is memoized per (coord, v, spare).  A budget
     lists each block's remaining t and e in turn; spare, a frozenset of
-    budgets, starts as the blocks' full budgets."""
+    budgets, starts as the blocks' full budgets.
+
+    read.joint(coords, values, spare), both tuples, lists every (in-tuple,
+    budget left) that the coordinates coords, holding values and read in
+    turn, may read as: the set that read's choices give coordinate by
+    coordinate.  Per (coords, spare) it memoizes the patterns, which
+    coordinates keep their value (kind 0), take another symbol (1) or
+    read STAR (2), each with the budgets it leaves, from the same pay and
+    retire rule.  A pattern reads as the product of its coordinates'
+    alternatives, so a key with nothing left to spend is one pattern: its
+    own values.  The tuple joint returns is memoized per (coords, values,
+    spare)."""
     last = [max(b.coords, key=order.index, default=None) for b in blocks]
-    paid, listed = {}, {}
+    paid, listed, patterns, alternatives, joined = {}, {}, {}, {}, {}
 
     def pay(spare, coord, erase):
         return frozenset(left[:j] + (left[j] - 1,) + left[j + 1:] for left in spare
@@ -158,33 +173,56 @@ def reader(blocks, alphabet, order):
         return frozenset(tuple(0 if last[k // 2] == coord else n for k, n in enumerate(left))
                          for left in budgets)
 
+    def budgets(coord, spare):
+        """The budgets left by (keep, corrupt, erase) at coord from spare;
+        an empty one means no block can pay."""
+        left = paid.get((coord, spare))
+        if left is None:
+            left = paid[coord, spare] = tuple(retire(s, coord) for s in (
+                spare, pay(spare, coord, False), pay(spare, coord, True)))
+        return left
+
     def read(coord, v, spare):
         choices = listed.get((coord, v, spare))
         if choices is None:
-            if (coord, spare) not in paid:
-                paid[coord, spare] = tuple(retire(s, coord) for s in (
-                    spare, pay(spare, coord, False), pay(spare, coord, True)))
-            keep, errs, stars = paid[coord, spare]
+            keep, errs, stars = budgets(coord, spare)
             choices = listed[coord, v, spare] = (
                 ((v, keep),) + tuple((w, errs) for w in (alphabet if errs else ()) if w != v)
                 + (((STAR, stars),) if stars else ()))
         return choices
 
+    def joint(coords, values, spare):
+        made = joined.get((coords, values, spare))
+        if made is None:
+            ways = patterns.get((coords, spare))
+            if ways is None:
+                ways = [((), spare)]
+                for coord in coords:
+                    ways = [(kinds + (kind,), left) for kinds, s in ways
+                            for kind, left in enumerate(budgets(coord, s)) if left]
+                ways = patterns[coords, spare] = tuple(ways)
+            alts = [alternatives.get(v) or alternatives.setdefault(
+                v, ((v,), tuple(w for w in alphabet if w != v), (STAR,))) for v in values]
+            made = joined[coords, values, spare] = tuple(
+                (got, left) for kinds, left in ways
+                for got in itertools.product(*map(tuple.__getitem__, alts, kinds)))
+        return made
+
+    read.joint = joint
     return read, frozenset({tuple(n for b in blocks for n in (b.t, b.e))})
 
 
 @functools.cache
 def actions(blocks):
     """Each distinct (corrupted, erased) pair of position sets the blocks (a
-    tuple) can make: the covered positions of a zero word read over (0, 1)
-    through `reader`, 1 marking a corrupted position and STAR an erased one."""
+    tuple) can make: the covered positions of a zero word read jointly over
+    (0, 1) through `reader`, 1 marking a corrupted position and STAR an
+    erased one."""
     order = tuple(covered(blocks))
     read, spare = reader(blocks, (0, 1), order)
-    made = [(frozenset(), frozenset(), spare)]
-    for i in order:
-        made = [(err | {i} if w == 1 else err, stars | {i} if w == STAR else stars, left)
-                for err, stars, spare in made for w, left in read(i, 0, spare)]
-    return tuple((err, stars) for err, stars, _ in made)
+    return tuple((frozenset(i for i, w in zip(order, got) if w == 1),
+                  frozenset(i for i, w in zip(order, got) if w == STAR))
+                 for got, _ in read.joint(order, (0,) * len(order), spare))
 
 
 def ball(word, acts, alphabet):

@@ -16,34 +16,36 @@ step reads or an earlier terminal read.  One sweep, `_forward`, walks a
 plan over states that hold edge values in a list by position, so a write
 is one slice assignment and a branch one list copy: before each step,
 states equal on the budget and on those positions merge; the step reads
-its in-edges through read(p, v, spare), the values an edge may read as
-with the budget each leaves, then writes its out-edges.  A relay's
-in-edges are read by no later step, so a relay branches once per vertex,
-not per in-edge: per distinct (budget, in-values) it lists the joint reads
-of its in-edges (`_relay_reads`) and keeps the distinct (output, budget
-left) they give (`_relay_writes`), calling its function once per distinct
-in-tuple; sweeps that share one dict share that work.  An earlier
-terminal keeps every read in the states, as those are its observations;
-the joint reads of a last terminal without out-edges are its fan-out, so
-no end state is built.  `evaluate` and `cut_to_sink_channel` (on the part
-of the plan that feeds the terminal) sweep without reads from a start
-that holds the overrides: an edge in it keeps its start value whatever
-its tail writes.  Cyclic networks have no plan; evaluating one raises
-CyclicGraph.  `one_vertex_sweep` builds from the relay helpers a sweep
-for codes that differ at one relay only, such as the relay maps of
-`schemes.linear_impossibility`: each input runs up to the relay once, each
-code runs the write phase, and the rest of the plan runs once per
-distinct state after the relay, for all codes.
+its in-edges jointly, in one read(ps, values, spare) that lists every
+in-tuple they may read as with the budget it leaves, then writes its
+out-edges.  A relay's in-edges are read by no later step, so a relay
+branches once per vertex: per distinct (budget, in-values) it takes one
+joint read (`_relay_reads`) and keeps the distinct (output, budget left)
+they give (`_relay_writes`), calling its function once per distinct
+in-tuple; sweeps that share one dict share that work.  Any other step, an
+earlier terminal above all, keeps every joint read in the states, as
+those are its observations; the joint reads of a last terminal without
+out-edges are its fan-out, so no end state is built.  `evaluate` and
+`cut_to_sink_channel` (on the part of the plan that feeds the terminal)
+sweep without reads from a start that holds the overrides: an edge in it
+keeps its start value whatever its tail writes.  Cyclic networks have no
+plan; evaluating one raises CyclicGraph.  `one_vertex_sweep` builds from
+the relay helpers a sweep for codes that differ at one relay only, such
+as the relay maps of `schemes.linear_impossibility`: each input runs up
+to the relay once, each code runs the write phase, and the rest of the
+plan runs once per distinct state after the relay, for all codes.
 
 An adversary is a set of `hamming.Block`s whose coordinates are edge ids;
 as in `hamming`, blocks may share edges only when none of them carries
 erasures, and a result that needs disjoint blocks checks
 `hamming.disjoint(blocks)`.  `adversarial_fanouts` reads a Hamming-type
-adversary's edges through `hamming.reader` in plan order, the one statement
-of what the blocks may do, which retires each block after its last edge; a
+adversary's edges through `hamming.reader`'s joint read in plan order, the
+one statement of what the blocks may do, which memoizes the patterns of
+each (in-edges, budget) and retires each block after its last edge; a
 per-symbol adversary's one block, over sub-symbol positions, reads every
-edge value as its `ball` of the block's `hamming.actions`.  A network keeps
-each adversary's read, checked once, for all inputs.  `adversarial_channels`
+edge value as its `ball` of the block's `hamming.actions`, so in-edges read
+jointly as the product of their balls.  A network keeps each adversary's
+joint read, checked once, for all inputs.  `adversarial_channels`
 makes the terminals' channels, on which `regions` verifies codes; their
 inputs share one dict of relay work, and for a linear code under an
 error-only adversary they sweep the zero input alone and translate its
@@ -427,8 +429,12 @@ class LinearVertex:
             values = [zero if v == STAR else v for v in values]
         if self.m is None:
             return gf.mat_vec_row(self.field, values, self._coefficients)
-        return tuple(zip(*[gf.mat_vec_row(self.field, digit, self._coefficients)
-                           for digit in zip(*values)]))
+        return _digitwise(self.field, values, self._coefficients)
+
+
+def _digitwise(fld, values, coefficients):
+    """The coefficient matrix applied to tuple symbols, one digit at a time."""
+    return tuple(zip(*[gf.mat_vec_row(fld, digit, coefficients) for digit in zip(*values)]))
 
 
 class FuncVertex:
@@ -491,14 +497,11 @@ def _merge(states, kept):
                  for values, left in states}.values())
 
 
-def _relay_reads(keys, ins, read):
+def _relay_reads(keys, ins, joint):
     """The joint reads (key, in-tuple read, budget left) of the in-edges at
-    positions `ins`, for each key (budget, *values the edges hold) in turn."""
-    reads = [(key, (), key[0]) for key in keys]
-    for j, p in enumerate(ins, 1):
-        reads = [(key, got + (w,), left) for key, got, s in reads
-                 for w, left in read(p, key[j], s)]
-    return reads
+    positions `ins`, for each key (budget, *values the edges hold) in turn:
+    one joint(ins, values, budget) per key."""
+    return [(key, got, left) for key in keys for got, left in joint(ins, key[1:], key[0])]
 
 
 def _fit(out, outs):
@@ -525,11 +528,12 @@ def _forward(net, code, steps, x, read, spare=(), start=(), states=None, stop=No
     over `steps`, or over its first `stop` steps, from `states` or else
     from one state that holds `start`, (position, value) pairs that hold
     again before each step, whatever their tails wrote.  A step reads its
-    in-edges, the edge at position p holding v as any (w, spare') in
-    read(p, v, spare), or as v when read is None, then writes its out-edge
-    slice: a source x[src], another vertex its function of what it read.
-    Before each step, states that agree on the budget and on every value
-    still to be read or read by a terminal merge.
+    in-edges at positions ps, holding values, jointly as any (in-tuple,
+    spare') in read(ps, values, spare), or as their values when read is
+    None, then writes its out-edge slice: a source x[src], another vertex
+    its function of what it read.  Before each step, states that agree on
+    the budget and on every value still to be read or read by a terminal
+    merge.
 
     A relay, a vertex other than a source with out-edges whose in-edges no
     later step reads (the last step keeps every edge a terminal reads),
@@ -537,9 +541,9 @@ def _forward(net, code, steps, x, read, spare=(), start=(), states=None, stop=No
     budget left) of the joint reads of its (budget, in-values), and its
     in-edges keep their written values.  `shared` keeps per relay its
     function, its output per in-tuple and those pairs per (budget,
-    in-values).  Any other step, a terminal above all, branches edge by
-    edge and keeps every read.  A sweep without branches (read None) ends
-    in one state."""
+    in-values).  Any other step, a terminal above all, branches once per
+    joint read and keeps every read.  A sweep without branches (read None)
+    ends in one state."""
     last = steps[-1][4]
     if states is None:
         states = [([None] * len(net.edges), spare)]
@@ -568,13 +572,18 @@ def _forward(net, code, steps, x, read, spare=(), start=(), states=None, stop=No
                         values[outs] = out
                         states.append((values, left))
             continue
-        for p in ins if read else ():
+        if read and ins:
             branched = []
             for values, spare in states:
-                choices = read(p, values[p], spare)
-                for w, left in choices[1:]:
-                    branched.append((values[:p] + [w] + values[p + 1:], left))
-                values[p], left = choices[0]
+                # a state's last successor reuses its list
+                *others, (got, left) = read(ins, tuple(map(values.__getitem__, ins)), spare)
+                for got_other, left_other in others:
+                    copy = values.copy()
+                    for p, w in zip(ins, got_other):
+                        copy[p] = w
+                    branched.append((copy, left_other))
+                for p, w in zip(ins, got):
+                    values[p] = w
                 branched.append((values, left))
             states = branched
         if outs:
@@ -804,9 +813,9 @@ ACTION_LIMIT = 10 ** 6
 
 def _adversary_read(net, adv, alphabet):
     """(read, spare, symbols) of an adversary over a tuple alphabet: the
-    read of edge positions and start budget of a sweep and the alphabet's
-    set.  The network keeps them per adversary and alphabet, once the edge
-    and action-limit checks pass."""
+    joint read of edge positions and start budget of a sweep and the
+    alphabet's set.  The network keeps them per adversary and alphabet,
+    once the edge and action-limit checks pass."""
     if (adv, alphabet) not in net._reads:
         adv.check_edges(net)
         if _count_actions(net, adv, alphabet) > ACTION_LIMIT:
@@ -815,20 +824,23 @@ def _adversary_read(net, adv, alphabet):
             order = tuple(p for _, _, ins, _, _ in _steps(net) for p in ins)
             blocks = tuple(AdvBlock(map(net._position.get, b.coords), b.t, b.e) for b in adv.blocks)
             read, spare = reader(blocks, alphabet, order)
+            joint = read.joint
         else:   # per-symbol: _count_actions has rejected every other variant
             acts = actions(adv.blocks)
             base = sorted({v for sym in alphabet for v in sym})
-            symbol_ball = functools.cache(lambda v: ball(v, acts, base))
-            read = lambda p, v, spare: [(w, spare) for w in symbol_ball(v)]
+            symbol_ball = functools.cache(lambda v: tuple(ball(v, acts, base)))
+            joint = lambda ps, values, spare: [(got, spare) for got in
+                                               itertools.product(*map(symbol_ball, values))]
             spare = ()
-        net._reads[adv, alphabet] = read, spare, frozenset(alphabet)
+        net._reads[adv, alphabet] = joint, spare, frozenset(alphabet)
     return net._reads[adv, alphabet]
 
 
 def _fanouts(net, code, steps, x, read, shared, spare=(), states=None):
     """Per terminal, its fan-out over the sweep of `steps` (as `_forward`).
     A last step without out-edges is not swept: the joint reads of its
-    in-edges from each distinct (budget, in-values) are its fan-out."""
+    in-edges, one `_relay_reads` read per distinct (budget, in-values), are
+    its fan-out."""
     vertex, _, ins, outs, _ = steps[-1]
     states = _forward(net, code, steps, x, read, spare, states=states,
                       stop=len(steps) - (outs is None), shared=shared)
@@ -920,19 +932,24 @@ def linear_transfer_matrices(net, code, fld):
     source i a matrix of shape |out(S_i)| x |in(T)| over the field, mapping
     emitted packets (as coefficients) to terminal observations.
 
-    The code's matrices are evaluated on unit coefficient vectors."""
+    Each edge carries its global coding vector: a source's out-edges the
+    unit vectors, and a vertex's out-edges its coefficient matrix applied to
+    its in-edges' vectors, one coefficient at a time."""
     offsets = {}
     total = 0
     for s in net.sources:
         offsets[s] = total
         total += len(net.out_edges(s))
     units = [(0,) * r + (1,) + (0,) * (total - r - 1) for r in range(total)]
-    x = tuple(tuple(units[offsets[s]:offsets[s] + len(net.out_edges(s))])
-              for s in net.sources)
-    coeff_code = NetworkCode({v: LinearVertex(fld, code.fn(v).matrix, m=total)
-                              for v in net.intermediates})
-    # unit vectors lie outside the alphabet that `evaluate` holds sources to
-    (values, _), = _forward(net, coeff_code, _steps(net), x, None)
+    values = [None] * len(net.edges)
+    for vertex, src, ins, outs, _ in _steps(net):
+        if outs is None:
+            continue
+        if src is not None:
+            values[outs] = units[offsets[vertex]:offsets[vertex] + outs.stop - outs.start]
+            continue
+        values[outs] = _fit(_digitwise(fld, map(values.__getitem__, ins),
+                                       code.fn(vertex)._coefficients), outs)
     observed = _observe(net, values)
     out = {}
     for t in net.terminals:

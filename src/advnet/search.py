@@ -18,6 +18,8 @@ budget; when it runs out, `SearchLimitExceeded.incumbent` holds the
 largest independent set found so far.
 """
 
+import sys
+
 from .errors import SearchLimitExceeded
 
 
@@ -27,7 +29,19 @@ def _vertices(mask):
 
 def max_independent_set(adj, node_budget=None):
     """Exact maximum independent set; returns (size, vertices) where
-    vertices is the lexicographically smallest optimal set."""
+    vertices is the lexicographically smallest optimal set.
+
+    The search nests one `expand` per clique member, so for this call the
+    recursion limit is raised by the vertex count and then restored."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + len(adj))
+    try:
+        return _max_independent_set(adj, node_budget)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _max_independent_set(adj, node_budget):
     n = len(adj)
     if n == 0:
         return 0, []

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,13 @@ def test_mis_matches_brute_force_on_random_graphs():
         assert size == brute_force_mis(adj)
         for a, b in itertools.combinations(verts, 2):
             assert not (adj[a] >> b) & 1
+
+
+def test_mis_restores_the_recursion_limit_when_its_budget_runs_out():
+    limit = sys.getrecursionlimit()
+    with pytest.raises(SearchLimitExceeded):
+        search.max_independent_set(random_graph(random.Random(3), 30, 0.3), node_budget=2)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_mis_witness_is_lexicographically_smallest():

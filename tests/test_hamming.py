@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,15 @@ def test_capacity_single_block_formula():
 def test_single_block_capacity_equals_brute_force():
     spec = hamming.single_block(2, 3, {0, 1}, 0, 1)
     assert hamming.brute_force_capacity(spec).value == pytest.approx(2.0)
+
+
+def test_brute_force_capacity_of_a_clean_spec_searches_past_the_recursion_limit():
+    # no blocks: all 1,024 words form one independent set, one search frame
+    # per member, more than the default recursion limit of 1,000
+    limit = sys.getrecursionlimit()
+    got = hamming.brute_force_capacity(hamming.HammingSpec(2, 10, ()))
+    assert (got, got.exact) == (BaseValue(10, 2), True)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_exhausted_brute_force_capacity_raises_with_its_lower_code():
@@ -632,6 +642,55 @@ def test_reader_retires_each_block_after_its_last_coordinate():
                            for j, end in ends.items() if end <= pos), (spec, order, left)
         kinds[hamming.disjoint(spec.blocks)] += any(b.t + b.e for b in spec.blocks)
     assert kinds[True] > 100 and kinds[False] > 50
+
+
+def _edge_by_edge(read, coords, values, spare):
+    """Every (in-tuple, budget left) of coords holding values, one read call
+    per partial read per coordinate: the oracle for `read.joint`."""
+    reads = [((), spare)]
+    for coord, v in zip(coords, values):
+        reads = [(got + (w,), left) for got, s in reads for w, left in read(coord, v, s)]
+    return reads
+
+
+def test_joint_read_is_the_edge_by_edge_expansion():
+    # each key reads jointly as the set of (in-tuple, budget left) that the
+    # per-coordinate reads give in turn: groups of scattered coordinates in
+    # a random read order (so blocks retire inside and between groups),
+    # values with STAR among them, from every budget the earlier groups left
+    rng = random.Random(29)
+    seen = {"erasures": 0, "overlapping": 0, "star": 0, "several": 0}
+    for _ in range(300):
+        a = rng.choice((2, 3, 5))
+        s = rng.randint(1, 6)
+        coords = rng.sample(range(s), s)
+        if rng.random() < 0.5:
+            cuts = sorted(rng.sample(range(s + 1), 2))
+            parts = [coords[:cuts[0]], coords[cuts[0]:cuts[1]], coords[cuts[1]:]]
+            blocks = tuple(hamming.Block(p, rng.randint(0, 2), rng.randint(0, 1))
+                           for p in parts[:rng.randint(1, 3)])
+        else:
+            blocks = tuple(hamming.Block(rng.sample(range(s), rng.randint(0, s)),
+                                         rng.randint(0, 2)) for _ in range(rng.randint(1, 3)))
+        seen["erasures"] += any(b.e for b in blocks)
+        seen["overlapping"] += not hamming.disjoint(blocks)
+        order = tuple(rng.sample(range(s), s))
+        read, spare = hamming.reader(blocks, tuple(range(a)), order)
+        spares, at = {spare}, 0
+        while at < s:
+            group = order[at:at + rng.randint(1, 3)]
+            at += len(group)
+            after = set()
+            for sp in spares:
+                values = tuple(STAR if rng.random() < 0.15 else rng.randrange(a) for _ in group)
+                seen["star"] += STAR in values
+                want = _edge_by_edge(read, group, values, sp)
+                got = read.joint(group, values, sp)
+                assert set(got) == set(want), (blocks, order, group, values, sp)
+                after |= {left for _, left in got}
+            seen["several"] += len(spares) > 1
+            spares = after
+    assert all(n > 30 for n in seen.values()), seen
 
 
 def test_explicit_channel_outputs_are_the_reached_words():

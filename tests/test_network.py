@@ -535,6 +535,23 @@ def test_per_symbol_adversary():
     assert all(sum(a != b for a, b in zip(y[0], (0, 0))) <= 2 for y in obs)
 
 
+def test_per_symbol_joint_read_is_the_product_of_symbol_balls():
+    alphabet = tuple(itertools.product((0, 1, 2), repeat=2))
+    net = netlib.triple_path_bottleneck(alphabet)
+    ins = tuple(net._position[e.id] for e in net.in_edges("V"))
+    rng = random.Random(29)
+    for t, e in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+        block = AdvBlock(range(2), t, e)
+        joint, spare, _ = network._adversary_read(
+            net, AdversarySpec((block,), network.PER_SYMBOL), alphabet)
+        balls = {v: hamming.ball(v, hamming.actions((block,)), (0, 1, 2)) for v in alphabet}
+        for _ in range(10):
+            values = tuple(rng.choice(alphabet) for _ in ins)
+            got = joint(ins, values, spare)
+            assert len(got) == len(set(got))
+            assert set(got) == {(w, spare) for w in itertools.product(*map(balls.get, values))}
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_linear_vertex_on_tuples_is_digitwise(q):
     from advnet import gf
@@ -708,6 +725,41 @@ def test_linear_fanouts_sweep_no_input_clean(monkeypatch):
         counts.append(len(sweeps))
     assert counts[0] == counts[1] and len(inputs) == 9
     assert schemes.linear_transfer_matrices is network.linear_transfer_matrices
+
+
+def _swept_transfer_matrices(net, code, fld):
+    """The transfer matrices from one clean sweep of the unit inputs
+    through a code of m-digit `LinearVertex`es, m the number of source
+    out-edges."""
+    widths = [len(net.out_edges(s)) for s in net.sources]
+    total = sum(widths)
+    units = [tuple(int(r == c) for c in range(total)) for r in range(total)]
+    x = tuple(tuple(units[sum(widths[:i]):sum(widths[:i + 1])]) for i in range(len(widths)))
+    digits = NetworkCode({v: LinearVertex(fld, code.fn(v).matrix, m=total)
+                          for v in net.intermediates})
+    (values, _), = network._forward(net, digits, network._steps(net), x, None)
+    observed = network._observe(net, values)
+    return {t: {i: gf.Matrix(fld, tuple(tuple(v[r] for v in observed[t])
+                                        for r in range(sum(widths[:i]), sum(widths[:i + 1]))))
+                for i in range(len(widths))} for t in net.terminals}
+
+
+def test_transfer_matrices_equal_a_sweep_of_the_unit_inputs():
+    # seeded random linear codes on the netlib networks, over prime and
+    # extension fields
+    rng = random.Random(29)
+    makes = [lambda a: netlib.parallel_path(3, a), netlib.single_path, netlib.chain_with_bypass,
+             netlib.two_source_hub, netlib.two_source_grid, netlib.two_source_double_relay,
+             netlib.triple_path_bottleneck, netlib.fan_bottleneck, netlib.butterfly,
+             netlib.diamond, lambda a: netlib.two_source_shared_relay((2, 1), 2, a)]
+    for make in makes:
+        for q in (2, 3, 4, 5):
+            net = make(tuple(range(q)))
+            fld = gf.make_field(q)
+            for _ in range(3):
+                code = _random_linear_code(rng, net, fld)
+                got = schemes.linear_transfer_matrices(net, code, fld)
+                assert got == _swept_transfer_matrices(net, code, fld), (make, q)
 
 
 def test_adversarial_channels_sweep_each_input_outside_the_linear_case(monkeypatch):
@@ -963,16 +1015,19 @@ def test_double_relay_sweep_calls_each_relay_once_per_in_tuple(monkeypatch):
 
     def counting_reader(*args):
         read, spare = hamming.reader(*args)
-        return (lambda eid, v, s: reads.append(eid) or read(eid, v, s)), spare
+        counting = lambda *a: read(*a)
+        counting.joint = lambda ps, values, s: reads.append(ps) or read.joint(ps, values, s)
+        return counting, spare
 
     monkeypatch.setattr(network, "reader", counting_reader)
     x = tuple(c[1] for c in scheme.source_codes)
     fans = adversarial_fanouts(net, counted, adv, x, scheme.alphabet)
     assert len(calls["V1"]) == len(set(calls["V1"])) == 5
     assert len(calls["V2"]) == len(set(calls["V2"])) == 13
-    at = net._position               # the sweep reads edges by position
-    assert reads.count(at["e2"]) == 2    # V2's first in-edge: once per joint read
-    assert reads.count(at["e8"]) == 5    # T's first in-edge: once per state
+    # the sweep reads a vertex's in-edges jointly, by position
+    ins = {v: tuple(net._position[e.id] for e in net.in_edges(v)) for v in ("V2", "T")}
+    assert reads.count(ins["V2"]) == 2   # once per (budget, in-values)
+    assert reads.count(ins["T"]) == 5    # once per state
     monkeypatch.undo()
     assert fans == adversarial_fanouts(net, code, adv, x, scheme.alphabet)
 
